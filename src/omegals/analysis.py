@@ -13,12 +13,13 @@ from .decomposition import TridiagDecomp, check_omega
 from .linalg import (
     adjoint,
     hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     numerical_rank,
     orthonormalize,
     solve_hermitian,
 )
-from .solver import ProblemInstance, solution_map, solve_limit, solve_weighted
+from .solver import OMEGA_INF, ProblemInstance, _solution_map, solve_limit, solve_weighted
 from .subspaces import (
     Subspace,
     eigenspace_split,
@@ -103,8 +104,10 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     dimension of the affine family from the centered singular spectrum.
 
     Uses the cached spectral factorization of A, which reproduces the
-    per-point Hermitian solves exactly; grid points that fail (shift below
-    the guard, Gram breakdown) are recorded in ``failures`` and skipped.
+    per-point Hermitian solves exactly; omega = OMEGA_INF takes the limit
+    weights 1 and gives the ``solve_limit`` solution. Grid points that fail
+    (shift below the guard, Gram breakdown) are recorded in ``failures`` and
+    skipped.
     """
     omegas = np.asarray(omegas, dtype=float)
     v = inst.constraint.direction.basis
@@ -119,7 +122,7 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     for j, omega in enumerate(omegas):
         try:
             inst.check_omega(float(omega))
-            w = 1.0 / (lam + omega)
+            w = np.ones_like(lam) if omega == OMEGA_INF else 1.0 / (lam + omega)
             gram = hermitian_part(adjoint(p_coeff) @ (w[:, None] * p_coeff))
             rhs = adjoint(p_coeff) @ (w * beta)
             y = solve_hermitian(gram, rhs)
@@ -143,7 +146,8 @@ def estimate_span_dim(
     seed: int = 0,
 ) -> int:
     """Numerical dimension of the span of solution differences over random
-    right-hand sides and sampled shift pairs; bounded by the index q.
+    right-hand sides and sampled shift pairs; bounded by the index q. A is
+    factored once and shifted for every sampled shift.
     """
     a = np.asarray(a)
     q = index_of_invariance(a, s)
@@ -162,9 +166,11 @@ def estimate_span_dim(
         i, j = rng.integers(0, grid.size, size=2)
         if grid[i] != grid[j]:
             pairs.append((float(grid[i]), float(grid[j])))
+    eig = hermitian_eig(a)
+    av = a @ s.basis
     maps = {}
     for omega in {w for pair in pairs for w in pair}:
-        maps[omega] = s.basis @ solution_map(a, s, omega)
+        maps[omega] = s.basis @ _solution_map(eig, av, omega)
     n = a.shape[0]
     complex_field = np.iscomplexobj(a)
     bs = rng.standard_normal((n, n_samples))
@@ -187,27 +193,42 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
 
     Built as the kernel of the stacked functionals
     v_j* Q_i Q_i* (I - A V M(omega)) over eigenspace blocks Q_i and subspace
-    basis vectors v_j.
+    basis vectors v_j. One factorization A = U diag(lambda) U* serves both
+    M(omega) and the blocks Q_i (column slices of U), so the functionals are
+    (Q_i* V)* (Q_i* (I - A V M(omega))), read off the rows of U* V and
+    U* - (U* A V) M(omega). One SVD of the stack gives the rank and the
+    kernel.
     """
     a = np.asarray(a)
     n = a.shape[0]
-    split = eigenspace_split(a)
-    m = solution_map(a, s, omega)
-    r_op = np.eye(n, dtype=a.dtype) - a @ (s.basis @ m)
+    eig = hermitian_eig(a)
+    split = eigenspace_split(eig)
+    v = s.basis
+    av = a @ v
+    m = _solution_map(eig, av, omega)
+    ut = adjoint(eig.u)
+    ut_r = ut - (ut @ av) @ m   # U* (I - A V M(omega))
+    ut_v = ut @ v
     rows = []
+    start = 0
     for _, q_block in split.blocks:
-        rows.append(adjoint(s.basis) @ (q_block @ (adjoint(q_block) @ r_op)))
+        stop = start + q_block.shape[1]
+        rows.append(adjoint(ut_v[start:stop]) @ ut_r[start:stop])
+        start = stop
     f = np.vstack(rows) if rows else np.zeros((0, n))
     # When the index is 0 the stacked functionals vanish identically, so the
     # rank cut must be taken against the scale of the residual operator, not
     # against the (noise-level) top singular value of f itself.
-    scale = float(np.linalg.norm(r_op, 2))
-    sv = np.linalg.svd(f, compute_uv=False) if f.size else np.zeros(0)
-    tol = max(f.shape) * np.finfo(float).eps * 32 if f.size else 1.0
-    rank = int(np.count_nonzero(sv > tol * max(scale, 1e-300)))
+    scale = float(np.linalg.norm(ut_r, 2))
+    rank = 0
+    if f.size:
+        # a thin V* has only min(rows, n) rows: a short, wide f needs the
+        # full one to carry the kernel
+        _, sv, vh = np.linalg.svd(f, full_matrices=f.shape[0] < n)
+        tol = max(f.shape) * np.finfo(float).eps * 32
+        rank = int(np.count_nonzero(sv > tol * max(scale, 1e-300)))
     if rank == 0:
         return Subspace(np.eye(n, dtype=complex if np.iscomplexobj(a) else float))
-    _, _, vh = np.linalg.svd(f, full_matrices=True)
     return Subspace(adjoint(vh[rank:]))
 
 
@@ -246,24 +267,25 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
     if len(omega_mu_samples) and not t_invertible:
         raise ValueError("T is singular: L(omega, mu) is not defined")
     r = dec.n - dec.p - dec.q
-    e_eig = hermitian_eig(dec.E) if r > 0 else None
-    t_inv_bstar = solve_hermitian(dec.T, adjoint(dec.B)) if len(omega_mu_samples) else None
+    if len(omega_mu_samples):
+        base = dec.C - dec.B @ solve_hermitian(dec.T, adjoint(dec.B))
+        if r > 0:
+            # D* K D = (U* D)* diag(k) (U* D) with E = U diag(xi) U*
+            xi = dec.E_eig.lambdas
+            ud = adjoint(dec.E_eig.u) @ dec.D
     for omega, mu in omega_mu_samples:
         if omega == mu:
             raise ValueError("L(omega, mu) requires omega != mu")
         check_omega(dec, omega)
         check_omega(dec, mu)
-        base = dec.C - dec.B @ t_inv_bstar
         if r > 0:
-            xi = e_eig.lambdas
             k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
-            k = (e_eig.u * k_diag) @ adjoint(e_eig.u)
-            l_matrix = base - adjoint(dec.D) @ k @ dec.D
+            l_matrix = base - adjoint(ud) @ (k_diag[:, None] * ud)
         else:
             l_matrix = base
         l_matrix = hermitian_part(l_matrix)
         invertible = numerical_rank(l_matrix) == dec.q
-        positive = bool(dec.q == 0 or hermitian_eig(l_matrix).lambdas[-1] > 0)
+        positive = bool(dec.q == 0 or hermitian_eigvals(l_matrix)[-1] > 0)
         samples.append(LSample(float(omega), float(mu), l_matrix, invertible, positive))
     return ConditionReport(t_invertible, trivial, tuple(samples))
 

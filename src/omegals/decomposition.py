@@ -15,14 +15,18 @@ has full column rank p whenever A is invertible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
+    EigDecomposition,
     adjoint,
     hermitian_eig,
+    hermitian_eigvals,
     hermitian_part,
     is_hermitian,
     numerical_rank,
@@ -35,9 +39,32 @@ from .subspaces import AffineSubspace, Subspace, index_of_invariance
 OMEGA_GUARD = 1e-8
 
 
+def guard_threshold(omega_min: float, op_norm: float) -> float:
+    """Smallest admissible shift: omega_min + OMEGA_GUARD * max(1, ||A||)."""
+    return omega_min + OMEGA_GUARD * max(1.0, op_norm)
+
+
+def check_shift(omega: float, omega_min: float, op_norm: float) -> None:
+    """The one shift guard: reject NaN and every omega below
+    guard_threshold(omega_min, op_norm). omega = inf passes."""
+    if math.isnan(omega):
+        raise ValueError("omega is NaN: a shift must be a number")
+    threshold = guard_threshold(omega_min, op_norm)
+    if omega < threshold:
+        raise ValueError(
+            f"omega = {omega} is at or below the guard threshold "
+            f"{threshold} (spectral floor {omega_min})"
+        )
+
+
 @dataclass(frozen=True)
 class TridiagDecomp:
-    """Adapted-basis blocks of one Hermitian operator and one subspace."""
+    """Adapted-basis blocks of one Hermitian operator and one subspace.
+
+    ``E_eig``, the eigendecomposition of E, is computed on first use and
+    kept; every shifted solve with E + omega I (``shifted_blocks``, the
+    block-route differences, ``condition_report``) reuses it shifted.
+    """
 
     V: np.ndarray    # n x p, spans S
     Vp: np.ndarray   # n x q, spans the complement of S inside S + AS
@@ -65,6 +92,10 @@ class TridiagDecomp:
     @property
     def omega_min(self) -> float:
         return -self.lambda_min
+
+    @cached_property
+    def E_eig(self) -> EigDecomposition:
+        return hermitian_eig(self.E)
 
     @property
     def H(self) -> np.ndarray:
@@ -104,7 +135,7 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
         raise ValueError("operator is not Hermitian within tolerance")
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    eig = hermitian_eig(a)
+    lam = hermitian_eigvals(a)
     v = s.basis
     av = a @ v
     residual = av - v @ (adjoint(v) @ av)
@@ -122,7 +153,6 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
     c = hermitian_part(adjoint(vp) @ (a @ vp))
     d = adjoint(vpp) @ (a @ vp)
     e = hermitian_part(adjoint(vpp) @ (a @ vpp))
-    lam = eig.lambdas
     return TridiagDecomp(
         V=v, Vp=vp, Vpp=vpp, T=t, B=b, C=c, D=d, E=e,
         lambda_min=float(lam[-1]) if lam.size else 0.0,
@@ -171,26 +201,27 @@ class ShiftedBlocks:
 
 
 def omega_guard_threshold(dec: TridiagDecomp) -> float:
-    return dec.omega_min + OMEGA_GUARD * max(1.0, dec.op_norm)
+    return guard_threshold(dec.omega_min, dec.op_norm)
 
 
 def check_omega(dec: TridiagDecomp, omega: float) -> None:
-    if omega < omega_guard_threshold(dec):
-        raise ValueError(
-            f"omega = {omega} is at or below the guard threshold "
-            f"{omega_guard_threshold(dec)} (spectral floor {dec.omega_min})"
-        )
+    check_shift(omega, dec.omega_min, dec.op_norm)
 
 
 def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
-    """Blocks E + omega I, F_omega, G_omega for a shift above the guard."""
+    """Blocks E + omega I, F_omega, G_omega for a shift above the guard.
+
+    F_omega is solved through ``dec.E_eig`` shifted by omega, so no shift
+    factors E again.
+    """
     check_omega(dec, omega)
     r = dec.n - dec.p - dec.q
     e_omega = dec.E + omega * np.eye(r, dtype=dec.E.dtype)
     if r == 0:
         f_omega = np.zeros((dec.q, dec.q), dtype=dec.C.dtype)
     else:
-        f_omega = hermitian_part(adjoint(dec.D) @ solve_hermitian(e_omega, dec.D))
+        e_inv_d = solve_hermitian(dec.E_eig.shifted(omega), dec.D)
+        f_omega = hermitian_part(adjoint(dec.D) @ e_inv_d)
     top = np.hstack([dec.T, adjoint(dec.B)])
     bottom = np.hstack([dec.B, dec.C - f_omega])
     g_omega = np.vstack([top, bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)
@@ -234,7 +265,7 @@ def augment_reduction(a: np.ndarray, space, b: np.ndarray) -> AugmentReduction:
     n = a.shape[0]
     if n > p + q:
         return AugmentReduction(False, a, space, lambda alpha: np.asarray(b))
-    lam_min = float(hermitian_eig(a).lambdas[-1])
+    lam_min = float(hermitian_eigvals(a)[-1])
     a_tilde = np.zeros((n + 1, n + 1), dtype=a.dtype)
     a_tilde[:n, :n] = a
     a_tilde[n, n] = lam_min

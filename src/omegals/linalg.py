@@ -64,6 +64,15 @@ class EigDecomposition:
         return (self.u * self.lambdas) @ self.u.conj().T
 
 
+def _checked_hermitian(m, tol: float) -> np.ndarray:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not is_hermitian(m, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return hermitian_part(m)
+
+
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
@@ -71,13 +80,14 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigDecomposition
     beyond ``tol`` (relative Frobenius). The input is symmetrized before the
     factorization so that round-off drift cannot leak into the eigenvectors.
     """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    lam, u = np.linalg.eigh(hermitian_part(m))
+    lam, u = np.linalg.eigh(_checked_hermitian(m, tol))
     return EigDecomposition(u[:, ::-1], lam[::-1])
+
+
+def hermitian_eigvals(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted descending, without the
+    eigenvectors; same checks and symmetrization as :func:`hermitian_eig`."""
+    return np.linalg.eigvalsh(_checked_hermitian(m, tol))[::-1]
 
 
 def orthonormalize(vectors, drop_tol: float | None = None,

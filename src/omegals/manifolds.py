@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import (
     adjoint,
-    hermitian_eig,
+    hermitian_eigvals,
     is_hermitian,
     numerical_rank,
     orthonormalize,
@@ -73,7 +73,7 @@ def membership(
     if cls in _SYM_CLASSES and not is_hermitian(a):
         return False
     if cls is ManifoldClass.M_POS:
-        if hermitian_eig(a).lambdas[-1] <= 0:
+        if hermitian_eigvals(a)[-1] <= 0:
             return False
     if cls is ManifoldClass.M_SYMT:
         t_block = adjoint(s.basis) @ (a @ s.basis)
@@ -123,7 +123,7 @@ def construct_positive_member(s: Subspace, s_prime: Subspace) -> np.ndarray:
     1 + |lambda_min| lands in the positive class; the shift is skipped when
     the witness is already positive (q = 0)."""
     a0 = swap_witness(s, s_prime)
-    lam_min = float(hermitian_eig(a0).lambdas[-1])
+    lam_min = float(hermitian_eigvals(a0)[-1])
     shift = 0.0 if lam_min > 0 else 1.0 + abs(lam_min)
     return a0 + shift * np.eye(a0.shape[0], dtype=a0.dtype)
 

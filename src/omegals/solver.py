@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import (
-    OMEGA_GUARD,
     NullspaceN,
     TridiagDecomp,
+    check_shift,
+    guard_threshold,
     nullspace_of_hstar,
     shifted_blocks,
 )
@@ -85,16 +86,10 @@ class ProblemInstance:
         return float(np.max(np.abs(self.eig.lambdas)))
 
     def omega_threshold(self) -> float:
-        return self.omega_min + OMEGA_GUARD * max(1.0, self.op_norm)
+        return guard_threshold(self.omega_min, self.op_norm)
 
     def check_omega(self, omega: float) -> None:
-        if omega == OMEGA_INF:
-            return
-        if omega < self.omega_threshold():
-            raise ValueError(
-                f"omega = {omega} is at or below the guard threshold "
-                f"{self.omega_threshold()} (spectral floor {self.omega_min})"
-            )
+        check_shift(omega, self.omega_min, self.op_norm)
 
 
 def solve_parametric(inst: ProblemInstance, omega: float, s: float) -> np.ndarray:
@@ -145,27 +140,35 @@ def solve_limit(inst: ProblemInstance) -> np.ndarray:
     return x0 + v @ y
 
 
-def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
-    """The p x n coordinate solution map M(omega) with V M(omega) b the
-    weighted minimizer over the subspace S for every b."""
-    a = np.asarray(a)
-    eig = hermitian_eig(a)
-    omega_min = -float(eig.lambdas[-1])
-    if omega < omega_min + OMEGA_GUARD * max(1.0, float(np.max(np.abs(eig.lambdas)))):
-        raise ValueError(f"omega = {omega} at or below the guard threshold")
-    v = s.basis
-    av = a @ v
+def _solution_map(eig: EigDecomposition, av: np.ndarray, omega: float) -> np.ndarray:
+    """M(omega) = (AV* A_omega^{-1} AV)^{-1} AV* A_omega^{-1} from the
+    factorization ``eig`` of A, shifted by omega, and the product AV."""
+    lam = eig.lambdas
+    check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
     wav = solve_hermitian(eig.shifted(omega), av)
     gram = hermitian_part(adjoint(av) @ wav)
     return solve_hermitian(gram, adjoint(wav))
 
 
+def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
+    """The p x n coordinate solution map M(omega) with V M(omega) b the
+    weighted minimizer over the subspace S for every b.
+
+    Factors A once per call; callers that need several shifts factor A
+    themselves and reuse it shifted through the same kernel.
+    """
+    a = np.asarray(a)
+    return _solution_map(hermitian_eig(a), a @ s.basis, omega)
+
+
 def solution_map_diff(a: np.ndarray, s: Subspace, omega: float, mu: float) -> np.ndarray:
     """The n x n difference V (M(omega) - M(mu)) of the solution operators;
-    its image sits inside the q-dimensional difference subspace."""
-    m_omega = solution_map(a, s, omega)
-    m_mu = solution_map(a, s, mu)
-    return s.basis @ (m_omega - m_mu)
+    its image sits inside the q-dimensional difference subspace. A is
+    factored once for both shifts."""
+    a = np.asarray(a)
+    eig = hermitian_eig(a)
+    av = a @ s.basis
+    return s.basis @ (_solution_map(eig, av, omega) - _solution_map(eig, av, mu))
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,9 @@ def difference_via_blocks(
     nullspace: NullspaceN | None = None,
 ) -> SystemSolution:
     """Coordinate difference d between the weighted solutions at omega and mu,
-    computed from the block system instead of the explicit formula.
+    computed from the block system instead of the explicit formula. Every
+    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted,
+    and G_omega and G_mu are each factored once.
 
     Requires q >= 1. The two equations are
 
@@ -227,8 +232,8 @@ def difference_via_blocks(
     r = dec.n - dec.p - dec.q
 
     if r > 0:
-        e_omega_inv_cpp = solve_hermitian(sb_omega.E_omega, cpp)
-        e_mu_inv_cpp = solve_hermitian(sb_mu.E_omega, cpp)
+        e_omega_inv_cpp = solve_hermitian(dec.E_eig.shifted(omega), cpp)
+        e_mu_inv_cpp = solve_hermitian(dec.E_eig.shifted(mu), cpp)
         d_shift = adjoint(dec.D) @ (e_omega_inv_cpp - e_mu_inv_cpp)
         w_tail = cp - adjoint(dec.D) @ e_mu_inv_cpp
     else:
@@ -237,8 +242,9 @@ def difference_via_blocks(
     w = np.concatenate([c, w_tail])
 
     # Second equation: project the right-hand side onto the nullspace basis.
-    ginv_w = solve_hermitian(sb_mu.G_omega, w)
-    ginv_h = solve_hermitian(sb_mu.G_omega, h)
+    g_mu = hermitian_eig(sb_mu.G_omega)
+    ginv_w = solve_hermitian(g_mu, w)
+    ginv_h = solve_hermitian(g_mu, h)
     inner = hermitian_part(adjoint(h) @ ginv_h)
     rhs2 = ginv_h @ solve_hermitian(inner, adjoint(h) @ ginv_w) - ginv_w
     t = adjoint(ns.N) @ rhs2
@@ -249,7 +255,8 @@ def difference_via_blocks(
     g_vec = mu * (ns.N @ t) + np.concatenate([np.zeros(dec.p, dtype=z_t.dtype), z_t])
 
     # First equation: d solves the positive system H* G_omega^{-1} H d = -H* G_omega^{-1} g.
-    ginv_h_omega = solve_hermitian(sb_omega.G_omega, h)
+    g_omega = hermitian_eig(sb_omega.G_omega)
+    ginv_h_omega = solve_hermitian(g_omega, h)
     a1 = hermitian_part(adjoint(h) @ ginv_h_omega)
     rhs1 = -adjoint(ginv_h_omega) @ g_vec
     d = solve_hermitian(a1, rhs1)
@@ -257,7 +264,7 @@ def difference_via_blocks(
 
     # The combination G_omega^{-1}(H d + g) lies in the nullspace image; its
     # coefficients give t'.
-    lift = solve_hermitian(sb_omega.G_omega, h @ d + g_vec)
+    lift = solve_hermitian(g_omega, h @ d + g_vec)
     t_prime = adjoint(ns.N) @ lift
     res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
 
@@ -281,6 +288,8 @@ def limit_difference_via_blocks(
 
         H* G_omega^{-1} (H d + [0; D* (E + omega I)^{-1} c''] + N t) = 0,
         N t = (H (H* H)^{-1} H* - I) [c; c'].
+
+    Solves with E + omega I go through ``dec.E_eig`` shifted.
     """
     if dec.q == 0:
         raise ValueError("q = 0: solution differences vanish identically")
@@ -297,17 +306,18 @@ def limit_difference_via_blocks(
     res2 = float(np.linalg.norm(ns.N @ t - rhs2))
 
     if r > 0:
-        tail = adjoint(dec.D) @ solve_hermitian(sb_omega.E_omega, cpp)
+        tail = adjoint(dec.D) @ solve_hermitian(dec.E_eig.shifted(omega), cpp)
     else:
         tail = np.zeros(dec.q, dtype=complex if np.iscomplexobj(b) else float)
     g_vec = np.concatenate([np.zeros(dec.p, dtype=tail.dtype), tail]) + ns.N @ t
 
-    ginv_h_omega = solve_hermitian(sb_omega.G_omega, h)
+    g_omega = hermitian_eig(sb_omega.G_omega)
+    ginv_h_omega = solve_hermitian(g_omega, h)
     a1 = hermitian_part(adjoint(h) @ ginv_h_omega)
     d = solve_hermitian(a1, -adjoint(ginv_h_omega) @ g_vec)
     res1 = float(np.linalg.norm(adjoint(ginv_h_omega) @ g_vec + a1 @ d))
 
-    lift = solve_hermitian(sb_omega.G_omega, h @ d + g_vec)
+    lift = solve_hermitian(g_omega, h @ d + g_vec)
     t_prime = adjoint(ns.N) @ lift
     res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
 

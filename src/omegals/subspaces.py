@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import default_rank_tol, hermitian_eig, orthonormalize
+from .linalg import EigDecomposition, default_rank_tol, hermitian_eig, orthonormalize
 
 # Eigenvalues closer than this (relative to max(1, ||A||_2)) collapse into
 # one eigenspace block.
@@ -245,14 +245,17 @@ class EigenspaceSplit:
         return self.blocks[0][1].shape[0] if self.blocks else 0
 
 
-def eigenspace_split(a: np.ndarray, cluster_tol: float = EIG_CLUSTER_TOL) -> EigenspaceSplit:
+def eigenspace_split(a, cluster_tol: float = EIG_CLUSTER_TOL) -> EigenspaceSplit:
     """Group the spectrum of Hermitian A into distinct eigenvalues and return
     per-eigenvalue orthonormal bases spanning all of F^n.
 
-    Eigenvalues within cluster_tol * max(1, ||A||_2) of each other merge into
-    one block (chained along the sorted spectrum).
+    ``a`` may be the matrix or its precomputed :class:`EigDecomposition`. The
+    blocks are consecutive column slices of the eigenvector matrix, in
+    descending eigenvalue order. Eigenvalues within
+    cluster_tol * max(1, ||A||_2) of each other merge into one block (chained
+    along the sorted spectrum).
     """
-    eig = hermitian_eig(a)
+    eig = a if isinstance(a, EigDecomposition) else hermitian_eig(a)
     lam, u = eig.lambdas, eig.u
     n = lam.size
     scale = max(1.0, float(np.abs(lam[0])) if n else 1.0)

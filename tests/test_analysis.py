@@ -20,12 +20,19 @@ from omegals.sampling import (
     random_spd,
     random_subspace,
 )
-from omegals.solver import ProblemInstance, solve_weighted
+from omegals.solver import (
+    OMEGA_INF,
+    ProblemInstance,
+    solution_map,
+    solve_limit,
+    solve_weighted,
+)
 from omegals.subspaces import (
     Subspace,
     eigenspace_split,
     index_of_invariance,
     krylov,
+    normal_representation,
     strongly_orthogonal,
     subspaces_equal,
 )
@@ -136,6 +143,19 @@ class TestSweep:
                                        solve_weighted(inst, float(omega)),
                                        atol=1e-11)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_infinite_shift_gives_the_limit_solution(self, complex_field):
+        rng = np.random.default_rng(6)
+        a = random_hermitian_invertible(rng, 9, complex_field)
+        s = random_subspace(rng, 9, 3, complex_field)
+        space = normal_representation(gaussian_vector(rng, 9, complex_field), s)
+        inst = ProblemInstance.create(a, space, gaussian_vector(rng, 9, complex_field))
+        result = sweep_solutions(inst, [OMEGA_INF])
+        assert not result.failures and result.ok.tolist() == [True]
+        x_limit = solve_limit(inst)
+        err = np.linalg.norm(result.solutions[:, 0] - x_limit)
+        assert err <= 1e-12 * np.linalg.norm(x_limit)
+
     def test_bound_chain(self):
         rng = np.random.default_rng(5)
         a = random_hermitian_invertible(rng, 10, False)
@@ -216,6 +236,30 @@ class TestConstantKernel:
         kernel = constant_kernel(a, s, omega)
         b = rng.standard_normal(8)
         assert not kernel.contains(b, tol=1e-6)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_short_wide_stack_matches_two_svd_construction(self, complex_field):
+        # two eigenspace blocks and p = 1 stack only 2 functionals on F^6, so
+        # the kernel needs the full right singular basis
+        a = np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]).astype(complex if complex_field else float)
+        rng = np.random.default_rng(14)
+        s = random_subspace(rng, 6, 1, complex_field)
+        omega = 0.5
+        kernel = constant_kernel(a, s, omega)
+        # the construction from two SVDs of the functionals stacked in the
+        # original coordinates
+        m = solution_map(a, s, omega)
+        r_op = np.eye(6) - a @ (s.basis @ m)
+        f = np.vstack([s.basis.conj().T @ (q @ (q.conj().T @ r_op))
+                       for _, q in eigenspace_split(a).blocks])
+        assert f.shape == (2, 6)
+        sv = np.linalg.svd(f, compute_uv=False)
+        tol = max(f.shape) * np.finfo(float).eps * 32 * np.linalg.norm(r_op, 2)
+        rank = int(np.count_nonzero(sv > tol))
+        _, _, vh = np.linalg.svd(f, full_matrices=True)
+        expected = Subspace(vh[rank:].conj().T)
+        assert 1 <= kernel.dim < 6
+        assert subspaces_equal(kernel, expected)
 
     def test_invariant_case_kernel_is_everything(self):
         a = np.diag([1.0, 2.0, 3.0])

@@ -1,0 +1,59 @@
+"""The structural checks factor A and the outer block E once each: counted
+as np.linalg.eigh calls by matrix order."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from omegals.analysis import condition_report, constant_kernel, estimate_span_dim
+from omegals.decomposition import tridiagonal_block_decomposition
+from omegals.sampling import random_spd, random_subspace
+from omegals.solver import difference_via_blocks, limit_difference_via_blocks
+from omegals.subspaces import index_of_invariance
+
+
+@pytest.fixture
+def eigh_orders(monkeypatch):
+    """Counter of np.linalg.eigh calls keyed by the order of the matrix."""
+    orders = Counter()
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        orders[np.shape(m)[0]] += 1
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return orders
+
+
+def test_block_route_and_condition_report_share_one_factorization_of_e(eigh_orders):
+    rng = np.random.default_rng(50)
+    n = 12
+    a = random_spd(rng, n)
+    s = random_subspace(rng, n, 2, False)
+    dec = tridiagonal_block_decomposition(a, s)
+    r = dec.n - dec.p - dec.q
+    # the order of E differs from every other block order (p, q, p + q, n)
+    assert (dec.p, dec.q, r) == (2, 2, 8)
+    b = rng.standard_normal(n)
+    for omega, mu in [(0.1, 2.0), (0.5, 7.0), (3.0, 90.0)]:
+        difference_via_blocks(dec, b, omega, mu)
+    limit_difference_via_blocks(dec, b, 1.5)
+    condition_report(dec, [(0.1, 2.0), (0.5, 7.0)])
+    assert eigh_orders[r] == 1
+    assert eigh_orders[n] == 0
+
+
+def test_span_estimate_and_constant_kernel_factor_a_once(eigh_orders):
+    rng = np.random.default_rng(51)
+    n = 10
+    a = random_spd(rng, n)
+    s = random_subspace(rng, n, 3, False)
+    q = index_of_invariance(a, s)
+    assert estimate_span_dim(a, s, grid=np.logspace(-2, 2, 30), seed=2) == q
+    assert eigh_orders[n] <= 1
+    eigh_orders.clear()
+    kernel = constant_kernel(a, s, 0.5)
+    assert kernel.dim < n
+    assert eigh_orders[n] <= 1

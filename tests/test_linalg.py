@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from omegals.linalg import (
     EigDecomposition,
     hermitian_eig,
+    hermitian_eigvals,
     matrix_power_pos,
     numerical_rank,
     orthonormalize,
@@ -56,6 +57,19 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_eigenvalues_alone_match(self, complex_field):
+        m = random_hermitian(8, 30, complex_field)
+        lam = hermitian_eigvals(m)
+        np.testing.assert_allclose(lam, hermitian_eig(m).lambdas, atol=1e-12)
+        assert np.all(np.diff(lam) <= 0)
+
+    def test_eigenvalues_alone_reject_bad_input(self):
+        with pytest.raises(ValueError):
+            hermitian_eigvals(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestOrthonormalize:

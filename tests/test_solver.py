@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from omegals.decomposition import nullspace_of_hstar, shifted_blocks, tridiagonal_block_decomposition
+from omegals.decomposition import (
+    check_omega,
+    nullspace_of_hstar,
+    omega_guard_threshold,
+    shifted_blocks,
+    tridiagonal_block_decomposition,
+)
 from omegals.linalg import adjoint, hermitian_part, solve_hermitian
 from omegals.sampling import (
     gaussian_vector,
@@ -176,6 +184,36 @@ class TestSolveParametric:
             solve_weighted(inst, inst.omega_min)
         with pytest.raises(ValueError):
             solve_parametric(inst, OMEGA_INF, -1)
+
+    @staticmethod
+    def _guards():
+        """(guard, threshold) for the instance, the decomposition and the
+        solution map, which share one shift guard."""
+        inst = two_by_two_instance()
+        s = inst.constraint.direction
+        dec = tridiagonal_block_decomposition(inst.a, s)
+        return [
+            (inst.check_omega, inst.omega_threshold()),
+            (lambda w: check_omega(dec, w), omega_guard_threshold(dec)),
+            (lambda w: solution_map(inst.a, s, w), inst.omega_threshold()),
+        ]
+
+    def test_guard_rejects_nan(self):
+        for guard, _ in self._guards():
+            with pytest.raises(ValueError, match="NaN"):
+                guard(math.nan)
+
+    def test_guard_rejects_shift_just_below_threshold(self):
+        for guard, threshold in self._guards():
+            with pytest.raises(ValueError, match="guard threshold"):
+                guard(np.nextafter(threshold, -np.inf))
+            guard(threshold)
+
+    def test_instance_accepts_infinite_shift(self):
+        inst = two_by_two_instance()
+        inst.check_omega(OMEGA_INF)
+        with pytest.raises(ValueError, match="guard threshold"):
+            inst.check_omega(-OMEGA_INF)
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegals.linalg import hermitian_eig
 from omegals.subspaces import (
     AffineSubspace,
     Subspace,
@@ -186,6 +187,17 @@ class TestEigenspaceSplit:
         dims = [q.shape[1] for _, q in split.blocks]
         assert lams == pytest.approx([2.0, 1.0])
         assert dims == [1, 2]
+
+    def test_precomputed_factorization_gives_the_same_blocks(self):
+        a = np.diag([1.0, 1.0, 2.0, 3.0, 3.0])
+        eig = hermitian_eig(a)
+        split = eigenspace_split(eig)
+        assert split.eigenvalues == eigenspace_split(a).eigenvalues
+        start = 0
+        for _, q in split.blocks:
+            np.testing.assert_array_equal(q, eig.u[:, start:start + q.shape[1]])
+            start += q.shape[1]
+        assert start == 5
 
     def test_two_by_two_eigenvectors(self):
         split = eigenspace_split(np.array([[2.0, 1.0], [1.0, 2.0]]))
