@@ -19,7 +19,7 @@ from .linalg import (
     orthonormalize,
     solve_hermitian,
 )
-from .solver import OMEGA_INF, ProblemInstance, _solution_map, solve_limit, solve_weighted
+from .solver import ProblemInstance, _solution_map, solve_limit, solve_weighted
 from .subspaces import (
     Subspace,
     eigenspace_split,
@@ -103,34 +103,23 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     """Solve the weighted problem at every grid point and estimate the
     dimension of the affine family from the centered singular spectrum.
 
-    Uses the cached spectral factorization of A, which reproduces the
-    per-point Hermitian solves exactly; omega = OMEGA_INF takes the limit
+    Every grid point is one call of the instance's weighted-solve kernel,
+    the one ``solve_weighted`` uses; omega = OMEGA_INF takes the limit
     weights 1 and gives the ``solve_limit`` solution. Grid points that fail
     (shift below the guard, Gram breakdown) are recorded in ``failures`` and
     skipped.
     """
     omegas = np.asarray(omegas, dtype=float)
-    v = inst.constraint.direction.basis
-    x0 = inst.constraint.x0
-    av = inst.a @ v
-    u, lam = inst.eig.u, inst.eig.lambdas
-    p_coeff = adjoint(u) @ av
-    beta = adjoint(u) @ (inst.b - inst.a @ x0)
     cols = []
     ok = np.zeros(omegas.size, dtype=bool)
     failures = []
     for j, omega in enumerate(omegas):
         try:
             inst.check_omega(float(omega))
-            w = np.ones_like(lam) if omega == OMEGA_INF else 1.0 / (lam + omega)
-            gram = hermitian_part(adjoint(p_coeff) @ (w[:, None] * p_coeff))
-            rhs = adjoint(p_coeff) @ (w * beta)
-            y = solve_hermitian(gram, rhs)
+            cols.append(inst._solve(float(omega), -1))
+            ok[j] = True
         except (ValueError, np.linalg.LinAlgError) as err:
             failures.append((j, str(err)))
-            continue
-        cols.append(x0 + v @ y)
-        ok[j] = True
     x = np.column_stack(cols) if cols else np.zeros((inst.n, 0))
     _, sigma, est = _centered_spectrum(x)
     return SweepResult(omegas=omegas, ok=ok, solutions=x, sigma=sigma,

@@ -9,6 +9,7 @@ float64 values survive a decimal round trip. Subspaces serialize to JSON as
 from __future__ import annotations
 
 import json
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -45,37 +46,48 @@ def _parse_empty_mm(text: str) -> np.ndarray | None:
     return np.zeros((rows, cols), dtype=dtype)
 
 
-def write_matrix_market(path, m: np.ndarray, fmt: str = "array", comment: str = "") -> None:
-    """Write a dense matrix (or column vector) in Matrix Market format.
+def _mm_string(m: np.ndarray, fmt: str = "array", comment: str = "") -> str:
+    """Matrix Market text of a dense matrix (or column vector).
 
     fmt "array" stores the dense layout, "coordinate" the sparse triplet one;
     either round-trips float64 entries exactly in decimal. Zero-size matrices
-    are written as header-only array files.
+    become header-only array text.
     """
     m = np.asarray(m)
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
-        Path(path).write_text(_empty_mm_text(m))
-        return
+        return _empty_mm_text(m)
     if fmt == "array":
         payload = m
     elif fmt == "coordinate":
         payload = scipy.sparse.coo_matrix(m)
     else:
         raise ValueError(f"unknown Matrix Market format {fmt!r}")
-    scipy.io.mmwrite(str(path), payload, comment=comment, precision=MM_PRECISION)
+    buf = BytesIO()
+    scipy.io.mmwrite(buf, payload, comment=comment, precision=MM_PRECISION)
+    return buf.getvalue().decode()
+
+
+def _mm_parse(text: str) -> np.ndarray:
+    empty = _parse_empty_mm(text)
+    if empty is not None:
+        return empty
+    m = scipy.io.mmread(BytesIO(text.encode()))
+    if scipy.sparse.issparse(m):
+        m = m.toarray()
+    return np.asarray(m)
+
+
+def write_matrix_market(path, m: np.ndarray, fmt: str = "array", comment: str = "") -> None:
+    """Write a dense matrix (or column vector) in Matrix Market format to
+    exactly ``path``, whatever its suffix; see :func:`_mm_string`."""
+    Path(path).write_text(_mm_string(m, fmt, comment))
 
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense ndarray."""
-    empty = _parse_empty_mm(Path(path).read_text())
-    if empty is not None:
-        return empty
-    m = scipy.io.mmread(str(path))
-    if scipy.sparse.issparse(m):
-        m = m.toarray()
-    return np.asarray(m)
+    return _mm_parse(Path(path).read_text())
 
 
 def read_vector_market(path) -> np.ndarray:
@@ -113,31 +125,6 @@ def save_subspace(path, basis: np.ndarray) -> None:
 
 def load_subspace(path) -> np.ndarray:
     return subspace_from_json(json.loads(Path(path).read_text()))
-
-
-def _mm_string(m: np.ndarray) -> str:
-    import io as _io
-
-    m = np.asarray(m)
-    if m.ndim != 2:
-        m = m[:, None]
-    if m.size == 0:
-        return _empty_mm_text(m)
-    buf = _io.BytesIO()
-    scipy.io.mmwrite(buf, m, precision=MM_PRECISION)
-    return buf.getvalue().decode()
-
-
-def _mm_parse(text: str) -> np.ndarray:
-    import io as _io
-
-    empty = _parse_empty_mm(text)
-    if empty is not None:
-        return empty
-    m = scipy.io.mmread(_io.BytesIO(text.encode()))
-    if scipy.sparse.issparse(m):
-        m = m.toarray()
-    return np.asarray(m)
 
 
 def decomposition_to_json(dec) -> dict:

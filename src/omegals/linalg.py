@@ -17,11 +17,6 @@ EPS = np.finfo(np.float64).eps
 HERMITIAN_TOL = 1e-10
 
 
-def field_of(a: np.ndarray) -> str:
-    """Return "C" for complex-typed arrays, "R" otherwise."""
-    return "C" if np.iscomplexobj(a) else "R"
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 

@@ -2,20 +2,22 @@
 subspace, the coordinate solution maps, and the equivalent block-system
 route for solution differences.
 
-For Hermitian invertible A, an affine constraint set x0 + S with semi-unitary
-basis V of S, and a shift omega above the spectral floor, the minimizer of
-|| (A + omega I)^{s/2} (b - A x) || over the constraint set is
+For Hermitian invertible A = U diag(lambda) U*, a constraint set x0 + S with
+semi-unitary basis V of S, and a shift omega above the spectral floor, the
+minimizer of || (A + omega I)^{s/2} (b - A x) || over the constraint set is
 
-    x = x0 + V (V* A A_omega^s A V)^{-1} V* A A_omega^s (b - A x0),
+    x = x0 + V (P* W P)^{-1} P* W beta,  P = U* A V,  beta = U* (b - A x0),
 
-with the weighted family given by s = -1 and the plain residual minimizer
-recovered in the limit omega -> infinity (equivalently s = 0).
+with W = diag((lambda + omega)^s), s = -1 for the weighted family and W = I
+for the plain residual minimizer (omega -> infinity). All of them share one
+kernel on the thin QR P = Q R, so the Gram matrix carries cond(W), not cond(P)^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +44,30 @@ from .subspaces import AffineSubspace, Subspace, normal_representation
 OMEGA_INF = math.inf
 
 
+def _qr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of P = U* A V; raises LinAlgError if A is singular on S."""
+    q, r = np.linalg.qr(p)
+    diag = np.abs(np.diag(r))
+    if diag.size and diag.min() <= default_rank_tol(p.shape) * diag.max():
+        raise np.linalg.LinAlgError("U* A V is rank deficient to working precision")
+    return q, r
+
+
+def _weighted_solve(q, lam, omega: float, s: float, rhs) -> np.ndarray:
+    """z = (Q* W Q)^{-1} Q* W rhs for W = diag((lam + omega)^s), W = I at
+    OMEGA_INF: the one place the weighted Gram matrix is formed. With
+    P = Q R, y = R^{-1} z = (P* W P)^{-1} P* W rhs. Raises LinAlgError naming
+    omega when Q* W Q is singular to working precision."""
+    w = np.ones_like(lam) if omega == OMEGA_INF else (lam + omega) ** s
+    qw = adjoint(q) * w
+    try:
+        return solve_hermitian(hermitian_part(qw @ q), qw @ rhs)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            f"inner Gram matrix singular at omega = {omega}: {err}"
+        ) from err
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One solvable problem: Hermitian invertible A, constraint set, and b."""
@@ -55,10 +81,13 @@ class ProblemInstance:
     def create(cls, a: np.ndarray, space, b: np.ndarray) -> "ProblemInstance":
         a = np.asarray(a)
         b = np.asarray(b)
-        if not is_hermitian(a):
-            raise ValueError("operator is not Hermitian within tolerance")
         if isinstance(space, Subspace):
             space = normal_representation(np.zeros(space.ambient_dim, dtype=b.dtype), space)
+        for name, value in (("operator", a), ("b", b), ("constraint anchor x0", space.x0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+        if not is_hermitian(a):
+            raise ValueError("operator is not Hermitian within tolerance")
         if space.dim < 1:
             raise ValueError("constraint set must have dimension >= 1")
         if b.shape[0] != a.shape[0] or space.ambient_dim != a.shape[0]:
@@ -91,38 +120,27 @@ class ProblemInstance:
     def check_omega(self, omega: float) -> None:
         check_shift(omega, self.omega_min, self.op_norm)
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, V R^{-1}, beta) with Q R = U* A V and beta = U* (b - A x0),
+        made on first solve; x = x0 + V R^{-1} z needs no per-shift R solve."""
+        uh, v = adjoint(self.eig.u), self.constraint.direction.basis
+        q, r = _qr(uh @ (self.a @ v))
+        return q, np.linalg.solve(r.T, v.T).T, uh @ (self.b - self.a @ self.constraint.x0)
+
+    def _solve(self, omega: float, s: float) -> np.ndarray:
+        """x0 + V R^{-1} z with z from the weighted-solve kernel; no shift guard."""
+        q, v_rinv, beta = self._factors
+        return self.constraint.x0 + v_rinv @ _weighted_solve(q, self.eig.lambdas, omega, s, beta)
+
 
 def solve_parametric(inst: ProblemInstance, omega: float, s: float) -> np.ndarray:
-    """Minimizer of ||(A + omega I)^{s/2} (b - A x)|| over the constraint set.
-
-    The s = -1 path applies the shifted inverse through Hermitian solves and
-    never forms the inverse (or any fractional power) as a matrix.
-    """
+    """Minimizer of ||(A + omega I)^{s/2} (b - A x)|| over the constraint set,
+    one kernel solve; the omega -> infinity endpoint is :func:`solve_limit`."""
     inst.check_omega(omega)
     if omega == OMEGA_INF:
         raise ValueError("use solve_limit for the omega -> infinity endpoint")
-    v = inst.constraint.direction.basis
-    x0 = inst.constraint.x0
-    av = inst.a @ v
-    r0 = inst.b - inst.a @ x0
-    eig_shifted = inst.eig.shifted(omega)
-    if s == -1:
-        wav = solve_hermitian(eig_shifted, av)
-        wr0 = solve_hermitian(eig_shifted, r0)
-    else:
-        weights = eig_shifted.lambdas**s
-        u = eig_shifted.u
-        wav = u @ (weights[:, None] * (adjoint(u) @ av))
-        wr0 = u @ (weights * (adjoint(u) @ r0))
-    gram = hermitian_part(adjoint(av) @ wav)
-    rhs = adjoint(av) @ wr0
-    try:
-        y = solve_hermitian(gram, rhs)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"inner Gram matrix singular at omega = {omega}: {err}"
-        ) from err
-    return x0 + v @ y
+    return inst._solve(omega, s)
 
 
 def solve_weighted(inst: ProblemInstance, omega: float) -> np.ndarray:
@@ -132,22 +150,18 @@ def solve_weighted(inst: ProblemInstance, omega: float) -> np.ndarray:
 
 def solve_limit(inst: ProblemInstance) -> np.ndarray:
     """argmin ||b - A x|| over the constraint set (the omega -> inf limit)."""
-    v = inst.constraint.direction.basis
-    x0 = inst.constraint.x0
-    av = inst.a @ v
-    gram = hermitian_part(adjoint(av) @ av)
-    y = solve_hermitian(gram, adjoint(av) @ (inst.b - inst.a @ x0))
-    return x0 + v @ y
+    return inst._solve(OMEGA_INF, 0)
 
 
 def _solution_map(eig: EigDecomposition, av: np.ndarray, omega: float) -> np.ndarray:
     """M(omega) = (AV* A_omega^{-1} AV)^{-1} AV* A_omega^{-1} from the
-    factorization ``eig`` of A, shifted by omega, and the product AV."""
+    factorization ``eig`` of A and the product AV: the weighted-solve kernel
+    with rhs = U*. At OMEGA_INF it is the map of the limit solution."""
     lam = eig.lambdas
     check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
-    wav = solve_hermitian(eig.shifted(omega), av)
-    gram = hermitian_part(adjoint(av) @ wav)
-    return solve_hermitian(gram, adjoint(wav))
+    uh = adjoint(eig.u)
+    q, r = _qr(uh @ av)
+    return np.linalg.solve(r, _weighted_solve(q, lam, omega, -1, uh))
 
 
 def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
@@ -202,6 +216,28 @@ def _recover_u(dec: TridiagDecomp, d: np.ndarray) -> tuple[np.ndarray, float]:
     return u, float(res)
 
 
+def _close_system(dec: TridiagDecomp, ns: NullspaceN, g_omega: np.ndarray,
+                  g_vec: np.ndarray, t: np.ndarray, res2: float) -> SystemSolution:
+    """Last step of both block routes. d solves the positive first equation
+    H* G_omega^{-1} H d = -H* G_omega^{-1} g; G_omega^{-1} (H d + g) lies in
+    the nullspace image and its coefficients give t'; u is recovered from d."""
+    h = dec.H
+    g_eig = hermitian_eig(g_omega)
+    ginv_h = solve_hermitian(g_eig, h)
+    a1 = hermitian_part(adjoint(h) @ ginv_h)
+    d = solve_hermitian(a1, -adjoint(ginv_h) @ g_vec)
+    res1 = float(np.linalg.norm(adjoint(ginv_h) @ g_vec + a1 @ d))
+    lift = solve_hermitian(g_eig, h @ d + g_vec)
+    t_prime = adjoint(ns.N) @ lift
+    res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
+    u, res4 = _recover_u(dec, d)
+    return SystemSolution(
+        d=d, t=t, t_prime=t_prime, u=u,
+        residuals={"eq1": res1, "eq2_projection": res2,
+                   "tprime_projection": res3, "d_from_u": res4},
+    )
+
+
 def difference_via_blocks(
     dec: TridiagDecomp,
     b: np.ndarray,
@@ -254,26 +290,7 @@ def difference_via_blocks(
     z_t = d_shift + coupling @ (ns.N @ t)
     g_vec = mu * (ns.N @ t) + np.concatenate([np.zeros(dec.p, dtype=z_t.dtype), z_t])
 
-    # First equation: d solves the positive system H* G_omega^{-1} H d = -H* G_omega^{-1} g.
-    g_omega = hermitian_eig(sb_omega.G_omega)
-    ginv_h_omega = solve_hermitian(g_omega, h)
-    a1 = hermitian_part(adjoint(h) @ ginv_h_omega)
-    rhs1 = -adjoint(ginv_h_omega) @ g_vec
-    d = solve_hermitian(a1, rhs1)
-    res1 = float(np.linalg.norm(adjoint(ginv_h_omega) @ g_vec + a1 @ d))
-
-    # The combination G_omega^{-1}(H d + g) lies in the nullspace image; its
-    # coefficients give t'.
-    lift = solve_hermitian(g_omega, h @ d + g_vec)
-    t_prime = adjoint(ns.N) @ lift
-    res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
-
-    u, res4 = _recover_u(dec, d)
-    return SystemSolution(
-        d=d, t=t, t_prime=t_prime, u=u,
-        residuals={"eq1": res1, "eq2_projection": res2,
-                   "tprime_projection": res3, "d_from_u": res4},
-    )
+    return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)
 
 
 def limit_difference_via_blocks(
@@ -311,19 +328,4 @@ def limit_difference_via_blocks(
         tail = np.zeros(dec.q, dtype=complex if np.iscomplexobj(b) else float)
     g_vec = np.concatenate([np.zeros(dec.p, dtype=tail.dtype), tail]) + ns.N @ t
 
-    g_omega = hermitian_eig(sb_omega.G_omega)
-    ginv_h_omega = solve_hermitian(g_omega, h)
-    a1 = hermitian_part(adjoint(h) @ ginv_h_omega)
-    d = solve_hermitian(a1, -adjoint(ginv_h_omega) @ g_vec)
-    res1 = float(np.linalg.norm(adjoint(ginv_h_omega) @ g_vec + a1 @ d))
-
-    lift = solve_hermitian(g_omega, h @ d + g_vec)
-    t_prime = adjoint(ns.N) @ lift
-    res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
-
-    u, res4 = _recover_u(dec, d)
-    return SystemSolution(
-        d=d, t=t, t_prime=t_prime, u=u,
-        residuals={"eq1": res1, "eq2_projection": res2,
-                   "tprime_projection": res3, "d_from_u": res4},
-    )
+    return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)

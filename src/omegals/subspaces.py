@@ -30,6 +30,8 @@ class Subspace:
         b = np.asarray(self.basis)
         if b.ndim != 2:
             raise ValueError("basis must be a 2-D array")
+        if not np.isfinite(b).all():
+            raise ValueError("basis has a non-finite entry (NaN or inf)")
         k = b.shape[1]
         if k:
             gram_err = np.linalg.norm(b.conj().T @ b - np.eye(k))
@@ -258,7 +260,7 @@ def eigenspace_split(a, cluster_tol: float = EIG_CLUSTER_TOL) -> EigenspaceSplit
     eig = a if isinstance(a, EigDecomposition) else hermitian_eig(a)
     lam, u = eig.lambdas, eig.u
     n = lam.size
-    scale = max(1.0, float(np.abs(lam[0])) if n else 1.0)
+    scale = max(1.0, float(np.max(np.abs(lam))) if n else 1.0)
     blocks = []
     start = 0
     for i in range(1, n + 1):

@@ -81,6 +81,19 @@ def test_sweep_generates_b_from_seed(workspace, capsys):
     assert meta["seed"] == 7 and meta["b"] is None
 
 
+def test_matrix_path_without_mtx_suffix(tmp_path, capsys):
+    a_path = tmp_path / "lap.txt"
+    assert main(["poisson", "--m", "3", "--out", str(a_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["lap.txt"]
+    s_path = tmp_path / "s.json"
+    oio.save_subspace(s_path, krylov(poisson_2d(3), np.arange(1.0, 10.0), 3).basis)
+    assert main(["index", "--matrix", str(a_path), "--subspace", str(s_path)]) == 0
+    assert "index = 1" in capsys.readouterr().out
+    assert main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
+                 "--count", "10", "--seed", "0", "--out-prefix", str(tmp_path / "out_")]) == 0
+    assert json.loads((tmp_path / "out_meta.json").read_text())["index"] == 1
+
+
 def test_manifold_subcommands(tmp_path, capsys):
     rng = np.random.default_rng(0)
     s, s_prime = random_nested_subspaces(rng, 5, 2, 1, False)

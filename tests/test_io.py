@@ -21,6 +21,15 @@ def test_matrix_market_roundtrip_exact(tmp_path, fmt, complex_field):
     np.testing.assert_array_equal(back, m)
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_matrix_market_writes_exactly_the_given_path(tmp_path, complex_field):
+    m = np.arange(6.0).reshape(3, 2) + (1j if complex_field else 0.0)
+    path = tmp_path / "m.txt"
+    oio.write_matrix_market(path, m)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+    np.testing.assert_array_equal(oio.read_matrix_market(path), m)
+
+
 def test_vector_roundtrip(tmp_path):
     v = np.array([1.0, np.pi, 1e-300])
     path = tmp_path / "v.mtx"

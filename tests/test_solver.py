@@ -30,6 +30,7 @@ from omegals.solver import (
     solve_weighted,
 )
 from omegals.subspaces import (
+    AffineSubspace,
     Subspace,
     index_of_invariance,
     normal_representation,
@@ -225,6 +226,23 @@ class TestSolveParametric:
         with pytest.raises(ValueError):
             ProblemInstance.create(np.eye(2), Subspace.zero(2), np.ones(2))
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_instance_rejects_non_finite_input(self, complex_field):
+        rng = np.random.default_rng(32)
+        a = random_hermitian_invertible(rng, 5, complex_field)
+        s = random_subspace(rng, 5, 2, complex_field)
+        b = gaussian_vector(rng, 5, complex_field)
+        space = normal_representation(gaussian_vector(rng, 5, complex_field), s)
+        a_bad, b_bad, x0_bad = a.copy(), b.copy(), space.x0.copy()
+        a_bad[1, 1] = np.nan
+        b_bad[2] = np.inf
+        x0_bad[0] = np.nan
+        cases = [("operator", a_bad, space, b), ("b", a, space, b_bad),
+                 ("constraint anchor x0", a, AffineSubspace(x0_bad, s), b)]
+        for name, a_in, space_in, b_in in cases:
+            with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
+                ProblemInstance.create(a_in, space_in, b_in)
+
     def test_weighted_approaches_limit(self):
         rng = np.random.default_rng(26)
         a = random_hermitian_invertible(rng, 8, False)
@@ -271,6 +289,23 @@ class TestSolutionMaps:
             inst = ProblemInstance.create(a, s, b)
             np.testing.assert_allclose(s.basis @ (m @ b), solve_weighted(inst, omega),
                                        atol=1e-10)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_infinite_shift_gives_the_limit_map(self, complex_field):
+        rng = np.random.default_rng(33)
+        a = random_hermitian_invertible(rng, 7, complex_field)
+        s = random_subspace(rng, 7, 3, complex_field)
+        b = gaussian_vector(rng, 7, complex_field)
+        x_limit = solve_limit(ProblemInstance.create(a, s, b))
+        np.testing.assert_allclose(s.basis @ (solution_map(a, s, OMEGA_INF) @ b), x_limit,
+                                   atol=1e-12 * np.linalg.norm(x_limit))
+
+    def test_rank_deficient_image_raises(self):
+        # A is singular on S, so A V has rank 1 < p = 2
+        a = np.diag([3.0, 0.0, -1.0, 2.0])
+        s = Subspace.from_vectors(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.5]]).T)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            solution_map(a, s, 5.0)
 
     def test_diff_vanishes_at_equal_shifts(self):
         rng = np.random.default_rng(30)

@@ -30,6 +30,13 @@ class TestSubspaceType:
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_basis(self, complex_field, bad):
+        basis = np.array([[bad], [0.0], [0.0]], dtype=complex if complex_field else float)
+        with pytest.raises(ValueError, match="basis has a non-finite entry"):
+            Subspace(basis)
+
     def test_zero_subspace(self):
         z = Subspace.zero(3)
         assert z.dim == 0 and z.ambient_dim == 3
@@ -198,6 +205,12 @@ class TestEigenspaceSplit:
             np.testing.assert_array_equal(q, eig.u[:, start:start + q.shape[1]])
             start += q.shape[1]
         assert start == 5
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cluster_scale_is_the_operator_norm(self, sign):
+        # the scale is max(1, ||A||_2) whichever end of the spectrum holds it
+        split = eigenspace_split(np.diag([sign * 100.0, sign * 100.0 + 1e-7, 1.0]))
+        assert len(split.blocks) == 2
 
     def test_two_by_two_eigenvectors(self):
         split = eigenspace_split(np.array([[2.0, 1.0], [1.0, 2.0]]))

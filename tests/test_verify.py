@@ -29,6 +29,18 @@ def test_convexity_suite_small():
     assert res.passed, res.failures[:5]
 
 
+def test_main_theorem_suite_default_trials_seed_82():
+    # one trial of this seed exceeds the 1e-10 membership tolerance when the
+    # Gram matrix is formed on A V, which squares its condition number
+    res = run_main_theorem_suite(seed=82)
+    assert res.passed, res.failures[:5]
+
+
+def test_convexity_suite_default_trials_seed_88():
+    res = run_convexity_suite(seed=88)
+    assert res.passed, res.failures[:5]
+
+
 def test_nullspace_suite_small():
     res = run_nullspace_suite(seed=6, trials=10)
     assert res.passed, res.failures[:5]
