@@ -8,6 +8,8 @@ the block decompositions, dimension estimators, and matrix-set tools built
 around that fact.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CollisionReport,
     ConditionReport,
@@ -51,7 +53,6 @@ from .linalg import (
     numerical_rank,
     orthonormalize,
     solve_hermitian,
-    svd,
 )
 from .manifolds import (
     ManifoldClass,
@@ -89,4 +90,7 @@ from .subspaces import (
     subspaces_equal,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules (io, linalg, ...) stay out, so a
+# star import cannot shadow a standard-library module
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

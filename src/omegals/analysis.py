@@ -255,24 +255,18 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
     samples = []
     if len(omega_mu_samples) and not t_invertible:
         raise ValueError("T is singular: L(omega, mu) is not defined")
-    r = dec.n - dec.p - dec.q
     if len(omega_mu_samples):
         base = dec.C - dec.B @ solve_hermitian(dec.T, adjoint(dec.B))
-        if r > 0:
-            # D* K D = (U* D)* diag(k) (U* D) with E = U diag(xi) U*
-            xi = dec.E_eig.lambdas
-            ud = adjoint(dec.E_eig.u) @ dec.D
+        # D* K D = (U* D)* diag(k) (U* D) with E = U diag(xi) U*
+        xi = dec.E_eig.lambdas
+        ud = adjoint(dec.E_eig.u) @ dec.D
     for omega, mu in omega_mu_samples:
         if omega == mu:
             raise ValueError("L(omega, mu) requires omega != mu")
         check_omega(dec, omega)
         check_omega(dec, mu)
-        if r > 0:
-            k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
-            l_matrix = base - adjoint(ud) @ (k_diag[:, None] * ud)
-        else:
-            l_matrix = base
-        l_matrix = hermitian_part(l_matrix)
+        k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
+        l_matrix = hermitian_part(base - adjoint(ud) @ (k_diag[:, None] * ud))
         invertible = numerical_rank(l_matrix) == dec.q
         positive = bool(dec.q == 0 or hermitian_eigvals(l_matrix)[-1] > 0)
         samples.append(LSample(float(omega), float(mu), l_matrix, invertible, positive))

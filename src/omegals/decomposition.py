@@ -30,10 +30,15 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     numerical_rank,
-    orthonormalize,
     solve_hermitian,
 )
-from .subspaces import AffineSubspace, Subspace, index_of_invariance
+from .subspaces import (
+    AffineSubspace,
+    Subspace,
+    index_of_invariance,
+    new_directions,
+    orthogonal_complement,
+)
 
 # Shifts must clear the spectral floor by this relative margin.
 OMEGA_GUARD = 1e-8
@@ -125,10 +130,10 @@ class TridiagDecomp:
 def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp:
     """Compute the adapted-basis block decomposition of Hermitian A for S.
 
-    V' is built deterministically by orthonormalizing the projection of AV
-    onto the orthogonal complement of S, so the result is a function of
-    (A, S) alone. Degenerate shapes (p = 0, q = 0, n = p + q) come out with
-    0-width blocks.
+    V' comes from :func:`subspaces.new_directions`, so q is the index of
+    invariance and the result is a function of (A, S) alone; V'' is the
+    orthogonal complement of [V V']. Degenerate shapes (p = 0, q = 0,
+    n = p + q) come out with 0-width blocks.
     """
     a = np.asarray(a)
     if not is_hermitian(a):
@@ -138,16 +143,8 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
     lam = hermitian_eigvals(a)
     v = s.basis
     av = a @ v
-    residual = av - v @ (adjoint(v) @ av)
-    av_scale = float(np.linalg.norm(av, 2)) if av.size else 0.0
-    vp = orthonormalize(residual, scale=av_scale if av_scale > 0 else None)
-    rest = orthonormalize(np.hstack([v, vp]))
-    n = a.shape[0]
-    if rest.shape[1] == 0:
-        vpp = np.eye(n, dtype=v.dtype)
-    else:
-        u_full, _, _ = np.linalg.svd(rest, full_matrices=True)
-        vpp = u_full[:, rest.shape[1]:]
+    vp = new_directions(a, s)
+    vpp = orthogonal_complement(Subspace(np.hstack([v, vp]))).basis
     t = hermitian_part(adjoint(v) @ av)
     b = adjoint(vp) @ av
     c = hermitian_part(adjoint(vp) @ (a @ vp))
@@ -208,20 +205,18 @@ def check_omega(dec: TridiagDecomp, omega: float) -> None:
     check_shift(omega, dec.omega_min, dec.op_norm)
 
 
-def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
-    """Blocks E + omega I, F_omega, G_omega for a shift above the guard.
+def _coupled_solve(dec: TridiagDecomp, sigma: float, x: np.ndarray) -> np.ndarray:
+    """D* (E + sigma I)^{-1} x through ``dec.E_eig`` shifted by sigma, so no
+    shift factors E again; zero (q rows) when n = p + q."""
+    return adjoint(dec.D) @ solve_hermitian(dec.E_eig.shifted(sigma), x)
 
-    F_omega is solved through ``dec.E_eig`` shifted by omega, so no shift
-    factors E again.
-    """
+
+def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
+    """Blocks E + omega I, F_omega = D* (E + omega I)^{-1} D, G_omega for a
+    shift above the guard."""
     check_omega(dec, omega)
-    r = dec.n - dec.p - dec.q
-    e_omega = dec.E + omega * np.eye(r, dtype=dec.E.dtype)
-    if r == 0:
-        f_omega = np.zeros((dec.q, dec.q), dtype=dec.C.dtype)
-    else:
-        e_inv_d = solve_hermitian(dec.E_eig.shifted(omega), dec.D)
-        f_omega = hermitian_part(adjoint(dec.D) @ e_inv_d)
+    e_omega = dec.E + omega * np.eye(dec.E.shape[0], dtype=dec.E.dtype)
+    f_omega = hermitian_part(_coupled_solve(dec, omega, dec.D))
     top = np.hstack([dec.T, adjoint(dec.B)])
     bottom = np.hstack([dec.B, dec.C - f_omega])
     g_omega = np.vstack([top, bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)

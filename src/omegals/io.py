@@ -13,8 +13,6 @@ from io import BytesIO
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 # %.17e gives 18 significant digits: enough to round-trip any float64.
 MM_PRECISION = 17
@@ -51,8 +49,13 @@ def _mm_string(m: np.ndarray, fmt: str = "array", comment: str = "") -> str:
 
     fmt "array" stores the dense layout, "coordinate" the sparse triplet one;
     either round-trips float64 entries exactly in decimal. Zero-size matrices
-    become header-only array text.
+    become header-only array text. SciPy's Matrix Market module is imported
+    here and in :func:`_mm_parse`, not with the package: it is most of the
+    cost of ``import omegals``.
     """
+    import scipy.io
+    import scipy.sparse
+
     m = np.asarray(m)
     if m.ndim == 1:
         m = m[:, None]
@@ -70,6 +73,9 @@ def _mm_string(m: np.ndarray, fmt: str = "array", comment: str = "") -> str:
 
 
 def _mm_parse(text: str) -> np.ndarray:
+    import scipy.io
+    import scipy.sparse
+
     empty = _parse_empty_mm(text)
     if empty is not None:
         return empty

@@ -85,21 +85,49 @@ def hermitian_eigvals(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(_checked_hermitian(m, tol))[::-1]
 
 
+def extend_orthonormal(q: np.ndarray, cols: np.ndarray, drop_tol: float | None = None,
+                       scale: float | None = None) -> np.ndarray:
+    """New orthonormal columns Q' with [q Q'] spanning span(q, cols): the
+    library's one Gram-Schmidt kernel, for q (n x m) with orthonormal columns.
+
+    Each column of ``cols`` is taken in order and projected off [q, kept]
+    twice as a block, v -= B (B* v) (twice is enough to hold ||Q*Q - I|| near
+    machine precision). A column is dropped when it is zero or its residual
+    is below ``drop_tol`` (default ``default_rank_tol(cols.shape)``) times its
+    norm. ``scale`` marks the columns as parts of a larger computation whose
+    round-off a per-column test cannot see: columns whose norm or residual is
+    below ``drop_tol * scale`` are dropped as well.
+    """
+    q, cols = np.asarray(q), np.asarray(cols)
+    (n, m), k = q.shape, cols.shape[1]
+    if drop_tol is None:
+        drop_tol = default_rank_tol((n, max(k, 1)))
+    basis = np.empty((n, m + k), dtype=np.result_type(q, cols, np.float64), order="F")
+    basis[:, :m] = q
+    width = m
+    for j in range(k):
+        v = cols[:, j].astype(basis.dtype)
+        orig = np.linalg.norm(v)
+        if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
+            continue
+        kept = basis[:, :width]
+        for _ in range(2):
+            v -= kept @ (adjoint(kept) @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > drop_tol * (max(orig, scale) if scale is not None else orig):
+            basis[:, width] = v / nrm
+            width += 1
+    return basis[:, m:width]
+
+
 def orthonormalize(vectors, drop_tol: float | None = None,
                    scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the span of the given vectors, kept in order.
+    """Orthonormal basis for the span of the given vectors, kept in order:
+    :func:`extend_orthonormal` of the empty basis, so the result is
+    rank-revealing under the same drop rule.
 
     Accepts a sequence of n-vectors or an (n, k) array whose columns are the
-    vectors. Runs modified Gram-Schmidt with one full re-orthogonalization
-    pass (twice is enough to hold ||Q*Q - I|| near machine precision), and
-    drops columns whose residual falls below ``drop_tol`` times their original
-    norm, so the result is rank-revealing. Empty input yields a 0-column
-    basis.
-
-    ``scale`` marks the columns as residuals of some larger computation:
-    columns whose norm is below ``drop_tol * scale`` are then treated as pure
-    round-off and dropped outright (per-column relative tests cannot see
-    that).
+    vectors. Empty input yields a 0-column basis.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         cols = vectors
@@ -108,30 +136,7 @@ def orthonormalize(vectors, drop_tol: float | None = None,
         if not vecs:
             return np.zeros((0, 0))
         cols = np.column_stack([np.asarray(v) for v in vecs])
-    n, k = cols.shape
-    if drop_tol is None:
-        drop_tol = default_rank_tol((n, max(k, 1)))
-    kept: list[np.ndarray] = []
-    for j in range(k):
-        v = cols[:, j].astype(np.promote_types(cols.dtype, np.float64))
-        orig = np.linalg.norm(v)
-        if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
-            continue
-        for _ in range(2):
-            for q in kept:
-                v = v - q * np.vdot(q, v)
-        nrm = np.linalg.norm(v)
-        floor = drop_tol * (max(orig, scale) if scale is not None else orig)
-        if nrm > floor:
-            kept.append(v / nrm)
-    if not kept:
-        return np.zeros((n, 0), dtype=np.promote_types(cols.dtype, np.float64))
-    return np.column_stack(kept)
-
-
-def svd(m: np.ndarray):
-    """Thin SVD (u, s, vh) with s descending, m ~= u @ diag(s) @ vh."""
-    return np.linalg.svd(np.asarray(m), full_matrices=False)
+    return extend_orthonormal(np.zeros((cols.shape[0], 0)), cols, drop_tol, scale)
 
 
 def numerical_rank(m: np.ndarray, tol_rel: float | None = None,

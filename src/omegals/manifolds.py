@@ -14,12 +14,12 @@ import numpy as np
 
 from .linalg import (
     adjoint,
+    extend_orthonormal,
     hermitian_eigvals,
     is_hermitian,
     numerical_rank,
-    orthonormalize,
 )
-from .subspaces import Subspace, reach, subspaces_equal
+from .subspaces import Subspace, orthogonal_complement, reach, subspaces_equal
 
 
 class ManifoldClass(Enum):
@@ -46,9 +46,9 @@ _INV_CLASSES = {ManifoldClass.M_INV, ManifoldClass.M_SYMINV}
 def _check_nested(s: Subspace, s_prime: Subspace, tol: float = 1e-8) -> tuple[int, int]:
     if s.ambient_dim != s_prime.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    for j in range(s.dim):
-        if not s_prime.contains(s.basis[:, j], tol):
-            raise ValueError("S is not contained in S'")
+    outside = np.linalg.norm(s.basis - s_prime.project(s.basis), axis=0)
+    if np.any(outside > tol * np.linalg.norm(s.basis, axis=0)):
+        raise ValueError("S is not contained in S'")
     return s.dim, s_prime.dim - s.dim
 
 
@@ -98,22 +98,14 @@ def swap_witness(s: Subspace, s_prime: Subspace) -> np.ndarray:
     if q == 0:
         return np.eye(n, dtype=dtype)
     v = s.basis
-    inside = s_prime.basis - s.project(s_prime.basis)
     # the S' basis columns are unit vectors, so anything below the round-off
     # floor relative to 1 is not a genuine new direction
-    vp = orthonormalize(inside, scale=1.0)
+    vp = extend_orthonormal(v, s_prime.basis, scale=1.0)
     if vp.shape[1] != q:
         raise ValueError("could not split S' into S plus a q-dimensional complement")
-    rest_basis = orthonormalize(np.hstack([v, vp]))
-    u_full, _, _ = np.linalg.svd(rest_basis, full_matrices=True)
-    vpp = u_full[:, rest_basis.shape[1]:]
-    a0 = np.zeros((n, n), dtype=dtype)
-    for i in range(q):
-        a0 += np.outer(vp[:, i], v[:, i].conj()) + np.outer(v[:, i], vp[:, i].conj())
-    for i in range(q, p):
-        a0 += np.outer(v[:, i], v[:, i].conj())
-    a0 += vpp @ adjoint(vpp)
-    return a0
+    vpp = orthogonal_complement(Subspace(np.hstack([v, vp]))).basis
+    swap = vp @ adjoint(v[:, :q])
+    return swap + adjoint(swap) + v[:, q:] @ adjoint(v[:, q:]) + vpp @ adjoint(vpp)
 
 
 def construct_positive_member(s: Subspace, s_prime: Subspace) -> np.ndarray:

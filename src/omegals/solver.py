@@ -24,6 +24,7 @@ import numpy as np
 from .decomposition import (
     NullspaceN,
     TridiagDecomp,
+    _coupled_solve,
     check_shift,
     guard_threshold,
     nullspace_of_hstar,
@@ -247,16 +248,17 @@ def difference_via_blocks(
 ) -> SystemSolution:
     """Coordinate difference d between the weighted solutions at omega and mu,
     computed from the block system instead of the explicit formula. Every
-    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted,
-    and G_omega and G_mu are each factored once.
+    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted
+    (f(sigma) = D* (E + sigma I)^{-1} c''), and G_omega and G_mu are each
+    factored once.
 
     Requires q >= 1. The two equations are
 
         H* G_omega^{-1} (H d + mu N t + [0; z(t)]) = 0,
         N t = G_mu^{-1} (H (H* G_mu^{-1} H)^{-1} H* G_mu^{-1} - I) w,
 
-    with w = [c; c' - D* (E + mu I)^{-1} c''] and z(t) the shift-difference
-    term D*((E+omega I)^{-1} - (E+mu I)^{-1}) c'' + [B  C - F_mu] N t.
+    with w = [c; c' - f(mu)] and z(t) the shift-difference term
+    f(omega) - f(mu) + [B  C - F_mu] N t.
     """
     if dec.q == 0:
         raise ValueError("q = 0: solution differences vanish identically")
@@ -265,17 +267,9 @@ def difference_via_blocks(
     sb_omega = shifted_blocks(dec, omega)
     sb_mu = shifted_blocks(dec, mu)
     h = dec.H
-    r = dec.n - dec.p - dec.q
-
-    if r > 0:
-        e_omega_inv_cpp = solve_hermitian(dec.E_eig.shifted(omega), cpp)
-        e_mu_inv_cpp = solve_hermitian(dec.E_eig.shifted(mu), cpp)
-        d_shift = adjoint(dec.D) @ (e_omega_inv_cpp - e_mu_inv_cpp)
-        w_tail = cp - adjoint(dec.D) @ e_mu_inv_cpp
-    else:
-        d_shift = np.zeros(dec.q, dtype=complex if np.iscomplexobj(b) else float)
-        w_tail = cp
-    w = np.concatenate([c, w_tail])
+    f_mu = _coupled_solve(dec, mu, cpp)
+    d_shift = _coupled_solve(dec, omega, cpp) - f_mu
+    w = np.concatenate([c, cp - f_mu])
 
     # Second equation: project the right-hand side onto the nullspace basis.
     g_mu = hermitian_eig(sb_mu.G_omega)
@@ -314,18 +308,13 @@ def limit_difference_via_blocks(
     c, cp, cpp = dec.coefficients(b)
     sb_omega = shifted_blocks(dec, omega)
     h = dec.H
-    r = dec.n - dec.p - dec.q
-
     w = np.concatenate([c, cp])
     hh = hermitian_part(adjoint(h) @ h)
     rhs2 = h @ solve_hermitian(hh, adjoint(h) @ w) - w
     t = adjoint(ns.N) @ rhs2
     res2 = float(np.linalg.norm(ns.N @ t - rhs2))
 
-    if r > 0:
-        tail = adjoint(dec.D) @ solve_hermitian(dec.E_eig.shifted(omega), cpp)
-    else:
-        tail = np.zeros(dec.q, dtype=complex if np.iscomplexobj(b) else float)
+    tail = _coupled_solve(dec, omega, cpp)
     g_vec = np.concatenate([np.zeros(dec.p, dtype=tail.dtype), tail]) + ns.N @ t
 
     return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)

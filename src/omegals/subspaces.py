@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EigDecomposition, default_rank_tol, hermitian_eig, orthonormalize
+from .linalg import (
+    EigDecomposition,
+    default_rank_tol,
+    extend_orthonormal,
+    hermitian_eig,
+    orthonormalize,
+)
 
 # Eigenvalues closer than this (relative to max(1, ||A||_2)) collapse into
 # one eigenspace block.
@@ -95,7 +101,7 @@ def subspaces_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8) -> bool:
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     _check_ambient(s1, s2)
-    return Subspace(orthonormalize(np.hstack([s1.basis, s2.basis])))
+    return Subspace(np.hstack([s1.basis, extend_orthonormal(s1.basis, s2.basis)]))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -103,7 +109,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     n, k = s.basis.shape
     if k == 0:
         return Subspace(np.eye(n, dtype=s.basis.dtype))
-    u, sv, _ = np.linalg.svd(s.basis, full_matrices=True)
+    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
     return Subspace(u[:, k:])
 
 
@@ -123,12 +129,13 @@ def apply_operator(a: np.ndarray, s: Subspace) -> Subspace:
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     """Orthonormal basis of span{b, Ab, ..., A^(k-1) b}.
 
-    Built iteratively: each new direction is A applied to the previous basis
-    vector, orthogonalized (twice) against the current basis. Raw power
-    stacks [b, Ab, A^2 b, ...] are numerically rank-deficient long before the
-    span actually degenerates, so they are never formed. Stops early once the
-    next direction falls into the current span (invariance reached), so the
-    dimension can be below k. b = 0 yields the zero subspace.
+    Built iteratively: each step extends the basis (:func:`extend_orthonormal`,
+    drop tolerance ``default_rank_tol((n, k))``) by A applied to its last
+    column. Raw power stacks [b, Ab, A^2 b, ...] are numerically
+    rank-deficient long before the span actually degenerates, so they are
+    never formed. Stops early once the next direction falls into the current
+    span (invariance reached), so the dimension can be below k. b = 0 yields
+    the zero subspace.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -139,49 +146,42 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     if np.linalg.norm(b) == 0.0:
         return Subspace.zero(n, complex_field=np.issubdtype(dtype, np.complexfloating))
     drop_tol = default_rank_tol((n, k))
-    basis = [b.astype(dtype) / np.linalg.norm(b)]
+    basis = (b.astype(dtype) / np.linalg.norm(b))[:, None]
     for _ in range(k - 1):
-        w = a @ basis[-1]
-        orig = np.linalg.norm(w)
-        if orig == 0.0:
+        new = extend_orthonormal(basis, a @ basis[:, -1:], drop_tol)
+        if not new.shape[1]:
             break
-        for _ in range(2):
-            for q in basis:
-                w = w - q * np.vdot(q, w)
-        nrm = np.linalg.norm(w)
-        if nrm <= drop_tol * orig:
-            break
-        basis.append(w / nrm)
-    return Subspace(np.column_stack(basis))
+        basis = np.hstack([basis, new])
+    return Subspace(basis)
 
 
-def reach(a: np.ndarray, s: Subspace) -> Subspace:
-    """S + A S, with the new directions decided relative to ||A S||.
+def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
+    """V': orthonormal columns with [V V'] spanning S + A S, in the order of
+    the columns of A V that contribute them.
 
-    The projection residual (I - P_S) A V is pure round-off when S is
-    invariant, so its columns are dropped against the external scale
-    ||A V||_2 rather than against their own (noise-level) norms.
+    The one place that decides what counts as a new direction: A V extended
+    past V by :func:`extend_orthonormal` with scale ||A V||_2, so the
+    round-off left of an invariant direction is dropped against the size of
+    A S rather than against its own noise-level norm.
     """
     a = np.asarray(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    if s.dim == 0:
-        return s
-    v = s.basis
-    av = a @ v
-    scale = float(np.linalg.norm(av, 2))
-    if scale == 0.0:
-        return s
-    residual = av - v @ (v.conj().T @ av)
-    extra = orthonormalize(residual, scale=scale)
-    if extra.shape[1] == 0:
-        return s
-    return Subspace(orthonormalize(np.hstack([v, extra])))
+    av = a @ s.basis
+    scale = float(np.linalg.norm(av, 2)) if av.size else 0.0
+    return extend_orthonormal(s.basis, av, scale=scale)
+
+
+def reach(a: np.ndarray, s: Subspace) -> Subspace:
+    """S + A S with basis [V V'], V' from :func:`new_directions`."""
+    vp = new_directions(a, s)
+    return Subspace(np.hstack([s.basis, vp])) if vp.shape[1] else s
 
 
 def index_of_invariance(a: np.ndarray, s: Subspace) -> int:
-    """dim(S + A S) - dim S; zero exactly when S is A-invariant."""
-    return reach(a, s).dim - s.dim
+    """dim(S + A S) - dim S, the width of V'; zero exactly when S is
+    A-invariant."""
+    return new_directions(a, s).shape[1]
 
 
 def invariant_closure(a: np.ndarray, s: Subspace) -> tuple[list[Subspace], int]:

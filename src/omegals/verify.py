@@ -133,7 +133,8 @@ def run_index_suite(seed: int = 0, trials: int = 500) -> SuiteResult:
 
 def run_main_theorem_suite(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Solution differences stay in the q-dimensional difference subspace
-    (relative residual <= 1e-10) and that subspace has dimension exactly q."""
+    (relative residual <= 1e-10) and that subspace has dimension exactly q;
+    the decomposition's q is the index of invariance and its W is unitary."""
     result = SuiteResult("main-theorem")
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -144,6 +145,12 @@ def run_main_theorem_suite(seed: int = 0, trials: int = 200) -> SuiteResult:
         a = random_hermitian_invertible(rng, n, complex_field)
         s = random_subspace(rng, n, p, complex_field)
         dec = tridiagonal_block_decomposition(a, s)
+        q = index_of_invariance(a, s)
+        result.check(dec.q == q, f"trial {trial}: decomposition q={dec.q} != index {q}")
+        w = dec.W
+        w_err = float(np.linalg.norm(adjoint(w) @ w - np.eye(w.shape[1])))
+        result.check(w_err <= RESIDUAL_TOL,
+                     f"trial {trial}: ||W*W - I|| = {w_err:.3e} > {RESIDUAL_TOL}")
         diff_space = difference_subspace(dec)
         result.check(diff_space.basis.dim == dec.q,
                      f"trial {trial}: difference subspace dim {diff_space.basis.dim} != q={dec.q}")

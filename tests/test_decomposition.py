@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegals.analysis import difference_subspace
 from omegals.decomposition import (
@@ -13,6 +15,7 @@ from omegals.decomposition import (
 from omegals.linalg import adjoint, hermitian_part, numerical_rank, orthonormalize, solve_hermitian
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
+    random_hermitian,
     random_hermitian_invertible,
     random_spd,
     random_subspace,
@@ -125,6 +128,37 @@ class TestTridiagonalDecomposition:
         dec = tridiagonal_block_decomposition(a, s)
         dec_inv = tridiagonal_block_decomposition(np.linalg.inv(a), s)
         assert dec_inv.q == dec.q
+
+
+def edge_shape_instance(seed, n, shape, complex_field):
+    """(A, S, expected q) for one edge shape of the adapted basis: q = 0 (S
+    spanned by eigenvectors of A, rotated inside their span; p = n allowed),
+    n = p + q (p >= n/2, generic S) and p = n - 1 (generic S)."""
+    rng = np.random.default_rng(seed)
+    if shape == "invariant":
+        p = int(rng.integers(1, n + 1))
+        u = random_unitary(rng, n, complex_field)
+        lam = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        a = hermitian_part((u * lam) @ adjoint(u))
+        basis = u[:, rng.permutation(n)[:p]] @ random_unitary(rng, p, complex_field)
+        return a, Subspace(basis), 0
+    p = n - 1 if shape == "codim-one" else int(rng.integers((n + 1) // 2, n))
+    return random_hermitian(rng, n, complex_field), random_subspace(rng, n, p, complex_field), n - p
+
+
+class TestAdaptedBasisEdgeShapes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 9),
+           st.sampled_from(["invariant", "n=p+q", "codim-one"]), st.booleans())
+    def test_unitary_and_reassembles(self, seed, n, shape, complex_field):
+        a, s, q_expected = edge_shape_instance(seed, n, shape, complex_field)
+        dec = tridiagonal_block_decomposition(a, s)
+        w = dec.W
+        assert w.shape == (n, n)
+        assert np.linalg.norm(adjoint(w) @ w - np.eye(n)) <= 1e-12
+        q = index_of_invariance(a, s)
+        assert dec.q == q == q_expected <= min(dec.p, n - dec.p)
+        assert np.linalg.norm(w @ dec.compressed() @ adjoint(w) - a) <= 1e-12 * np.linalg.norm(a)
 
 
 class TestNullspace:

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from omegals.linalg import (
     EigDecomposition,
+    default_rank_tol,
+    extend_orthonormal,
     hermitian_eig,
     hermitian_eigvals,
     matrix_power_pos,
     numerical_rank,
     orthonormalize,
     solve_hermitian,
-    svd,
 )
 
 
@@ -112,28 +113,59 @@ class TestOrthonormalize:
         assert numerical_rank(np.hstack([m, q])) == q.shape[1]
 
 
-class TestSvd:
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((3, 2)))
-        np.testing.assert_allclose(s, 0.0)
+def loop_reference(q, cols, drop_tol, scale=None):
+    """Column-by-column modified Gram-Schmidt, re-orthogonalized once, with
+    the drop rule of extend_orthonormal: the loop the block kernel replaced."""
+    kept = [q[:, i] for i in range(q.shape[1])]
+    new = []
+    for j in range(cols.shape[1]):
+        v = cols[:, j].astype(complex if np.iscomplexobj(cols) else float)
+        orig = np.linalg.norm(v)
+        if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
+            continue
+        for _ in range(2):
+            for b in kept:
+                v = v - b * np.vdot(b, v)
+        nrm = np.linalg.norm(v)
+        if nrm > drop_tol * (max(orig, scale) if scale is not None else orig):
+            kept.append(v / nrm)
+            new.append(v / nrm)
+    return np.column_stack(new) if new else np.zeros((cols.shape[0], 0))
 
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(s, [3.0, 1.0])
 
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(5)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        _, s, _ = svd(np.outer(u, v))
-        np.testing.assert_allclose(s, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+class TestExtendOrthonormal:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 10), st.booleans(), st.booleans())
+    def test_matches_loop_reference(self, seed, n, complex_field, scaled):
+        rng = np.random.default_rng(seed)
 
-    def test_reconstruction(self):
-        m = np.random.default_rng(1).standard_normal((6, 4))
-        u, s, vh = svd(m)
-        np.testing.assert_allclose(u @ np.diag(s) @ vh, m, atol=1e-12)
+        def draw(k):
+            m = rng.standard_normal((n, k))
+            return m + 1j * rng.standard_normal((n, k)) if complex_field else m
+
+        q = orthonormalize(draw(int(rng.integers(0, n))))
+        cols = draw(int(rng.integers(1, n + 2)))
+        # a zero column, and one inside span(q, first column of cols)
+        cols = np.hstack([cols, np.zeros((n, 1)), q @ draw(q.shape[1])[:1].T + 2 * cols[:, :1]])
+        tol = default_rank_tol(cols.shape)
+        scale = float(np.linalg.norm(cols, 2)) if scaled else None
+        new = extend_orthonormal(q, cols, scale=scale)
+        ref = loop_reference(q, cols, tol, scale)
+        assert new.shape == ref.shape == (n, min(n - q.shape[1], cols.shape[1] - 2))
+        np.testing.assert_allclose(new, ref, atol=1e-12)
+        w = np.hstack([q, new])
+        assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-13
+
+    def test_columns_inside_q_add_nothing(self):
+        q = np.eye(4)[:, :2]
+        assert extend_orthonormal(q, np.array([[1.0], [2.0], [0.0], [0.0]])).shape == (4, 0)
+        new = extend_orthonormal(q, np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0], [3.0, 5.0]]))
+        np.testing.assert_allclose(np.abs(new), np.eye(4)[:, 3:], atol=1e-15)
+
+    def test_scale_drops_round_off_columns(self):
+        cols = np.array([[1.0, 0.0], [0.0, 1e-15]])
+        assert extend_orthonormal(np.zeros((2, 0)), cols).shape == (2, 2)
+        assert extend_orthonormal(np.zeros((2, 0)), cols, scale=1.0).shape == (2, 1)
 
 
 class TestNumericalRank:

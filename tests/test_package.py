@@ -1,0 +1,30 @@
+"""Package-level contract: what ``import omegals`` loads and exports."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import omegals
+
+
+def test_import_leaves_scipy_matrix_market_unloaded():
+    # scipy.io is most of the package import time and only the Matrix
+    # Market functions need it, so they import it on first use
+    src = str(Path(omegals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, omegals; "
+            "print(sorted(m for m in ('scipy.io', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_star_import_exports_no_submodule():
+    for name in omegals.__all__:
+        assert not isinstance(getattr(omegals, name), types.ModuleType), name
+    namespace = {}
+    exec("import io\nfrom omegals import *", namespace)
+    assert namespace["io"].__name__ == "io"
+    assert "solve_weighted" in namespace and "svd" not in namespace

@@ -437,6 +437,23 @@ class TestLimitDifferenceViaBlocks:
         np.testing.assert_allclose(sol.d, direct, atol=1e-10)
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_block_routes_without_outer_block(complex_field):
+    # n = p + q: E is 0 x 0 and every D* (E + sigma I)^{-1} c'' term is zero
+    rng = np.random.default_rng(39)
+    a = random_hermitian_invertible(rng, 8, complex_field)
+    s = random_subspace(rng, 8, 4, complex_field)
+    dec = tridiagonal_block_decomposition(a, s)
+    assert dec.p + dec.q == dec.n
+    b = gaussian_vector(rng, 8, complex_field)
+    inst = ProblemInstance.create(a, s, b)
+    omega, mu = inst.omega_min + 0.9, inst.omega_min + 6.0
+    x_omega = solve_weighted(inst, omega)
+    np.testing.assert_allclose(difference_via_blocks(dec, b, omega, mu).d,
+                               adjoint(dec.V) @ (x_omega - solve_weighted(inst, mu)), atol=1e-10)
+    np.testing.assert_allclose(limit_difference_via_blocks(dec, b, omega).d,
+                               adjoint(dec.V) @ (x_omega - solve_limit(inst)), atol=1e-10)
+
 class TestDecouplingAndWeakBound:
     def make_split_instance(self, seed=38):
         # S = (span of two eigenvectors) + (2 extra random directions
