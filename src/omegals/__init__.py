@@ -22,17 +22,13 @@ from .analysis import (
     default_omega_grid,
     difference_subspace,
     estimate_span_dim,
-    injectivity_scan,
     membership_residual,
     sweep_solutions,
 )
 from .decomposition import (
-    AugmentReduction,
     NullspaceN,
     ShiftedBlocks,
     TridiagDecomp,
-    augment_reduction,
-    j_matrix,
     nullspace_of_hstar,
     shifted_blocks,
     tridiagonal_block_decomposition,
@@ -49,7 +45,6 @@ from .experiments import (
 from .linalg import (
     EigDecomposition,
     hermitian_eig,
-    matrix_power_pos,
     numerical_rank,
     orthonormalize,
     solve_hermitian,
@@ -69,7 +64,6 @@ from .solver import (
     difference_via_blocks,
     limit_difference_via_blocks,
     solution_map,
-    solution_map_diff,
     solve_limit,
     solve_parametric,
     solve_weighted,
@@ -80,11 +74,9 @@ from .subspaces import (
     Subspace,
     eigenspace_split,
     index_of_invariance,
-    invariant_closure,
     krylov,
     normal_representation,
     orthogonal_complement,
-    strongly_orthogonal,
     subspace_intersect,
     subspace_sum,
     subspaces_equal,

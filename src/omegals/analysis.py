@@ -12,6 +12,7 @@ import numpy as np
 from .decomposition import TridiagDecomp, check_omega
 from .linalg import (
     adjoint,
+    default_rank_tol,
     hermitian_eig,
     hermitian_eigvals,
     hermitian_part,
@@ -33,6 +34,9 @@ from .subspaces import (
 # estimating the dimension of a sampled solution family.
 EST_DIM_RATIO = 1e-8
 
+# Shift pairs sampled by estimate_span_dim.
+SPAN_PAIRS = 4
+
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
     """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1))."""
@@ -52,18 +56,14 @@ def difference_subspace(dec: TridiagDecomp) -> DifferenceSubspace:
     """Image of V (H* H)^{-1} B*, orthonormalized; the zero subspace if q = 0."""
     if dec.q == 0:
         return DifferenceSubspace(Subspace.zero(dec.n, np.iscomplexobj(dec.V)), 0)
-    h = dec.H
-    hh = hermitian_part(adjoint(h) @ h)
-    raw = dec.V @ solve_hermitian(hh, adjoint(dec.B))
+    raw = dec.V @ solve_hermitian(dec.HH_eig, adjoint(dec.B))
     return DifferenceSubspace(Subspace(orthonormalize(raw)), dec.q)
 
 
-def membership_residual(x_diff: np.ndarray, s: Subspace, floor: float | None = None) -> float:
-    """||(I - P_S) x_diff|| / max(||x_diff||, floor); membership iff small."""
-    if floor is None:
-        floor = float(np.finfo(np.float64).tiny)
+def membership_residual(x_diff: np.ndarray, s: Subspace) -> float:
+    """||(I - P_S) x_diff|| / max(||x_diff||, tiny); membership iff small."""
     out = x_diff - s.project(x_diff)
-    return float(np.linalg.norm(out) / max(np.linalg.norm(x_diff), floor))
+    return float(np.linalg.norm(out) / max(np.linalg.norm(x_diff), np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,9 @@ class SweepResult:
     ``solutions`` holds one column per successful grid point (columns align
     with ``omegas[ok]``); ``sigma`` is the spectrum of the column-centered
     solution matrix and ``est_dim`` the number of singular values above
-    EST_DIM_RATIO times the largest.
+    EST_DIM_RATIO times the largest. ``coords`` (est_dim x columns) are the
+    centered solutions in the leading est_dim principal directions,
+    real(U_r* centered), from the same SVD.
     """
 
     omegas: np.ndarray
@@ -81,22 +83,23 @@ class SweepResult:
     solutions: np.ndarray
     sigma: np.ndarray
     est_dim: int
+    coords: np.ndarray
     failures: list = field(default_factory=list)
 
 
-def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sigma, est_dim, coords) of the column-centered x from one thin SVD."""
     if x.shape[1] == 0:
-        return x, np.zeros(0), 0
+        return np.zeros(0), 0, np.zeros((0, 0))
     centered = x - x.mean(axis=1, keepdims=True)
-    sigma = np.linalg.svd(centered, compute_uv=False)
+    u, sigma, _ = np.linalg.svd(centered, full_matrices=False)
     # a constant family centers to pure round-off; the leading singular value
     # only counts as signal when it clears the noise floor of the solutions
     # themselves
-    noise_floor = max(x.shape) * np.finfo(float).eps * 32 * float(np.linalg.norm(x, 2))
-    if sigma.size == 0 or sigma[0] <= noise_floor:
-        return centered, sigma, 0
-    est = int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0]))
-    return centered, sigma, est
+    est = 0
+    if sigma.size and sigma[0] > default_rank_tol(x.shape) * float(np.linalg.norm(x, 2)):
+        est = int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0]))
+    return sigma, est, np.real(adjoint(u[:, :est]) @ centered)
 
 
 def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
@@ -121,9 +124,9 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
         except (ValueError, np.linalg.LinAlgError) as err:
             failures.append((j, str(err)))
     x = np.column_stack(cols) if cols else np.zeros((inst.n, 0))
-    _, sigma, est = _centered_spectrum(x)
+    sigma, est, coords = _centered_spectrum(x)
     return SweepResult(omegas=omegas, ok=ok, solutions=x, sigma=sigma,
-                       est_dim=est, failures=failures)
+                       est_dim=est, coords=coords, failures=failures)
 
 
 def estimate_span_dim(
@@ -131,12 +134,11 @@ def estimate_span_dim(
     s: Subspace,
     n_samples: int | None = None,
     grid=None,
-    n_pairs: int = 4,
     seed: int = 0,
 ) -> int:
     """Numerical dimension of the span of solution differences over random
-    right-hand sides and sampled shift pairs; bounded by the index q. A is
-    factored once and shifted for every sampled shift.
+    right-hand sides and SPAN_PAIRS sampled shift pairs; bounded by the index
+    q. A is factored once and shifted for every sampled shift.
     """
     a = np.asarray(a)
     q = index_of_invariance(a, s)
@@ -151,7 +153,7 @@ def estimate_span_dim(
     grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
     pairs = []
-    while len(pairs) < n_pairs:
+    while len(pairs) < SPAN_PAIRS:
         i, j = rng.integers(0, grid.size, size=2)
         if grid[i] != grid[j]:
             pairs.append((float(grid[i]), float(grid[j])))
@@ -180,13 +182,17 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     shift; contains A S, proper whenever the index is >= 1, and all of F^n
     when the index is 0.
 
-    Built as the kernel of the stacked functionals
-    v_j* Q_i Q_i* (I - A V M(omega)) over eigenspace blocks Q_i and subspace
-    basis vectors v_j. One factorization A = U diag(lambda) U* serves both
-    M(omega) and the blocks Q_i (column slices of U), so the functionals are
-    (Q_i* V)* (Q_i* (I - A V M(omega))), read off the rows of U* V and
-    U* - (U* A V) M(omega). One SVD of the stack gives the rank and the
-    kernel.
+    The kernel of the stacked functionals v_j* Q_i Q_i* (I - A V M(omega))
+    over eigenspace blocks Q_i and subspace basis vectors v_j. One
+    factorization A = U diag(lambda) U* serves both M(omega) and the blocks
+    Q_i (column slices of U), so block i contributes X_i* Y_i with
+    X_i = Q_i* V and Y_i = Q_i* (I - A V M(omega)), read off the rows of U* V
+    and U* - (U* A V) M(omega). The stack holds R_i Y_i instead, with R_i the
+    triangular factor of X_i* = Q R_i: since R_i* R_i = X_i X_i*, it has the
+    same Gram matrix f* f, hence the same singular values and kernel, and at
+    most min(p, dim Q_i) rows per block, at most n in all. One SVD of the
+    stack gives the rank and the kernel; the rank cut is taken on the scale
+    of the uncompressed (p * #blocks) x n stack.
     """
     a = np.asarray(a)
     n = a.shape[0]
@@ -202,7 +208,7 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     start = 0
     for _, q_block in split.blocks:
         stop = start + q_block.shape[1]
-        rows.append(adjoint(ut_v[start:stop]) @ ut_r[start:stop])
+        rows.append(np.linalg.qr(adjoint(ut_v[start:stop]), mode="r") @ ut_r[start:stop])
         start = stop
     f = np.vstack(rows) if rows else np.zeros((0, n))
     # When the index is 0 the stacked functionals vanish identically, so the
@@ -214,7 +220,7 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
         # a thin V* has only min(rows, n) rows: a short, wide f needs the
         # full one to carry the kernel
         _, sv, vh = np.linalg.svd(f, full_matrices=f.shape[0] < n)
-        tol = max(f.shape) * np.finfo(float).eps * 32
+        tol = default_rank_tol((s.dim * len(split.blocks), n))
         rank = int(np.count_nonzero(sv > tol * max(scale, 1e-300)))
     if rank == 0:
         return Subspace(np.eye(n, dtype=complex if np.iscomplexobj(a) else float))

@@ -69,6 +69,8 @@ class TridiagDecomp:
     ``E_eig``, the eigendecomposition of E, is computed on first use and
     kept; every shifted solve with E + omega I (``shifted_blocks``, the
     block-route differences, ``condition_report``) reuses it shifted.
+    ``HH_eig``, that of H*H, is kept the same way for every solve with H*H
+    (``difference_subspace``, the certificate u and the limit route).
     """
 
     V: np.ndarray    # n x p, spans S
@@ -101,6 +103,11 @@ class TridiagDecomp:
     @cached_property
     def E_eig(self) -> EigDecomposition:
         return hermitian_eig(self.E)
+
+    @cached_property
+    def HH_eig(self) -> EigDecomposition:
+        h = self.H
+        return hermitian_eig(adjoint(h) @ h)
 
     @property
     def H(self) -> np.ndarray:
@@ -187,18 +194,13 @@ def nullspace_of_hstar(dec: TridiagDecomp) -> NullspaceN:
 
 @dataclass(frozen=True)
 class ShiftedBlocks:
-    """Shift-dependent blocks at one omega: E_omega = E + omega I,
-    F_omega = D* E_omega^{-1} D, and the compressed resolvent block
+    """Shift-dependent blocks at one omega: F_omega = D* (E + omega I)^{-1} D
+    and the compressed resolvent block
     G_omega = [[T, B*], [B, C - F_omega]] + omega I (positive definite)."""
 
     omega: float
-    E_omega: np.ndarray
     F_omega: np.ndarray
     G_omega: np.ndarray
-
-
-def omega_guard_threshold(dec: TridiagDecomp) -> float:
-    return guard_threshold(dec.omega_min, dec.op_norm)
 
 
 def check_omega(dec: TridiagDecomp, omega: float) -> None:
@@ -212,16 +214,14 @@ def _coupled_solve(dec: TridiagDecomp, sigma: float, x: np.ndarray) -> np.ndarra
 
 
 def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
-    """Blocks E + omega I, F_omega = D* (E + omega I)^{-1} D, G_omega for a
-    shift above the guard."""
+    """Blocks F_omega = D* (E + omega I)^{-1} D and G_omega for a shift above
+    the guard."""
     check_omega(dec, omega)
-    e_omega = dec.E + omega * np.eye(dec.E.shape[0], dtype=dec.E.dtype)
     f_omega = hermitian_part(_coupled_solve(dec, omega, dec.D))
     top = np.hstack([dec.T, adjoint(dec.B)])
     bottom = np.hstack([dec.B, dec.C - f_omega])
     g_omega = np.vstack([top, bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)
-    return ShiftedBlocks(omega=omega, E_omega=e_omega, F_omega=f_omega,
-                         G_omega=hermitian_part(g_omega))
+    return ShiftedBlocks(omega=omega, F_omega=f_omega, G_omega=hermitian_part(g_omega))
 
 
 def j_matrix(dec: TridiagDecomp, mu: float) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analysis import EST_DIM_RATIO, SweepResult, default_omega_grid, sweep_solutions
 from .io import write_csv
-from .linalg import adjoint
 from .solver import ProblemInstance
 from .subspaces import Subspace, index_of_invariance, krylov, subspace_sum
 
@@ -120,16 +119,9 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
 
     x = sweep.solutions
     omegas_ok = sweep.omegas[sweep.ok]
-    r = sweep.est_dim
     coords_path = f"{prefix}coords.csv"
-    if x.size and r > 0:
-        centered = x - x.mean(axis=1, keepdims=True)
-        u, _, _ = np.linalg.svd(centered, full_matrices=False)
-        coords = np.real(adjoint(u[:, :r]) @ centered)
-        rows = [(omegas_ok[j], *coords[:, j]) for j in range(coords.shape[1])]
-    else:
-        rows = [(w,) for w in omegas_ok]
-    write_csv(coords_path, ["omega"] + [f"coord_{k + 1}" for k in range(r)], rows)
+    write_csv(coords_path, ["omega"] + [f"coord_{k + 1}" for k in range(sweep.est_dim)],
+              [(w, *sweep.coords[:, j]) for j, w in enumerate(omegas_ok)])
     files["coords"] = coords_path
 
     if write_solutions:

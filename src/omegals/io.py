@@ -1,9 +1,10 @@
 """File formats: Matrix Market matrices, subspace JSON, CSV emission.
 
-Matrix Market covers both the dense "array" and sparse "coordinate" layouts,
-real and complex, written with enough digits (17 after the point) that
-float64 values survive a decimal round trip. Subspaces serialize to JSON as
-``{n, k, basis}`` with the basis stored column-major as [re, im] pairs.
+Matrix Market matrices, real and complex, are written in the dense "array"
+layout with enough digits (17 after the point) that float64 values survive a
+decimal round trip; reading also accepts the sparse "coordinate" layout.
+Subspaces serialize to JSON as ``{n, k, basis}`` with the basis stored
+column-major as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -44,31 +45,22 @@ def _parse_empty_mm(text: str) -> np.ndarray | None:
     return np.zeros((rows, cols), dtype=dtype)
 
 
-def _mm_string(m: np.ndarray, fmt: str = "array", comment: str = "") -> str:
-    """Matrix Market text of a dense matrix (or column vector).
-
-    fmt "array" stores the dense layout, "coordinate" the sparse triplet one;
-    either round-trips float64 entries exactly in decimal. Zero-size matrices
-    become header-only array text. SciPy's Matrix Market module is imported
-    here and in :func:`_mm_parse`, not with the package: it is most of the
-    cost of ``import omegals``.
+def _mm_string(m: np.ndarray, comment: str = "") -> str:
+    """Matrix Market array text of a dense matrix (or column vector), which
+    round-trips float64 entries exactly in decimal. Zero-size matrices become
+    header-only text. SciPy's Matrix Market module is imported here and in
+    :func:`_mm_parse`, not with the package: it is most of the cost of
+    ``import omegals``.
     """
     import scipy.io
-    import scipy.sparse
 
     m = np.asarray(m)
     if m.ndim == 1:
         m = m[:, None]
     if m.size == 0:
         return _empty_mm_text(m)
-    if fmt == "array":
-        payload = m
-    elif fmt == "coordinate":
-        payload = scipy.sparse.coo_matrix(m)
-    else:
-        raise ValueError(f"unknown Matrix Market format {fmt!r}")
     buf = BytesIO()
-    scipy.io.mmwrite(buf, payload, comment=comment, precision=MM_PRECISION)
+    scipy.io.mmwrite(buf, m, comment=comment, precision=MM_PRECISION)
     return buf.getvalue().decode()
 
 
@@ -85,14 +77,15 @@ def _mm_parse(text: str) -> np.ndarray:
     return np.asarray(m)
 
 
-def write_matrix_market(path, m: np.ndarray, fmt: str = "array", comment: str = "") -> None:
+def write_matrix_market(path, m: np.ndarray, comment: str = "") -> None:
     """Write a dense matrix (or column vector) in Matrix Market format to
     exactly ``path``, whatever its suffix; see :func:`_mm_string`."""
-    Path(path).write_text(_mm_string(m, fmt, comment))
+    Path(path).write_text(_mm_string(m, comment))
 
 
 def read_matrix_market(path) -> np.ndarray:
-    """Read a Matrix Market file into a dense ndarray."""
+    """Read a Matrix Market file, array or coordinate layout, into a dense
+    ndarray."""
     return _mm_parse(Path(path).read_text())
 
 
@@ -109,8 +102,7 @@ def read_vector_market(path) -> np.ndarray:
 def subspace_to_json(basis: np.ndarray) -> dict:
     """JSON object {n, k, basis: column-major [re, im] pairs} for a basis."""
     n, k = basis.shape
-    flat = np.asarray(basis, dtype=complex).flatten(order="F")
-    return {"n": int(n), "k": int(k), "basis": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"n": int(n), "k": int(k), "basis": _complex_pairs(basis)}
 
 
 def subspace_from_json(obj: dict) -> np.ndarray:

@@ -26,13 +26,13 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     scale = np.linalg.norm(m)
     if scale == 0.0:
         return True
-    return np.linalg.norm(m - m.conj().T) <= tol * scale
+    return np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL * scale
 
 
 def default_rank_tol(shape: tuple[int, int]) -> float:
@@ -59,30 +59,31 @@ class EigDecomposition:
         return (self.u * self.lambdas) @ self.u.conj().T
 
 
-def _checked_hermitian(m, tol: float) -> np.ndarray:
+def _checked_hermitian(m) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitian_part(m)
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigDecomposition:
+def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
     Raises ValueError for non-square input or when the Hermitian check fails
-    beyond ``tol`` (relative Frobenius). The input is symmetrized before the
-    factorization so that round-off drift cannot leak into the eigenvectors.
+    beyond ``HERMITIAN_TOL`` (relative Frobenius). The input is symmetrized
+    before the factorization so that round-off drift cannot leak into the
+    eigenvectors.
     """
-    lam, u = np.linalg.eigh(_checked_hermitian(m, tol))
+    lam, u = np.linalg.eigh(_checked_hermitian(m))
     return EigDecomposition(u[:, ::-1], lam[::-1])
 
 
-def hermitian_eigvals(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, without the
     eigenvectors; same checks and symmetrization as :func:`hermitian_eig`."""
-    return np.linalg.eigvalsh(_checked_hermitian(m, tol))[::-1]
+    return np.linalg.eigvalsh(_checked_hermitian(m))[::-1]
 
 
 def extend_orthonormal(q: np.ndarray, cols: np.ndarray, drop_tol: float | None = None,
@@ -120,8 +121,7 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, drop_tol: float | None =
     return basis[:, m:width]
 
 
-def orthonormalize(vectors, drop_tol: float | None = None,
-                   scale: float | None = None) -> np.ndarray:
+def orthonormalize(vectors, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis for the span of the given vectors, kept in order:
     :func:`extend_orthonormal` of the empty basis, so the result is
     rank-revealing under the same drop rule.
@@ -136,12 +136,12 @@ def orthonormalize(vectors, drop_tol: float | None = None,
         if not vecs:
             return np.zeros((0, 0))
         cols = np.column_stack([np.asarray(v) for v in vecs])
-    return extend_orthonormal(np.zeros((cols.shape[0], 0)), cols, drop_tol, scale)
+    return extend_orthonormal(np.zeros((cols.shape[0], 0)), cols, scale=scale)
 
 
-def numerical_rank(m: np.ndarray, tol_rel: float | None = None,
-                   scale: float | None = None) -> int:
-    """Number of singular values above tol_rel * sigma_1 (0 for a zero matrix).
+def numerical_rank(m: np.ndarray, scale: float | None = None) -> int:
+    """Number of singular values above ``default_rank_tol(m.shape)`` times
+    sigma_1 (0 for a zero matrix).
 
     Ties at the threshold are excluded, i.e. decided toward the smaller rank.
     ``scale`` replaces sigma_1 as the reference, for blocks extracted from a
@@ -150,18 +150,14 @@ def numerical_rank(m: np.ndarray, tol_rel: float | None = None,
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    if tol_rel is None:
-        tol_rel = default_rank_tol(m.shape)
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
     s = np.linalg.svd(m, compute_uv=False)
     reference = scale if scale is not None else (s[0] if s.size else 0.0)
     if s.size == 0 or reference == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol_rel * reference))
+    return int(np.count_nonzero(s > default_rank_tol(m.shape) * reference))
 
 
-def matrix_power_pos(m: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def matrix_power_pos(m: np.ndarray, s: float) -> np.ndarray:
     """Real power M^s of a positive-definite Hermitian matrix.
 
     Computed through the spectral decomposition U diag(lambda^s) U*. Raises
@@ -169,7 +165,7 @@ def matrix_power_pos(m: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.
     identity exactly and s = 1 returns (the Hermitian part of) M itself.
     """
     m = np.asarray(m)
-    eig = hermitian_eig(m, tol)
+    eig = hermitian_eig(m)
     lam_max = float(np.max(np.abs(eig.lambdas))) if eig.lambdas.size else 0.0
     if eig.lambdas.size and eig.lambdas[-1] <= eig.dim * EPS * lam_max:
         raise ValueError("matrix is not positive definite (non-positive eigenvalue)")
@@ -181,22 +177,20 @@ def matrix_power_pos(m: np.ndarray, s: float, tol: float = HERMITIAN_TOL) -> np.
     return hermitian_part(powered)
 
 
-def solve_hermitian(m, rhs: np.ndarray, cond_tol: float | None = None) -> np.ndarray:
+def solve_hermitian(m, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for Hermitian invertible M (vector or matrix rhs).
 
     ``m`` may be a matrix or a precomputed :class:`EigDecomposition`; the
     solve runs through the spectral factorization either way, which keeps the
     singularity test honest: the call fails when the smallest \\|eigenvalue\\|
-    drops below ``cond_tol`` times the largest.
+    drops below ``default_rank_tol`` of the order times the largest.
     """
     eig = m if isinstance(m, EigDecomposition) else hermitian_eig(np.asarray(m))
     lam = eig.lambdas
-    if cond_tol is None:
-        cond_tol = default_rank_tol((eig.dim, eig.dim))
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
     if lam.size == 0:
         return np.zeros_like(np.asarray(rhs))
-    if np.min(np.abs(lam)) <= cond_tol * lam_max:
+    if np.min(np.abs(lam)) <= default_rank_tol((eig.dim, eig.dim)) * lam_max:
         raise np.linalg.LinAlgError("matrix is singular to working precision")
     rhs = np.asarray(rhs)
     y = eig.u.conj().T @ rhs

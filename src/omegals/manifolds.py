@@ -137,10 +137,11 @@ def manifold_dimension(n: int, p: int, q: int, cls: ManifoldClass, field: str = 
     return alpha * (n * (n - 1) // 2 - p * (n - p - q)) + n
 
 
-def default_epsilon_schedule(a: np.ndarray, steps: int = 20, ratio: float = 10.0):
-    """Geometric perturbation schedule starting at 1e-12 * max(1, ||A||_2)."""
+def default_epsilon_schedule(a: np.ndarray):
+    """Geometric perturbation schedule: 20 steps of ratio 10 starting at
+    1e-12 * max(1, ||A||_2)."""
     eps0 = 1e-12 * max(1.0, float(np.linalg.norm(np.asarray(a), 2)))
-    return [eps0 * ratio**k for k in range(steps)]
+    return [eps0 * 10.0**k for k in range(20)]
 
 
 def perturb_to_invertible(

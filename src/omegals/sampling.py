@@ -41,13 +41,12 @@ def random_hermitian(rng: np.random.Generator, n: int, complex_field: bool) -> n
     return hermitian_part(gaussian_matrix(rng, n, n, complex_field))
 
 
-def random_hermitian_invertible(
-    rng: np.random.Generator, n: int, complex_field: bool, floor: float = SPECTRAL_FLOOR
-) -> np.ndarray:
-    """Hermitian with random signs and |eigenvalues| >= floor."""
+def random_hermitian_invertible(rng: np.random.Generator, n: int,
+                                complex_field: bool) -> np.ndarray:
+    """Hermitian with random signs and |eigenvalues| >= SPECTRAL_FLOOR."""
     u = random_unitary(rng, n, complex_field)
     lam = rng.standard_normal(n)
-    lam = np.sign(lam) * (floor + np.abs(lam))
+    lam = np.sign(lam) * (SPECTRAL_FLOOR + np.abs(lam))
     return hermitian_part((u * lam) @ u.conj().T)
 
 

@@ -26,7 +26,6 @@ from .decomposition import (
     TridiagDecomp,
     _coupled_solve,
     check_shift,
-    guard_threshold,
     nullspace_of_hstar,
     shifted_blocks,
 )
@@ -115,9 +114,6 @@ class ProblemInstance:
     def op_norm(self) -> float:
         return float(np.max(np.abs(self.eig.lambdas)))
 
-    def omega_threshold(self) -> float:
-        return guard_threshold(self.omega_min, self.op_norm)
-
     def check_omega(self, omega: float) -> None:
         check_shift(omega, self.omega_min, self.op_norm)
 
@@ -204,10 +200,7 @@ class SystemSolution:
 
 def _recover_u(dec: TridiagDecomp, d: np.ndarray) -> tuple[np.ndarray, float]:
     """u with d = (H*H)^{-1} B* u, via the positive matrix B (H*H)^{-1} B*."""
-    h = dec.H
-    hh = hermitian_part(adjoint(h) @ h)
-    bstar = adjoint(dec.B)
-    hh_inv_bstar = solve_hermitian(hh, bstar)  # p x q
+    hh_inv_bstar = solve_hermitian(dec.HH_eig, adjoint(dec.B))  # p x q
     m = hermitian_part(dec.B @ hh_inv_bstar)   # q x q, positive definite
     try:
         u = solve_hermitian(m, dec.B @ d)
@@ -239,13 +232,8 @@ def _close_system(dec: TridiagDecomp, ns: NullspaceN, g_omega: np.ndarray,
     )
 
 
-def difference_via_blocks(
-    dec: TridiagDecomp,
-    b: np.ndarray,
-    omega: float,
-    mu: float,
-    nullspace: NullspaceN | None = None,
-) -> SystemSolution:
+def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
+                          mu: float) -> SystemSolution:
     """Coordinate difference d between the weighted solutions at omega and mu,
     computed from the block system instead of the explicit formula. Every
     solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted
@@ -262,7 +250,7 @@ def difference_via_blocks(
     """
     if dec.q == 0:
         raise ValueError("q = 0: solution differences vanish identically")
-    ns = nullspace if nullspace is not None else nullspace_of_hstar(dec)
+    ns = nullspace_of_hstar(dec)
     c, cp, cpp = dec.coefficients(b)
     sb_omega = shifted_blocks(dec, omega)
     sb_mu = shifted_blocks(dec, mu)
@@ -287,12 +275,8 @@ def difference_via_blocks(
     return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)
 
 
-def limit_difference_via_blocks(
-    dec: TridiagDecomp,
-    b: np.ndarray,
-    omega: float,
-    nullspace: NullspaceN | None = None,
-) -> SystemSolution:
+def limit_difference_via_blocks(dec: TridiagDecomp, b: np.ndarray,
+                                omega: float) -> SystemSolution:
     """Coordinate difference d between the weighted solution at omega and the
     plain residual minimizer (the mu -> infinity endpoint), via the block
     system
@@ -300,17 +284,17 @@ def limit_difference_via_blocks(
         H* G_omega^{-1} (H d + [0; D* (E + omega I)^{-1} c''] + N t) = 0,
         N t = (H (H* H)^{-1} H* - I) [c; c'].
 
-    Solves with E + omega I go through ``dec.E_eig`` shifted.
+    Solves with E + omega I go through ``dec.E_eig`` shifted, the one with
+    H*H through ``dec.HH_eig``.
     """
     if dec.q == 0:
         raise ValueError("q = 0: solution differences vanish identically")
-    ns = nullspace if nullspace is not None else nullspace_of_hstar(dec)
+    ns = nullspace_of_hstar(dec)
     c, cp, cpp = dec.coefficients(b)
     sb_omega = shifted_blocks(dec, omega)
     h = dec.H
     w = np.concatenate([c, cp])
-    hh = hermitian_part(adjoint(h) @ h)
-    rhs2 = h @ solve_hermitian(hh, adjoint(h) @ w) - w
+    rhs2 = h @ solve_hermitian(dec.HH_eig, adjoint(h) @ w) - w
     t = adjoint(ns.N) @ rhs2
     res2 = float(np.linalg.norm(ns.N @ t - rhs2))
 

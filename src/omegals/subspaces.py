@@ -160,15 +160,20 @@ def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
     the columns of A V that contribute them.
 
     The one place that decides what counts as a new direction: A V extended
-    past V by :func:`extend_orthonormal` with scale ||A V||_2, so the
-    round-off left of an invariant direction is dropped against the size of
-    A S rather than against its own noise-level norm.
+    past V by :func:`extend_orthonormal` with scale
+    max(||A V||_2, sqrt(||A||_1 ||A||_inf)). The round-off left of an
+    invariant direction is of the size of A, not of A S (eigenvalues of S
+    small against ||A|| leave residuals far above eps ||A V||), and the
+    second term bounds ||A||_2 from above in O(n^2).
     """
     a = np.asarray(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
     av = a @ s.basis
-    scale = float(np.linalg.norm(av, 2)) if av.size else 0.0
+    scale = 0.0
+    if av.size:
+        scale = max(float(np.linalg.norm(av, 2)),
+                    float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))))
     return extend_orthonormal(s.basis, av, scale=scale)
 
 
@@ -247,15 +252,15 @@ class EigenspaceSplit:
         return self.blocks[0][1].shape[0] if self.blocks else 0
 
 
-def eigenspace_split(a, cluster_tol: float = EIG_CLUSTER_TOL) -> EigenspaceSplit:
+def eigenspace_split(a) -> EigenspaceSplit:
     """Group the spectrum of Hermitian A into distinct eigenvalues and return
     per-eigenvalue orthonormal bases spanning all of F^n.
 
     ``a`` may be the matrix or its precomputed :class:`EigDecomposition`. The
     blocks are consecutive column slices of the eigenvector matrix, in
     descending eigenvalue order. Eigenvalues within
-    cluster_tol * max(1, ||A||_2) of each other merge into one block (chained
-    along the sorted spectrum).
+    EIG_CLUSTER_TOL * max(1, ||A||_2) of each other merge into one block
+    (chained along the sorted spectrum).
     """
     eig = a if isinstance(a, EigDecomposition) else hermitian_eig(a)
     lam, u = eig.lambdas, eig.u
@@ -264,7 +269,7 @@ def eigenspace_split(a, cluster_tol: float = EIG_CLUSTER_TOL) -> EigenspaceSplit
     blocks = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or (lam[i - 1] - lam[i]) > cluster_tol * scale:
+        if i == n or (lam[i - 1] - lam[i]) > EIG_CLUSTER_TOL * scale:
             blocks.append((float(np.mean(lam[start:i])), u[:, start:i]))
             start = i
     return EigenspaceSplit(tuple(blocks))

@@ -13,12 +13,14 @@ from omegals.analysis import (
     sweep_solutions,
 )
 from omegals.decomposition import tridiagonal_block_decomposition
+from omegals.linalg import adjoint, hermitian_part
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
     gaussian_vector,
     random_hermitian_invertible,
     random_spd,
     random_subspace,
+    random_unitary,
 )
 from omegals.solver import (
     OMEGA_INF,
@@ -199,6 +201,21 @@ class TestEstimateSpanDim:
             estimate_span_dim(a, s, n_samples=q - 1)
 
 
+def uncompressed_kernel(a, s, omega):
+    """Reference for constant_kernel: (shape of the stack, kernel) from the
+    p x n functional of every eigenspace block, stacked uncompressed in the
+    original coordinates, with the same rank cut."""
+    m = solution_map(a, s, omega)
+    r_op = np.eye(a.shape[0]) - a @ (s.basis @ m)
+    f = np.vstack([s.basis.conj().T @ (q @ (q.conj().T @ r_op))
+                   for _, q in eigenspace_split(a).blocks])
+    sv = np.linalg.svd(f, compute_uv=False)
+    tol = max(f.shape) * np.finfo(float).eps * 32 * np.linalg.norm(r_op, 2)
+    rank = int(np.count_nonzero(sv > tol))
+    _, _, vh = np.linalg.svd(f, full_matrices=True)
+    return f.shape, Subspace(vh[rank:].conj().T)
+
+
 class TestConstantKernel:
     def test_contains_image_of_constraint(self):
         rng = np.random.default_rng(11)
@@ -246,20 +263,35 @@ class TestConstantKernel:
         s = random_subspace(rng, 6, 1, complex_field)
         omega = 0.5
         kernel = constant_kernel(a, s, omega)
-        # the construction from two SVDs of the functionals stacked in the
-        # original coordinates
-        m = solution_map(a, s, omega)
-        r_op = np.eye(6) - a @ (s.basis @ m)
-        f = np.vstack([s.basis.conj().T @ (q @ (q.conj().T @ r_op))
-                       for _, q in eigenspace_split(a).blocks])
-        assert f.shape == (2, 6)
-        sv = np.linalg.svd(f, compute_uv=False)
-        tol = max(f.shape) * np.finfo(float).eps * 32 * np.linalg.norm(r_op, 2)
-        rank = int(np.count_nonzero(sv > tol))
-        _, _, vh = np.linalg.svd(f, full_matrices=True)
-        expected = Subspace(vh[rank:].conj().T)
+        shape, expected = uncompressed_kernel(a, s, omega)
+        assert shape == (2, 6)
         assert 1 <= kernel.dim < 6
         assert subspaces_equal(kernel, expected)
+
+    @pytest.mark.parametrize("case", ["multiplicity>p", "generic", "index-0"])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matches_uncompressed_stack(self, case, complex_field):
+        # the stack of one R factor per eigenspace block has the Gram matrix
+        # of the uncompressed stack: the same kernel, whether a block is
+        # wider than p (eigenvalues 3 and 1 of multiplicity 3 > p = 2) or not
+        rng = np.random.default_rng(16)
+        n, p = 8, 2
+        u = random_unitary(rng, n, complex_field)
+        if case == "multiplicity>p":
+            lam = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 1.0, -2.0, 0.5])
+        else:
+            lam = rng.uniform(0.5, 4.0, n) * rng.choice([-1.0, 1.0], n)
+        a = hermitian_part((u * lam) @ adjoint(u))
+        if case == "index-0":
+            s = Subspace(u[:, :p] @ random_unitary(rng, p, complex_field))
+        else:
+            s = random_subspace(rng, n, p, complex_field)
+        assert (index_of_invariance(a, s) == 0) == (case == "index-0")
+        omega = 1.0 - float(lam.min())
+        kernel = constant_kernel(a, s, omega)
+        _, expected = uncompressed_kernel(a, s, omega)
+        assert kernel.dim == expected.dim
+        assert np.linalg.norm(kernel.projector() - expected.projector(), 2) <= 1e-10
 
     def test_invariant_case_kernel_is_everything(self):
         a = np.diag([1.0, 2.0, 3.0])

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from omegals.analysis import difference_subspace
 from omegals.decomposition import (
     augment_reduction,
+    guard_threshold,
     j_matrix,
     nullspace_of_hstar,
-    omega_guard_threshold,
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
@@ -133,8 +133,15 @@ class TestTridiagonalDecomposition:
 def edge_shape_instance(seed, n, shape, complex_field):
     """(A, S, expected q) for one edge shape of the adapted basis: q = 0 (S
     spanned by eigenvectors of A, rotated inside their span; p = n allowed),
-    n = p + q (p >= n/2, generic S) and p = n - 1 (generic S)."""
+    q = 0 for the eigenvectors of the two smallest eigenvalues of
+    diag(100, 50, 20, 1e-3, 2e-3, 5e-3) rotated (n = 6; their round-off is of
+    the size of ||A||, not of ||A S||), n = p + q (p >= n/2, generic S) and
+    p = n - 1 (generic S)."""
     rng = np.random.default_rng(seed)
+    if shape == "small-invariant":
+        u = random_unitary(rng, 6, complex_field)
+        a = hermitian_part((u * np.array([100.0, 50.0, 20.0, 1e-3, 2e-3, 5e-3])) @ adjoint(u))
+        return a, Subspace(np.linalg.eigh(a)[1][:, :2]), 0
     if shape == "invariant":
         p = int(rng.integers(1, n + 1))
         u = random_unitary(rng, n, complex_field)
@@ -149,9 +156,11 @@ def edge_shape_instance(seed, n, shape, complex_field):
 class TestAdaptedBasisEdgeShapes:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 9),
-           st.sampled_from(["invariant", "n=p+q", "codim-one"]), st.booleans())
+           st.sampled_from(["invariant", "small-invariant", "n=p+q", "codim-one"]),
+           st.booleans())
     def test_unitary_and_reassembles(self, seed, n, shape, complex_field):
         a, s, q_expected = edge_shape_instance(seed, n, shape, complex_field)
+        n = a.shape[0]
         dec = tridiagonal_block_decomposition(a, s)
         w = dec.W
         assert w.shape == (n, n)
@@ -214,7 +223,7 @@ class TestShiftedBlocks:
         assert dec.omega_min == -1.0
         with pytest.raises(ValueError):
             shifted_blocks(dec, dec.omega_min)
-        assert omega_guard_threshold(dec) > dec.omega_min
+        assert guard_threshold(dec.omega_min, dec.op_norm) > dec.omega_min
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_block_inverse_identities(self, complex_field):
@@ -232,15 +241,16 @@ class TestShiftedBlocks:
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(lhs)
         # coupling to the outer block
         r = dec.n - dec.p - dec.q
+        e_omega = dec.E + omega * np.eye(r)
         if r:
             lhs2 = -lhs @ np.vstack([np.zeros((dec.p, r)),
-                                     adjoint(dec.D) @ np.linalg.inv(sb.E_omega)])
+                                     adjoint(dec.D) @ np.linalg.inv(e_omega)])
             rhs2 = adjoint(vvp) @ a_omega_inv @ dec.Vpp
             assert np.linalg.norm(lhs2 - rhs2) <= 1e-10 * max(1.0, np.linalg.norm(rhs2))
         # positivity of the shifted blocks as formed
         assert np.linalg.eigvalsh(sb.G_omega)[0] > 0
         if r:
-            assert np.linalg.eigvalsh(sb.E_omega)[0] > 0
+            assert np.linalg.eigvalsh(e_omega)[0] > 0
             assert np.linalg.eigvalsh(sb.F_omega)[0] >= -1e-12
 
     def test_zero_shift_row_identity_for_positive_operator(self):
@@ -259,7 +269,7 @@ class TestShiftedBlocks:
         sb = shifted_blocks(dec, 0.5)
         assert sb.F_omega.shape == (1, 1)
         np.testing.assert_allclose(sb.F_omega, 0.0)
-        assert sb.E_omega.shape == (0, 0)
+        assert dec.E.shape == (0, 0)
 
     def test_j_matrix_image_matches_nullspace(self):
         rng = np.random.default_rng(19)

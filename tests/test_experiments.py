@@ -127,6 +127,14 @@ class TestRunFigure1:
         coords_lines = (tmp_path / "run_coords.csv").read_text().splitlines()
         assert coords_lines[0] == "omega,coord_1,coord_2"
         assert len(coords_lines) == 26
+        # the family spans 2 directions, so its coordinates in the leading two
+        # principal directions keep every inner product of the centered solutions
+        coords = np.array([[float(v) for v in ln.split(",")[1:]] for ln in coords_lines[1:]])
+        np.testing.assert_array_equal(coords, result.sweep.coords.T)
+        x = result.sweep.solutions
+        centered = x - x.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(coords @ coords.T, centered.T @ centered,
+                                   atol=1e-10 * np.linalg.norm(centered) ** 2)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["est_dim"] == 2
         assert meta["subspace_dim"] == 5

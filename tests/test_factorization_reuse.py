@@ -1,13 +1,19 @@
-"""The structural checks factor A and the outer block E once each: counted
-as np.linalg.eigh calls by matrix order."""
+"""The structural checks factor A, the outer block E and H*H once each:
+counted as np.linalg.eigh calls by matrix order, or by the matrix itself."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from omegals.analysis import condition_report, constant_kernel, estimate_span_dim
+from omegals.analysis import (
+    condition_report,
+    constant_kernel,
+    difference_subspace,
+    estimate_span_dim,
+)
 from omegals.decomposition import tridiagonal_block_decomposition
+from omegals.linalg import adjoint
 from omegals.sampling import random_spd, random_subspace
 from omegals.solver import difference_via_blocks, limit_difference_via_blocks
 from omegals.subspaces import index_of_invariance
@@ -57,3 +63,28 @@ def test_span_estimate_and_constant_kernel_factor_a_once(eigh_orders):
     kernel = constant_kernel(a, s, 0.5)
     assert kernel.dim < n
     assert eigh_orders[n] <= 1
+
+
+def test_difference_routes_share_one_factorization_of_hh(monkeypatch):
+    rng = np.random.default_rng(52)
+    n = 12
+    a = random_spd(rng, n)
+    s = random_subspace(rng, n, 3, False)
+    dec = tridiagonal_block_decomposition(a, s)
+    hh = adjoint(dec.H) @ dec.H
+    factored = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(m, *args, **kwargs):
+        factored.append(np.array(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    difference_subspace(dec)
+    b = rng.standard_normal(n)
+    for omega, mu in [(0.1, 2.0), (0.5, 7.0), (3.0, 90.0)]:
+        difference_via_blocks(dec, b, omega, mu)
+    limit_difference_via_blocks(dec, b, 1.5)
+    # the routes factor other order-p matrices (H* G^{-1} H); count H*H itself
+    assert sum(m.shape == hh.shape and np.linalg.norm(m - hh) <= 1e-12 * np.linalg.norm(hh)
+               for m in factored) == 1

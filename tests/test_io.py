@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 from omegals import io as oio
 from omegals.decomposition import tridiagonal_block_decomposition
@@ -15,8 +17,15 @@ def test_matrix_market_roundtrip_exact(tmp_path, fmt, complex_field):
     m = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-12, 12, size=(4, 3))
     if complex_field:
         m = m + 1j * rng.standard_normal((4, 3))
+    m[1, 2] = 0.0
     path = tmp_path / "m.mtx"
-    oio.write_matrix_market(path, m, fmt=fmt)
+    if fmt == "array":
+        oio.write_matrix_market(path, m)
+    else:
+        # the library writes only the array layout; a coordinate file from
+        # another writer must still read back exactly
+        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(m), precision=oio.MM_PRECISION)
+        assert "coordinate" in path.read_text().splitlines()[0]
     back = oio.read_matrix_market(path)
     np.testing.assert_array_equal(back, m)
 

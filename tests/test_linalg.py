@@ -176,15 +176,11 @@ class TestNumericalRank:
         assert numerical_rank(np.ones((2, 2))) == 1
 
     def test_threshold_arithmetic(self):
-        assert numerical_rank(np.diag([1.0, 1e-20]), tol_rel=1e-12) == 1
+        assert numerical_rank(np.diag([1.0, 1e-20])) == 1
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
         assert numerical_rank(np.zeros((0, 3))) == 0
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol_rel=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))

@@ -28,3 +28,11 @@ def test_star_import_exports_no_submodule():
     exec("import io\nfrom omegals import *", namespace)
     assert namespace["io"].__name__ == "io"
     assert "solve_weighted" in namespace and "svd" not in namespace
+
+
+def test_paper_identities_stay_out_of_the_exports():
+    # tested in their modules; nothing outside the tests calls them
+    for name in ("j_matrix", "augment_reduction", "AugmentReduction", "solution_map_diff",
+                 "injectivity_scan", "invariant_closure", "strongly_orthogonal",
+                 "matrix_power_pos"):
+        assert name not in omegals.__all__, name

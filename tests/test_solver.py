@@ -5,8 +5,8 @@ import pytest
 
 from omegals.decomposition import (
     check_omega,
+    guard_threshold,
     nullspace_of_hstar,
-    omega_guard_threshold,
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
@@ -194,9 +194,9 @@ class TestSolveParametric:
         s = inst.constraint.direction
         dec = tridiagonal_block_decomposition(inst.a, s)
         return [
-            (inst.check_omega, inst.omega_threshold()),
-            (lambda w: check_omega(dec, w), omega_guard_threshold(dec)),
-            (lambda w: solution_map(inst.a, s, w), inst.omega_threshold()),
+            (inst.check_omega, guard_threshold(inst.omega_min, inst.op_norm)),
+            (lambda w: check_omega(dec, w), guard_threshold(dec.omega_min, dec.op_norm)),
+            (lambda w: solution_map(inst.a, s, w), guard_threshold(inst.omega_min, inst.op_norm)),
         ]
 
     def test_guard_rejects_nan(self):
@@ -377,7 +377,8 @@ class TestDifferenceViaBlocks:
         sol = difference_via_blocks(dec, b, omega, 0.0)
         c, cp, cpp = dec.coefficients(b)
         sb = shifted_blocks(dec, omega)
-        z = (adjoint(dec.D) @ np.linalg.solve(sb.E_omega, cpp)
+        e_omega = dec.E + omega * np.eye(dec.E.shape[0])
+        z = (adjoint(dec.D) @ np.linalg.solve(e_omega, cpp)
              + dec.B @ np.linalg.solve(dec.T, c) - cp)
         h = dec.H
         g_inv_h = np.linalg.solve(sb.G_omega, h)
@@ -404,12 +405,13 @@ class TestDifferenceViaBlocks:
         ns = nullspace_of_hstar(dec)
         b = rng.standard_normal(8)
         omega, mu = dec.omega_min + 1.1, dec.omega_min + 5.5
-        sol = difference_via_blocks(dec, b, omega, mu, nullspace=ns)
+        sol = difference_via_blocks(dec, b, omega, mu)
         sb_omega = shifted_blocks(dec, omega)
         sb_mu = shifted_blocks(dec, mu)
         c, cp, cpp = dec.coefficients(b)
-        z_t = (adjoint(dec.D) @ (np.linalg.solve(sb_omega.E_omega, cpp)
-                                 - np.linalg.solve(sb_mu.E_omega, cpp))
+        eye = np.eye(dec.E.shape[0])
+        z_t = (adjoint(dec.D) @ (np.linalg.solve(dec.E + omega * eye, cpp)
+                                 - np.linalg.solve(dec.E + mu * eye, cpp))
                + np.hstack([dec.B, dec.C - sb_mu.F_omega]) @ (ns.N @ sol.t))
         z_prime = np.hstack([dec.B, dec.C - sb_omega.F_omega]) @ (ns.N @ sol.t_prime) - z_t
         np.testing.assert_allclose(sol.u, z_prime, atol=1e-9)
