@@ -56,7 +56,7 @@ def difference_subspace(dec: TridiagDecomp) -> DifferenceSubspace:
     """Image of V (H* H)^{-1} B*, orthonormalized; the zero subspace if q = 0."""
     if dec.q == 0:
         return DifferenceSubspace(Subspace.zero(dec.n, np.iscomplexobj(dec.V)), 0)
-    raw = dec.V @ solve_hermitian(dec.HH_eig, adjoint(dec.B))
+    raw = dec.V @ dec.HH_inv_Bstar
     return DifferenceSubspace(Subspace(orthonormalize(raw)), dec.q)
 
 
@@ -95,9 +95,9 @@ def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     u, sigma, _ = np.linalg.svd(centered, full_matrices=False)
     # a constant family centers to pure round-off; the leading singular value
     # only counts as signal when it clears the noise floor of the solutions
-    # themselves
+    # themselves, taken on ||x||_F >= ||x||_2 so that no second SVD is needed
     est = 0
-    if sigma.size and sigma[0] > default_rank_tol(x.shape) * float(np.linalg.norm(x, 2)):
+    if sigma.size and sigma[0] > default_rank_tol(x.shape) * float(np.linalg.norm(x)):
         est = int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0]))
     return sigma, est, np.real(adjoint(u[:, :est]) @ centered)
 

@@ -1,6 +1,6 @@
 """Tridiagonal block decomposition of a Hermitian operator adapted to a
-subspace, the nullspace of the stacked coupling block, shifted blocks, and
-the one-dimension augmentation that removes the n = p + q corner case.
+subspace, the nullspace of the stacked coupling block, and the shifted
+blocks with their oblique projection.
 
 For Hermitian A and a subspace S with index q, an adapted unitary
 W = [V V' V''] (V spans S, [V V'] spans S + AS) compresses A to
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -32,13 +31,7 @@ from .linalg import (
     numerical_rank,
     solve_hermitian,
 )
-from .subspaces import (
-    AffineSubspace,
-    Subspace,
-    index_of_invariance,
-    new_directions,
-    orthogonal_complement,
-)
+from .subspaces import Subspace, new_directions, orthogonal_complement
 
 # Shifts must clear the spectral floor by this relative margin.
 OMEGA_GUARD = 1e-8
@@ -70,7 +63,9 @@ class TridiagDecomp:
     kept; every shifted solve with E + omega I (``shifted_blocks``, the
     block-route differences, ``condition_report``) reuses it shifted.
     ``HH_eig``, that of H*H, is kept the same way for every solve with H*H
-    (``difference_subspace``, the certificate u and the limit route).
+    (the limit block route), and so is ``HH_inv_Bstar`` = (H*H)^{-1} B*:
+    V times it spans the difference subspace, and it maps the block route's
+    certificate u to d.
     """
 
     V: np.ndarray    # n x p, spans S
@@ -108,6 +103,10 @@ class TridiagDecomp:
     def HH_eig(self) -> EigDecomposition:
         h = self.H
         return hermitian_eig(adjoint(h) @ h)
+
+    @cached_property
+    def HH_inv_Bstar(self) -> np.ndarray:
+        return solve_hermitian(self.HH_eig, adjoint(self.B))  # p x q
 
     @property
     def H(self) -> np.ndarray:
@@ -214,9 +213,11 @@ def _coupled_solve(dec: TridiagDecomp, sigma: float, x: np.ndarray) -> np.ndarra
 
 
 def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
-    """Blocks F_omega = D* (E + omega I)^{-1} D and G_omega for a shift above
-    the guard."""
+    """Blocks F_omega = D* (E + omega I)^{-1} D and G_omega for a finite shift
+    above the guard."""
     check_omega(dec, omega)
+    if omega == math.inf:
+        raise ValueError("shifted blocks need a finite omega: G_omega grows without bound")
     f_omega = hermitian_part(_coupled_solve(dec, omega, dec.D))
     top = np.hstack([dec.T, adjoint(dec.B)])
     bottom = np.hstack([dec.B, dec.C - f_omega])
@@ -224,55 +225,19 @@ def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
     return ShiftedBlocks(omega=omega, F_omega=f_omega, G_omega=hermitian_part(g_omega))
 
 
-def j_matrix(dec: TridiagDecomp, mu: float) -> np.ndarray:
-    """G_mu^{-1} (H (H* G_mu^{-1} H)^{-1} H* G_mu^{-1} - I); its image equals
-    the image of the nullspace basis N."""
-    sb = shifted_blocks(dec, mu)
-    h = dec.H
-    ginv_h = solve_hermitian(sb.G_omega, h)
+def _oblique_projection(g: EigDecomposition, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """G^{-1} (H (H* G^{-1} H)^{-1} H* G^{-1} - I) w for a factored Hermitian
+    G; at G = G_mu it is J(mu) w, the right-hand side of the block system's
+    second equation."""
+    ginv_w = solve_hermitian(g, w)
+    ginv_h = solve_hermitian(g, h)
     inner = hermitian_part(adjoint(h) @ ginv_h)
-    eye = np.eye(dec.p + dec.q, dtype=h.dtype)
-    ginv = solve_hermitian(sb.G_omega, eye)
-    return ginv_h @ solve_hermitian(inner, adjoint(ginv_h)) - ginv
+    return ginv_h @ solve_hermitian(inner, adjoint(h) @ ginv_w) - ginv_w
 
 
-@dataclass(frozen=True)
-class AugmentReduction:
-    """One-dimension augmentation used when n = p + q.
-
-    The augmented operator is blockdiag(A, lambda_min(A)), which keeps the
-    smallest eigenvalue, the index, and (after stripping the extra
-    coordinate) the solutions. ``applied`` is False when n > p + q, in which
-    case the originals pass through untouched.
-    """
-
-    applied: bool
-    a_tilde: np.ndarray
-    space_tilde: Subspace | AffineSubspace
-    b_tilde: Callable[[complex], np.ndarray]
-
-
-def augment_reduction(a: np.ndarray, space, b: np.ndarray) -> AugmentReduction:
-    a = np.asarray(a)
-    direction = space.direction if isinstance(space, AffineSubspace) else space
-    p = direction.dim
-    q = index_of_invariance(a, direction)
-    n = a.shape[0]
-    if n > p + q:
-        return AugmentReduction(False, a, space, lambda alpha: np.asarray(b))
-    lam_min = float(hermitian_eigvals(a)[-1])
-    a_tilde = np.zeros((n + 1, n + 1), dtype=a.dtype)
-    a_tilde[:n, :n] = a
-    a_tilde[n, n] = lam_min
-    basis_tilde = np.vstack([direction.basis, np.zeros((1, p), dtype=direction.basis.dtype)])
-    s_tilde = Subspace(basis_tilde)
-    if isinstance(space, AffineSubspace):
-        x0_tilde = np.concatenate([space.x0, np.zeros(1, dtype=space.x0.dtype)])
-        space_tilde: Subspace | AffineSubspace = AffineSubspace(x0_tilde, s_tilde)
-    else:
-        space_tilde = s_tilde
-
-    def b_tilde(alpha):
-        return np.concatenate([np.asarray(b), np.atleast_1d(np.asarray(alpha))])
-
-    return AugmentReduction(True, a_tilde, space_tilde, b_tilde)
+def j_matrix(dec: TridiagDecomp, mu: float) -> np.ndarray:
+    """J(mu) = G_mu^{-1} (H (H* G_mu^{-1} H)^{-1} H* G_mu^{-1} - I); its image
+    equals the image of the nullspace basis N."""
+    h = dec.H
+    g_mu = hermitian_eig(shifted_blocks(dec, mu).G_omega)
+    return _oblique_projection(g_mu, h, np.eye(dec.p + dec.q, dtype=h.dtype))

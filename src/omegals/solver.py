@@ -22,9 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .decomposition import (
-    NullspaceN,
     TridiagDecomp,
     _coupled_solve,
+    _oblique_projection,
     check_shift,
     nullspace_of_hstar,
     shifted_blocks,
@@ -200,7 +200,7 @@ class SystemSolution:
 
 def _recover_u(dec: TridiagDecomp, d: np.ndarray) -> tuple[np.ndarray, float]:
     """u with d = (H*H)^{-1} B* u, via the positive matrix B (H*H)^{-1} B*."""
-    hh_inv_bstar = solve_hermitian(dec.HH_eig, adjoint(dec.B))  # p x q
+    hh_inv_bstar = dec.HH_inv_Bstar
     m = hermitian_part(dec.B @ hh_inv_bstar)   # q x q, positive definite
     try:
         u = solve_hermitian(m, dec.B @ d)
@@ -210,18 +210,58 @@ def _recover_u(dec: TridiagDecomp, d: np.ndarray) -> tuple[np.ndarray, float]:
     return u, float(res)
 
 
-def _close_system(dec: TridiagDecomp, ns: NullspaceN, g_omega: np.ndarray,
-                  g_vec: np.ndarray, t: np.ndarray, res2: float) -> SystemSolution:
-    """Last step of both block routes. d solves the positive first equation
-    H* G_omega^{-1} H d = -H* G_omega^{-1} g; G_omega^{-1} (H d + g) lies in
-    the nullspace image and its coefficients give t'; u is recovered from d."""
+def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
+                          mu: float) -> SystemSolution:
+    """Coordinate difference d between the weighted solutions at omega and mu,
+    computed from the block system instead of the explicit formula; at
+    mu = OMEGA_INF the second solution is the plain residual minimizer. Every
+    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted
+    (f(sigma) = D* (E + sigma I)^{-1} c''), and G_omega and G_mu are each
+    factored once.
+
+    Requires q >= 1 and a finite omega. The two equations are
+
+        H* G_omega^{-1} (H d + mu N t + [0; z(t)]) = 0,
+        N t = J(mu) w = G_mu^{-1} (H (H* G_mu^{-1} H)^{-1} H* G_mu^{-1} - I) w,
+
+    with w = [c; c' - f(mu)] and z(t) the shift-difference term
+    f(omega) - f(mu) + [B  C - F_mu] N t. As mu -> infinity, mu J(mu) tends
+    to H (H*H)^{-1} H* - I while f(mu) and F_mu tend to 0, so at OMEGA_INF the
+    scale mu, f(mu) and the coupling [B  C - F_mu] are taken as (1, 0, 0),
+    the projection goes through ``dec.HH_eig``, and t holds the limit of mu t.
+    The first equation gives d, G_omega^{-1} (H d + mu N t + [0; z(t)]) = N t'
+    gives t', and u is recovered from d.
+    """
+    if dec.q == 0:
+        raise ValueError("q = 0: solution differences vanish identically")
+    ns = nullspace_of_hstar(dec)
+    c, cp, cpp = dec.coefficients(b)
+    g_omega = hermitian_eig(shifted_blocks(dec, omega).G_omega)
     h = dec.H
-    g_eig = hermitian_eig(g_omega)
-    ginv_h = solve_hermitian(g_eig, h)
+
+    # Second equation: project the right-hand side onto the nullspace basis.
+    if mu == OMEGA_INF:
+        scale, f_mu, coupling = 1.0, 0.0, np.zeros((dec.q, dec.p + dec.q))
+        w = np.concatenate([c, cp])
+        rhs2 = h @ solve_hermitian(dec.HH_eig, adjoint(h) @ w) - w
+    else:
+        sb_mu = shifted_blocks(dec, mu)
+        scale, f_mu = mu, _coupled_solve(dec, mu, cpp)
+        coupling = np.hstack([dec.B, dec.C - sb_mu.F_omega])
+        w = np.concatenate([c, cp - f_mu])
+        rhs2 = _oblique_projection(hermitian_eig(sb_mu.G_omega), h, w)
+    t = adjoint(ns.N) @ rhs2
+    nt = ns.N @ t
+    res2 = float(np.linalg.norm(nt - rhs2))
+
+    # First equation: H* G_omega^{-1} H d = -H* G_omega^{-1} g, positive.
+    z_t = _coupled_solve(dec, omega, cpp) - f_mu + coupling @ nt
+    g_vec = scale * nt + np.concatenate([np.zeros(dec.p, dtype=z_t.dtype), z_t])
+    ginv_h = solve_hermitian(g_omega, h)
     a1 = hermitian_part(adjoint(h) @ ginv_h)
     d = solve_hermitian(a1, -adjoint(ginv_h) @ g_vec)
     res1 = float(np.linalg.norm(adjoint(ginv_h) @ g_vec + a1 @ d))
-    lift = solve_hermitian(g_eig, h @ d + g_vec)
+    lift = solve_hermitian(g_omega, h @ d + g_vec)
     t_prime = adjoint(ns.N) @ lift
     res3 = float(np.linalg.norm(ns.N @ t_prime - lift))
     u, res4 = _recover_u(dec, d)
@@ -232,73 +272,9 @@ def _close_system(dec: TridiagDecomp, ns: NullspaceN, g_omega: np.ndarray,
     )
 
 
-def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
-                          mu: float) -> SystemSolution:
-    """Coordinate difference d between the weighted solutions at omega and mu,
-    computed from the block system instead of the explicit formula. Every
-    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted
-    (f(sigma) = D* (E + sigma I)^{-1} c''), and G_omega and G_mu are each
-    factored once.
-
-    Requires q >= 1. The two equations are
-
-        H* G_omega^{-1} (H d + mu N t + [0; z(t)]) = 0,
-        N t = G_mu^{-1} (H (H* G_mu^{-1} H)^{-1} H* G_mu^{-1} - I) w,
-
-    with w = [c; c' - f(mu)] and z(t) the shift-difference term
-    f(omega) - f(mu) + [B  C - F_mu] N t.
-    """
-    if dec.q == 0:
-        raise ValueError("q = 0: solution differences vanish identically")
-    ns = nullspace_of_hstar(dec)
-    c, cp, cpp = dec.coefficients(b)
-    sb_omega = shifted_blocks(dec, omega)
-    sb_mu = shifted_blocks(dec, mu)
-    h = dec.H
-    f_mu = _coupled_solve(dec, mu, cpp)
-    d_shift = _coupled_solve(dec, omega, cpp) - f_mu
-    w = np.concatenate([c, cp - f_mu])
-
-    # Second equation: project the right-hand side onto the nullspace basis.
-    g_mu = hermitian_eig(sb_mu.G_omega)
-    ginv_w = solve_hermitian(g_mu, w)
-    ginv_h = solve_hermitian(g_mu, h)
-    inner = hermitian_part(adjoint(h) @ ginv_h)
-    rhs2 = ginv_h @ solve_hermitian(inner, adjoint(h) @ ginv_w) - ginv_w
-    t = adjoint(ns.N) @ rhs2
-    res2 = float(np.linalg.norm(ns.N @ t - rhs2))
-
-    coupling = np.hstack([dec.B, dec.C - sb_mu.F_omega])
-    z_t = d_shift + coupling @ (ns.N @ t)
-    g_vec = mu * (ns.N @ t) + np.concatenate([np.zeros(dec.p, dtype=z_t.dtype), z_t])
-
-    return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)
-
-
 def limit_difference_via_blocks(dec: TridiagDecomp, b: np.ndarray,
                                 omega: float) -> SystemSolution:
     """Coordinate difference d between the weighted solution at omega and the
-    plain residual minimizer (the mu -> infinity endpoint), via the block
-    system
-
-        H* G_omega^{-1} (H d + [0; D* (E + omega I)^{-1} c''] + N t) = 0,
-        N t = (H (H* H)^{-1} H* - I) [c; c'].
-
-    Solves with E + omega I go through ``dec.E_eig`` shifted, the one with
-    H*H through ``dec.HH_eig``.
-    """
-    if dec.q == 0:
-        raise ValueError("q = 0: solution differences vanish identically")
-    ns = nullspace_of_hstar(dec)
-    c, cp, cpp = dec.coefficients(b)
-    sb_omega = shifted_blocks(dec, omega)
-    h = dec.H
-    w = np.concatenate([c, cp])
-    rhs2 = h @ solve_hermitian(dec.HH_eig, adjoint(h) @ w) - w
-    t = adjoint(ns.N) @ rhs2
-    res2 = float(np.linalg.norm(ns.N @ t - rhs2))
-
-    tail = _coupled_solve(dec, omega, cpp)
-    g_vec = np.concatenate([np.zeros(dec.p, dtype=tail.dtype), tail]) + ns.N @ t
-
-    return _close_system(dec, ns, sb_omega.G_omega, g_vec, t, res2)
+    plain residual minimizer: the mu = OMEGA_INF endpoint of
+    :func:`difference_via_blocks`."""
+    return difference_via_blocks(dec, b, omega, OMEGA_INF)

@@ -239,8 +239,9 @@ def _nullspace_identities(result: SuiteResult, dec, label: str) -> None:
                  f"{label}: H* N residual too large")
     result.check(numerical_rank(ns.N) == dec.q, f"{label}: rank(N) != q")
     result.check(numerical_rank(ns.N1) == dec.q, f"{label}: rank(N1) != q")
-    bbstar = hermitian_part(dec.B @ adjoint(dec.B))
-    predicted_n2 = -solve_hermitian(bbstar, dec.B @ (dec.T @ ns.N1))
+    # T N1 + B* N2 = 0 with B* of full column rank q; least squares on B*
+    # itself, not the normal equations BB*, which square its conditioning
+    predicted_n2 = -np.linalg.lstsq(adjoint(dec.B), dec.T @ ns.N1, rcond=None)[0]
     result.check(np.linalg.norm(ns.N2 - predicted_n2) <= RESIDUAL_TOL * max(1.0, np.linalg.norm(ns.N2)),
                  f"{label}: N2 != -(BB*)^-1 B T N1")
 

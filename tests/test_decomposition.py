@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from omegals.analysis import difference_subspace
 from omegals.decomposition import (
-    augment_reduction,
     guard_threshold,
     j_matrix,
     nullspace_of_hstar,
@@ -21,7 +20,6 @@ from omegals.sampling import (
     random_subspace,
     random_unitary,
 )
-from omegals.solver import ProblemInstance, solve_weighted
 from omegals.subspaces import Subspace, index_of_invariance, subspaces_equal
 
 
@@ -270,6 +268,9 @@ class TestShiftedBlocks:
         assert sb.F_omega.shape == (1, 1)
         np.testing.assert_allclose(sb.F_omega, 0.0)
         assert dec.E.shape == (0, 0)
+        # with no E to factor, an infinite shift would give an inf/NaN G_omega
+        with pytest.raises(ValueError, match="finite"):
+            shifted_blocks(dec, np.inf)
 
     def test_j_matrix_image_matches_nullspace(self):
         rng = np.random.default_rng(19)
@@ -282,45 +283,3 @@ class TestShiftedBlocks:
         img_j = Subspace(orthonormalize(j, scale=float(np.linalg.norm(j, 2))))
         assert img_j.dim == dec.q
         assert subspaces_equal(img_j, Subspace(ns.N), tol=1e-8)
-
-
-class TestAugmentReduction:
-    def test_two_by_two_example(self):
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = Subspace(np.array([[1.0], [0.0]]))
-        red = augment_reduction(a, s, np.array([1.0, 0.0]))
-        assert red.applied
-        assert red.a_tilde.shape == (3, 3)
-        # appended diagonal entry preserves the smallest eigenvalue
-        assert red.a_tilde[2, 2] == pytest.approx(1.0)
-        assert np.linalg.eigvalsh(red.a_tilde)[0] == pytest.approx(
-            np.linalg.eigvalsh(a)[0])
-        assert index_of_invariance(red.a_tilde, red.space_tilde) == 1
-        np.testing.assert_array_equal(red.b_tilde(0.7), [1.0, 0.0, 0.7])
-
-    def test_solution_passthrough(self):
-        rng = np.random.default_rng(21)
-        # force n = p + q: p = q = half of n
-        a = random_hermitian_invertible(rng, 6, False)
-        s = random_subspace(rng, 6, 3, False)
-        assert index_of_invariance(a, s) == 3
-        b = rng.standard_normal(6)
-        red = augment_reduction(a, s, b)
-        inst = ProblemInstance.create(a, s, b)
-        inst_tilde = ProblemInstance.create(red.a_tilde, red.space_tilde, red.b_tilde(0.3))
-        for omega in (inst.omega_min + 0.8, inst.omega_min + 5.0):
-            x = solve_weighted(inst, omega)
-            x_tilde = solve_weighted(inst_tilde, omega)
-            assert abs(x_tilde[-1]) <= 1e-12
-            np.testing.assert_allclose(x_tilde[:-1], x, atol=1e-10)
-
-    def test_noop_when_not_degenerate(self):
-        rng = np.random.default_rng(22)
-        a = random_hermitian_invertible(rng, 7, False)
-        s = random_subspace(rng, 7, 2, False)
-        assert index_of_invariance(a, s) + 2 < 7
-        b = rng.standard_normal(7)
-        red = augment_reduction(a, s, b)
-        assert not red.applied
-        assert red.a_tilde is a and red.space_tilde is s
-        np.testing.assert_array_equal(red.b_tilde(1.0), b)

@@ -1,5 +1,6 @@
 """Package-level contract: what ``import omegals`` loads and exports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,7 +33,29 @@ def test_star_import_exports_no_submodule():
 
 def test_paper_identities_stay_out_of_the_exports():
     # tested in their modules; nothing outside the tests calls them
-    for name in ("j_matrix", "augment_reduction", "AugmentReduction", "solution_map_diff",
-                 "injectivity_scan", "invariant_closure", "strongly_orthogonal",
-                 "matrix_power_pos"):
+    for name in ("j_matrix", "solution_map_diff", "injectivity_scan", "invariant_closure",
+                 "strongly_orthogonal", "matrix_power_pos"):
         assert name not in omegals.__all__, name
+
+
+def test_modules_use_every_module_level_import():
+    # __init__ imports only to re-export; every other module must read each
+    # name it imports at module level, so a deleted code path takes its
+    # imports with it
+    package = Path(omegals.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused

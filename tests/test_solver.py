@@ -434,9 +434,37 @@ class TestLimitDifferenceViaBlocks:
         b = gaussian_vector(rng, 9, complex_field)
         inst = ProblemInstance.create(a, s, b)
         omega = inst.omega_min + 1.8
-        sol = limit_difference_via_blocks(dec, b, omega)
+        sol = difference_via_blocks(dec, b, omega, OMEGA_INF)
         direct = adjoint(dec.V) @ (solve_weighted(inst, omega) - solve_limit(inst))
         np.testing.assert_allclose(sol.d, direct, atol=1e-10)
+        assert max(sol.residuals.values()) <= 1e-9
+        np.testing.assert_array_equal(limit_difference_via_blocks(dec, b, omega).d, sol.d)
+        # a finite mu approaches it at O(1/mu), and mu t(mu) approaches its t
+        gaps = []
+        for scale in (1e6, 1e8):
+            mu = scale * dec.op_norm
+            near = difference_via_blocks(dec, b, omega, mu)
+            gaps.append(np.linalg.norm(near.d - sol.d) / np.linalg.norm(sol.d))
+            assert np.linalg.norm(mu * near.t - sol.t) <= 1e2 / scale * np.linalg.norm(sol.t)
+        assert gaps[1] <= 1e-6
+        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.05)
+
+    def test_bad_shifts_raise(self):
+        rng = np.random.default_rng(38)
+        a = random_hermitian_invertible(rng, 7, False)
+        s = random_subspace(rng, 7, 2, False)
+        dec = tridiagonal_block_decomposition(a, s)
+        b = rng.standard_normal(7)
+        omega = dec.omega_min + 1.0
+        below = guard_threshold(dec.omega_min, dec.op_norm) - 1e-3
+        with pytest.raises(ValueError, match="NaN"):
+            difference_via_blocks(dec, b, omega, math.nan)
+        with pytest.raises(ValueError, match="guard"):
+            difference_via_blocks(dec, b, omega, below)
+        with pytest.raises(ValueError, match="guard"):
+            limit_difference_via_blocks(dec, b, below)
+        with pytest.raises(ValueError, match="finite"):
+            difference_via_blocks(dec, b, OMEGA_INF, omega)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -453,7 +481,7 @@ def test_block_routes_without_outer_block(complex_field):
     x_omega = solve_weighted(inst, omega)
     np.testing.assert_allclose(difference_via_blocks(dec, b, omega, mu).d,
                                adjoint(dec.V) @ (x_omega - solve_weighted(inst, mu)), atol=1e-10)
-    np.testing.assert_allclose(limit_difference_via_blocks(dec, b, omega).d,
+    np.testing.assert_allclose(difference_via_blocks(dec, b, omega, OMEGA_INF).d,
                                adjoint(dec.V) @ (x_omega - solve_limit(inst)), atol=1e-10)
 
 class TestDecouplingAndWeakBound:
