@@ -20,6 +20,7 @@ from .linalg import (
     orthonormalize,
     solve_hermitian,
 )
+from .sampling import gaussian_matrix
 from .solver import ProblemInstance, _solution_map, solve_limit, solve_weighted
 from .subspaces import (
     Subspace,
@@ -87,6 +88,12 @@ class SweepResult:
     failures: list = field(default_factory=list)
 
 
+def _family_dim(sigma: np.ndarray) -> int:
+    """Number of singular values above EST_DIM_RATIO times the largest; 0 for
+    an empty or zero spectrum."""
+    return int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0])) if sigma.size else 0
+
+
 def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """(sigma, est_dim, coords) of the column-centered x from one thin SVD."""
     if x.shape[1] == 0:
@@ -96,9 +103,8 @@ def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     # a constant family centers to pure round-off; the leading singular value
     # only counts as signal when it clears the noise floor of the solutions
     # themselves, taken on ||x||_F >= ||x||_2 so that no second SVD is needed
-    est = 0
-    if sigma.size and sigma[0] > default_rank_tol(x.shape) * float(np.linalg.norm(x)):
-        est = int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0]))
+    floor = default_rank_tol(x.shape) * float(np.linalg.norm(x))
+    est = _family_dim(sigma) if sigma.size and sigma[0] > floor else 0
     return sigma, est, np.real(adjoint(u[:, :est]) @ centered)
 
 
@@ -159,22 +165,11 @@ def estimate_span_dim(
             pairs.append((float(grid[i]), float(grid[j])))
     eig = hermitian_eig(a)
     av = a @ s.basis
-    maps = {}
-    for omega in {w for pair in pairs for w in pair}:
-        maps[omega] = s.basis @ _solution_map(eig, av, omega)
-    n = a.shape[0]
-    complex_field = np.iscomplexobj(a)
-    bs = rng.standard_normal((n, n_samples))
-    if complex_field:
-        bs = bs + 1j * rng.standard_normal((n, n_samples))
-    diffs = []
-    for omega, mu in pairs:
-        diffs.append((maps[omega] - maps[mu]) @ bs)
-    stacked = np.hstack(diffs)
-    sigma = np.linalg.svd(stacked, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0]))
+    maps = {omega: s.basis @ _solution_map(eig, av, omega)
+            for omega in {w for pair in pairs for w in pair}}
+    bs = gaussian_matrix(rng, a.shape[0], n_samples, np.iscomplexobj(a))
+    diffs = np.hstack([(maps[omega] - maps[mu]) @ bs for omega, mu in pairs])
+    return _family_dim(np.linalg.svd(diffs, compute_uv=False))
 
 
 def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
@@ -267,10 +262,12 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
         xi = dec.E_eig.lambdas
         ud = adjoint(dec.E_eig.u) @ dec.D
     for omega, mu in omega_mu_samples:
+        for name, shift in (("omega", omega), ("mu", mu)):
+            check_omega(dec, shift)
+            if shift == np.inf:
+                raise ValueError(f"{name} = inf: L(omega, mu) needs finite shifts")
         if omega == mu:
             raise ValueError("L(omega, mu) requires omega != mu")
-        check_omega(dec, omega)
-        check_omega(dec, mu)
         k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
         l_matrix = hermitian_part(base - adjoint(ud) @ (k_diag[:, None] * ud))
         invertible = numerical_rank(l_matrix) == dec.q

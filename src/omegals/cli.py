@@ -24,8 +24,9 @@ from .manifolds import (
     manifold_dimension,
     membership,
 )
+from .sampling import gaussian_vector
 from .solver import ProblemInstance
-from .subspaces import Subspace, index_of_invariance
+from .subspaces import SUBSPACE_EQUAL_TOL, Subspace, index_of_invariance
 from .verify import SUITES, run_suites
 
 FF = oio.format_float
@@ -48,10 +49,7 @@ def _cmd_sweep(args) -> int:
     if args.b is not None:
         b = oio.read_vector_market(args.b)
     else:
-        rng = np.random.default_rng(args.seed)
-        b = rng.standard_normal(a.shape[0])
-        if np.iscomplexobj(a):
-            b = b + 1j * rng.standard_normal(a.shape[0])
+        b = gaussian_vector(np.random.default_rng(args.seed), a.shape[0], np.iscomplexobj(a))
     inst = ProblemInstance.create(a, s, b)
     grid = default_omega_grid(args.count, args.omega_min, args.omega_max)
     sweep = sweep_solutions(inst, grid)
@@ -165,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     m_member.add_argument("--s", required=True)
     m_member.add_argument("--s-prime", dest="s_prime", required=True)
     m_member.add_argument("--class", dest="cls", default="M")
-    m_member.add_argument("--tol", type=float, default=1e-8)
+    m_member.add_argument("--tol", type=float, default=SUBSPACE_EQUAL_TOL)
     m_member.set_defaults(func=_cmd_manifold)
 
     m_construct = man_sub.add_parser("construct")

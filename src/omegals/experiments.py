@@ -112,25 +112,25 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
 
     sigma = sweep.sigma
     top = sigma[0] if sigma.size else 0.0
-    rows = [(i + 1, s, s / top if top else 0.0) for i, s in enumerate(sigma)]
+    ratio = sigma / top if top else np.zeros_like(sigma)
     sigma_path = f"{prefix}sigma.csv"
-    write_csv(sigma_path, ["index", "sigma", "sigma_ratio"], rows)
+    write_csv(sigma_path, ["index", "sigma", "sigma_ratio"],
+              np.column_stack([np.arange(1, sigma.size + 1), sigma, ratio]))
     files["sigma"] = sigma_path
 
     x = sweep.solutions
     omegas_ok = sweep.omegas[sweep.ok]
     coords_path = f"{prefix}coords.csv"
     write_csv(coords_path, ["omega"] + [f"coord_{k + 1}" for k in range(sweep.est_dim)],
-              [(w, *sweep.coords[:, j]) for j, w in enumerate(omegas_ok)])
+              np.column_stack([omegas_ok, sweep.coords.T]))
     files["coords"] = coords_path
 
     if write_solutions:
         if np.iscomplexobj(x) and np.abs(x.imag).max() > 0:
             raise ValueError("solutions CSV supports real solutions only")
         sol_path = f"{prefix}solutions.csv"
-        xr = np.real(x)
         write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(x.shape[0])],
-                  [(omegas_ok[j], *xr[:, j]) for j in range(xr.shape[1])])
+                  np.column_stack([omegas_ok, np.real(x).T]))
         files["solutions"] = sol_path
 
     meta = {"est_dim": sweep.est_dim, "est_dim_sigma_ratio": EST_DIM_RATIO,

@@ -181,9 +181,8 @@ def save_condition_report(path, report) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of floats (or ints) with 17-significant-digit formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(c) if isinstance(c, (int, np.integer)) else format_float(float(c)) for c in row]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a 2-D array (or a sequence of rows) of floats, one column per
+    header name, with the 17-significant-digit formatting of
+    :func:`format_float`; integral values print as ints do."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")

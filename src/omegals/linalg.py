@@ -40,6 +40,14 @@ def default_rank_tol(shape: tuple[int, int]) -> float:
     return max(shape) * EPS * 32 if len(shape) else EPS * 32
 
 
+def is_singular(lambdas: np.ndarray) -> bool:
+    """Whether the Hermitian matrix with spectrum ``lambdas`` is singular to
+    working precision: min |lambda| <= ``default_rank_tol`` of its order
+    times max |lambda|. An empty spectrum (the 0 x 0 matrix) is not."""
+    mags = np.abs(np.asarray(lambdas))
+    return bool(mags.size and mags.min() <= default_rank_tol((mags.size, mags.size)) * mags.max())
+
+
 @dataclass(frozen=True)
 class EigDecomposition:
     """Spectral factorization M = U diag(lambdas) U* with lambdas descending."""
@@ -187,10 +195,7 @@ def solve_hermitian(m, rhs: np.ndarray) -> np.ndarray:
     """
     eig = m if isinstance(m, EigDecomposition) else hermitian_eig(np.asarray(m))
     lam = eig.lambdas
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size == 0:
-        return np.zeros_like(np.asarray(rhs))
-    if np.min(np.abs(lam)) <= default_rank_tol((eig.dim, eig.dim)) * lam_max:
+    if is_singular(lam):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
     rhs = np.asarray(rhs)
     y = eig.u.conj().T @ rhs

@@ -19,7 +19,13 @@ from .linalg import (
     is_hermitian,
     numerical_rank,
 )
-from .subspaces import Subspace, orthogonal_complement, reach, subspaces_equal
+from .subspaces import (
+    SUBSPACE_EQUAL_TOL,
+    Subspace,
+    orthogonal_complement,
+    reach,
+    subspaces_equal,
+)
 
 
 class ManifoldClass(Enum):
@@ -43,7 +49,8 @@ _SYM_CLASSES = {ManifoldClass.M_SYM, ManifoldClass.M_SYMINV,
 _INV_CLASSES = {ManifoldClass.M_INV, ManifoldClass.M_SYMINV}
 
 
-def _check_nested(s: Subspace, s_prime: Subspace, tol: float = 1e-8) -> tuple[int, int]:
+def _check_nested(s: Subspace, s_prime: Subspace,
+                  tol: float = SUBSPACE_EQUAL_TOL) -> tuple[int, int]:
     if s.ambient_dim != s_prime.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     outside = np.linalg.norm(s.basis - s_prime.project(s.basis), axis=0)
@@ -57,7 +64,7 @@ def membership(
     s: Subspace,
     s_prime: Subspace,
     cls: ManifoldClass = ManifoldClass.M,
-    tol: float = 1e-8,
+    tol: float = SUBSPACE_EQUAL_TOL,
 ) -> bool:
     """Whether S + A S = S' and A satisfies the class predicate.
 
@@ -72,16 +79,20 @@ def membership(
         return False
     if cls in _SYM_CLASSES and not is_hermitian(a):
         return False
-    if cls is ManifoldClass.M_POS:
-        if hermitian_eigvals(a)[-1] <= 0:
-            return False
-    if cls is ManifoldClass.M_SYMT:
-        t_block = adjoint(s.basis) @ (a @ s.basis)
-        # rank relative to ||A||: a compression that is round-off of the
-        # operator scale is singular no matter what its own spectrum says
-        if numerical_rank(t_block, scale=float(np.linalg.norm(a, 2))) < s.dim:
-            return False
+    if cls is ManifoldClass.M_POS and hermitian_eigvals(a)[-1] <= 0:
+        return False
+    if cls is ManifoldClass.M_SYMT and not compression_invertible(a, s):
+        return False
     return True
+
+
+def compression_invertible(a: np.ndarray, s: Subspace) -> bool:
+    """Whether the compression V* A V onto S is invertible, its rank judged
+    against ||A||_2: a compression that is round-off of the operator scale is
+    singular no matter what its own spectrum says."""
+    a = np.asarray(a)
+    compression = adjoint(s.basis) @ (a @ s.basis)
+    return numerical_rank(compression, scale=float(np.linalg.norm(a, 2))) == s.dim
 
 
 def swap_witness(s: Subspace, s_prime: Subspace) -> np.ndarray:
@@ -165,9 +176,7 @@ def perturb_to_invertible(
         candidate = a if eps == 0.0 else a + eps * np.eye(n, dtype=a.dtype)
         if numerical_rank(candidate) < n:
             continue
-        if subspace is not None:
-            t_block = adjoint(subspace.basis) @ (candidate @ subspace.basis)
-            if numerical_rank(t_block, scale=float(np.linalg.norm(candidate, 2))) < subspace.dim:
-                continue
+        if subspace is not None and not compression_invertible(candidate, subspace):
+            continue
         return candidate
     raise ValueError("perturbation schedule exhausted without reaching invertibility")

@@ -36,6 +36,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     is_hermitian,
+    is_singular,
     solve_hermitian,
 )
 from .subspaces import AffineSubspace, Subspace, normal_representation
@@ -93,8 +94,7 @@ class ProblemInstance:
         if b.shape[0] != a.shape[0] or space.ambient_dim != a.shape[0]:
             raise ValueError("shape mismatch between operator, constraint set, and b")
         eig = hermitian_eig(a)
-        lam = eig.lambdas
-        if np.min(np.abs(lam)) <= default_rank_tol(a.shape) * np.max(np.abs(lam)):
+        if is_singular(eig.lambdas):
             raise ValueError("operator is singular to working precision")
         return cls(a=a, constraint=space, b=b, eig=eig)
 

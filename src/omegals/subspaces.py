@@ -25,6 +25,10 @@ from .linalg import (
 # one eigenspace block.
 EIG_CLUSTER_TOL = 1e-8
 
+# Default projector distance up to which two subspaces count as equal, and
+# the relative distance up to which a subspace counts as contained in another.
+SUBSPACE_EQUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -89,7 +93,7 @@ def _check_ambient(*spaces: Subspace) -> int:
     return dims.pop()
 
 
-def subspaces_equal(s1: Subspace, s2: Subspace, tol: float = 1e-8) -> bool:
+def subspaces_equal(s1: Subspace, s2: Subspace, tol: float = SUBSPACE_EQUAL_TOL) -> bool:
     """Equality as sets: matching dimension and projector distance <= tol."""
     _check_ambient(s1, s2)
     if s1.dim != s2.dim:
@@ -160,21 +164,18 @@ def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
     the columns of A V that contribute them.
 
     The one place that decides what counts as a new direction: A V extended
-    past V by :func:`extend_orthonormal` with scale
-    max(||A V||_2, sqrt(||A||_1 ||A||_inf)). The round-off left of an
-    invariant direction is of the size of A, not of A S (eigenvalues of S
-    small against ||A|| leave residuals far above eps ||A V||), and the
-    second term bounds ||A||_2 from above in O(n^2).
+    past V by :func:`extend_orthonormal` with scale sqrt(||A||_1 ||A||_inf),
+    an O(n^2) upper bound on ||A||_2. The round-off left of an invariant
+    direction is of the size of A, not of A S (eigenvalues of S small against
+    ||A|| leave residuals far above eps ||A V||). ||A V||_2 needs no term of
+    its own: V has orthonormal columns, so ||A V||_2 <= ||A||_2, which the
+    bound already covers.
     """
     a = np.asarray(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    av = a @ s.basis
-    scale = 0.0
-    if av.size:
-        scale = max(float(np.linalg.norm(av, 2)),
-                    float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))))
-    return extend_orthonormal(s.basis, av, scale=scale)
+    scale = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))) if a.size else 0.0
+    return extend_orthonormal(s.basis, a @ s.basis, scale=scale)
 
 
 def reach(a: np.ndarray, s: Subspace) -> Subspace:

@@ -389,6 +389,21 @@ class TestConditionReport:
         with pytest.raises(ValueError):
             condition_report(dec, [(1.0, 1.0)])
 
+    def test_rejects_infinite_shifts_by_name(self):
+        # 7 x 7 SPD with p = q = 2: an infinite shift used to form a NaN L
+        # and fail inside the SVD
+        rng = np.random.default_rng(18)
+        a = random_spd(rng, 7)
+        s = random_subspace(rng, 7, 2, False)
+        dec = tridiagonal_block_decomposition(a, s)
+        assert (dec.p, dec.q) == (2, 2)
+        with pytest.raises(ValueError, match="mu = inf"):
+            condition_report(dec, [(0.5, OMEGA_INF)])
+        with pytest.raises(ValueError, match="omega = inf"):
+            condition_report(dec, [(OMEGA_INF, 0.5)])
+        with pytest.raises(ValueError, match="omega = inf"):
+            condition_report(dec, [(OMEGA_INF, OMEGA_INF)])
+
 
 class TestConvexity:
     def test_worked_example_coordinates(self):

@@ -139,5 +139,30 @@ def test_csv_float_formatting(tmp_path):
     assert "0.33333333333333331" in text
 
 
+def _per_cell_csv(header, rows):
+    """The former writer: one format_float call per cell, str() for ints."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [str(c) if isinstance(c, (int, np.integer)) else oio.format_float(float(c))
+                 for c in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_the_per_cell_formatter(tmp_path):
+    rng = np.random.default_rng(20)
+    specials = [0, 7, -3, 0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e300,
+                5e-324, 1 / 3, 0.1, 2.0**52, 123456789.0]
+    rows = [(i + 1, v, float(rng.standard_normal())) for i, v in enumerate(specials)]
+    header = ["index", "value", "gauss"]
+    for name, table in (("rows", rows), ("array", np.array(rows, dtype=float))):
+        path = tmp_path / f"{name}.csv"
+        oio.write_csv(path, header, table)
+        assert path.read_bytes() == _per_cell_csv(header, rows).encode(), name
+    empty = tmp_path / "empty.csv"
+    oio.write_csv(empty, ["omega"], np.zeros((0, 1)))
+    assert empty.read_bytes() == b"omega\n"
+
+
 def test_format_float_17_digits():
     assert oio.format_float(np.pi) == "3.1415926535897931"

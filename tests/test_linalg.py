@@ -9,6 +9,7 @@ from omegals.linalg import (
     extend_orthonormal,
     hermitian_eig,
     hermitian_eigvals,
+    is_singular,
     matrix_power_pos,
     numerical_rank,
     orthonormalize,
@@ -270,3 +271,24 @@ class TestSolveHermitian:
         x = solve_hermitian(m, b)
         tol = 1e-10 * (np.linalg.norm(m) * np.linalg.norm(x) + np.linalg.norm(b))
         assert np.linalg.norm(m @ x - b) <= tol
+
+
+class TestIsSingular:
+    def test_empty_spectrum_is_not_singular(self):
+        assert not is_singular(np.zeros(0))
+
+    def test_boundary_counts_as_singular(self):
+        cut = default_rank_tol((3, 3)) * 4.0
+        assert is_singular(np.array([4.0, 1.0, cut]))
+        assert is_singular(np.array([1.0, -cut, -4.0]))
+        assert not is_singular(np.array([4.0, 1.0, np.nextafter(cut, 1.0)]))
+
+    def test_zero_spectrum_is_singular(self):
+        assert is_singular(np.zeros(2))
+
+    def test_solve_hermitian_uses_it(self):
+        cut = default_rank_tol((2, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
+            solve_hermitian(np.diag([1.0, cut]), np.ones(2))
+        np.testing.assert_allclose(
+            solve_hermitian(np.diag([1.0, 2 * cut]), np.ones(2)), [1.0, 0.5 / cut])

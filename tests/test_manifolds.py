@@ -5,13 +5,19 @@ from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.linalg import numerical_rank
 from omegals.manifolds import (
     ManifoldClass,
+    compression_invertible,
     construct_positive_member,
     manifold_dimension,
     membership,
     perturb_to_invertible,
     swap_witness,
 )
-from omegals.sampling import random_hermitian, random_nested_subspaces
+from omegals.sampling import (
+    gaussian_matrix,
+    random_hermitian,
+    random_nested_subspaces,
+    random_unitary,
+)
 from omegals.subspaces import Subspace, index_of_invariance
 
 
@@ -147,6 +153,30 @@ class TestPerturbToInvertible:
     def test_schedule_exhaustion(self):
         with pytest.raises(ValueError):
             perturb_to_invertible(np.diag([0.0, 1.0]), epsilon_schedule=[-1.0])
+
+
+class TestCompressionInvertible:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_rank_is_judged_against_the_operator(self, complex_field):
+        # V* A V = 1e-15 I is full rank on its own scale but round-off of
+        # ||A||, so it counts as singular; adding I makes it invertible
+        rng = np.random.default_rng(19)
+        n, p = 6, 2
+        w = random_unitary(rng, n, complex_field)
+        core = np.diag([1e-15] * p + [1.0] * (n - p)).astype(w.dtype)
+        core[p:, :p] = gaussian_matrix(rng, n - p, p, complex_field)
+        core[:p, p:] = core[p:, :p].conj().T
+        a = w @ core @ w.conj().T
+        s = Subspace(w[:, :p])
+        assert numerical_rank(s.basis.conj().T @ a @ s.basis) == p
+        assert not compression_invertible(a, s)
+        assert compression_invertible(a + np.eye(n), s)
+
+    def test_swap_witness_compression_is_singular(self):
+        s, s_prime = nested(11, 6, 3, 2, complex_field=True)
+        a0 = swap_witness(s, s_prime)
+        assert not compression_invertible(a0, s)
+        assert compression_invertible(perturb_to_invertible(a0, subspace=s), s)
 
 
 class TestClassParsing:

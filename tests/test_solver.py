@@ -10,7 +10,7 @@ from omegals.decomposition import (
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
-from omegals.linalg import adjoint, hermitian_part, solve_hermitian
+from omegals.linalg import adjoint, default_rank_tol, hermitian_part, solve_hermitian
 from omegals.sampling import (
     gaussian_vector,
     random_hermitian_invertible,
@@ -242,6 +242,14 @@ class TestSolveParametric:
         for name, a_in, space_in, b_in in cases:
             with pytest.raises(ValueError, match=f"^{name} has a non-finite entry"):
                 ProblemInstance.create(a_in, space_in, b_in)
+
+    def test_instance_rejects_a_singular_operator(self):
+        # the same singularity rule as solve_hermitian, with its own error
+        cut = default_rank_tol((3, 3)) * 2.0
+        s = Subspace(np.eye(3)[:, :1])
+        with pytest.raises(ValueError, match="^operator is singular to working precision"):
+            ProblemInstance.create(np.diag([2.0, 1.0, cut]), s, np.ones(3))
+        ProblemInstance.create(np.diag([2.0, 1.0, 2 * cut]), s, np.ones(3))
 
     def test_weighted_approaches_limit(self):
         rng = np.random.default_rng(26)

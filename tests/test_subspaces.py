@@ -134,6 +134,44 @@ class TestIndexOfInvariance:
         assert 0 <= q <= min(s.dim, n - s.dim)
 
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_takes_no_matrix_two_norm(self, monkeypatch, complex_field):
+        # the new-direction scale is the O(n^2) bound sqrt(||A||_1 ||A||_inf)
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((7, 7))
+        raw = rng.standard_normal((7, 3))
+        if complex_field:
+            a = a + 1j * rng.standard_normal((7, 7))
+            raw = raw + 1j * rng.standard_normal((7, 3))
+        s = Subspace.from_vectors(raw)
+        two_norms = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                two_norms.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        assert index_of_invariance(a, s) == 3
+        assert two_norms == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 9), st.booleans())
+    def test_scale_bounds_the_image_norm(self, seed, n, complex_field):
+        # ||A V||_2 <= ||A||_2 <= sqrt(||A||_1 ||A||_inf) for orthonormal V,
+        # which is why the scale needs no ||A V||_2 term
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n))
+        raw = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        if complex_field:
+            a = a + 1j * rng.standard_normal((n, n))
+            raw = raw + 1j * rng.standard_normal(raw.shape)
+        v = Subspace.from_vectors(raw).basis
+        bound = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+        assert np.linalg.norm(a @ v, 2) <= bound * (1 + 1e-12)
+
+
 class TestInvariantClosure:
     def test_invariant_start(self):
         chain, j = invariant_closure(np.diag([1.0, 2.0, 3.0]), span([1, 0, 0]))

@@ -9,8 +9,6 @@ from omegals import verify
 from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.sampling import random_hermitian_invertible, random_subspace
 from omegals.verify import (
-    DEFAULT_TRIALS,
-    SUITES,
     SuiteResult,
     run_convexity_suite,
     run_index_suite,
@@ -85,7 +83,11 @@ def test_run_suites_dispatch():
     results = run_suites(["index", "manifolds"], seed=0, trials=5)
     assert [r.name for r in results] == ["index", "manifolds"]
     assert all(r.passed for r in results)
-    assert set(SUITES) == set(DEFAULT_TRIALS)
+
+
+def test_run_suites_without_trials_keeps_the_runner_default():
+    [res] = run_suites(["nullspace"], seed=0)
+    assert res.trials == 60 and res.passed, res.failures[:5]
 
 
 def test_summary_format():
