@@ -1,10 +1,12 @@
 """Problem generators and the shift-sweep reproduction pipeline.
 
-The reference experiment builds the dense 5-point-stencil discretization of
-the 2-D Laplacian on an m x m grid (N = m^2), takes a sum of Krylov
-subspaces with prescribed orders (retrying seeds until the target index is
-hit), sweeps a log-spaced shift grid, and writes the centered singular
-spectrum plus the principal-component coordinates of the solution family.
+The reference experiment builds the 5-point-stencil discretization of the
+2-D Laplacian on an m x m grid (N = m^2) as a sparse matrix with its exact
+sine-transform eigendecomposition, takes a sum of Krylov subspaces with
+prescribed orders (retrying seeds until the target index is hit), sweeps a
+log-spaced shift grid, and writes the centered singular spectrum plus the
+principal-component coordinates of the solution family. The dense
+``poisson_2d`` is the same operator, kept as the oracle and for the CLI.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ import numpy as np
 
 from .analysis import EST_DIM_RATIO, SweepResult, default_omega_grid, sweep_solutions
 from .io import write_csv
+from .linalg import as_operator
 from .solver import ProblemInstance
 from .subspaces import Subspace, index_of_invariance, krylov, subspace_sum
+
+# The stages of run_figure1, timed in this order; all but "write" go into
+# meta.json.
+FIGURE1_STAGES = ("operator", "krylov_sum", "instance", "sweep", "write")
 
 
 def poisson_2d(m: int) -> np.ndarray:
@@ -30,6 +37,52 @@ def poisson_2d(m: int) -> np.ndarray:
     t1 = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
     eye = np.eye(m)
     return np.kron(t1, eye) + np.kron(eye, t1)
+
+
+@dataclass(frozen=True)
+class SineFactorization:
+    """The exact eigendecomposition U diag(lambdas) U* of the m x m grid
+    Laplacian, U = S (x) S with the orthogonal, symmetric type-I sine
+    transform S_jk = sqrt(2/(m+1)) sin(jk pi/(m+1)), j, k = 1..m (Buzbee,
+    Golub & Nielson 1970). The eigenvalue of column (j, k) is mu_j + mu_k,
+    mu_j = 2 - 2cos(j pi/(m+1)) = 4 sin^2(j pi/(2(m+1))); ``order`` sorts the
+    columns by descending eigenvalue, the order of ``hermitian_eig``."""
+
+    s: np.ndarray
+    order: np.ndarray
+    lambdas: np.ndarray
+
+    @classmethod
+    def for_grid(cls, m: int) -> "SineFactorization":
+        j = np.arange(1, m + 1)
+        # jk reduced mod 2(m+1) keeps the sine's argument in [0, 2 pi), so S
+        # is accurate to a few eps for every m
+        s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * (m + 1))) / (m + 1))
+        mu = 4.0 * np.sin(j * np.pi / (2 * (m + 1))) ** 2
+        grid = (mu[:, None] + mu[None, :]).ravel()
+        order = np.argsort(-grid, kind="stable")
+        return cls(s, order, grid[order])
+
+    def apply_uh(self, x: np.ndarray) -> np.ndarray:
+        """U* x = S X S per column, X the column as an m x m grid (row-major,
+        the node order of ``poisson_2d``), rows in ``lambdas`` order."""
+        m = self.s.shape[0]
+        # S along the first grid index, then (batched) along the second
+        y = self.s @ (self.s @ x.reshape(m, -1)).reshape(m, m, -1)
+        return y.reshape(x.shape)[self.order]
+
+
+def poisson_2d_factored(m: int) -> tuple:
+    """The operator of :func:`poisson_2d` as a SciPy CSR array, with its
+    exact :class:`SineFactorization`: O(N) memory and O(N^1.5) per U*x
+    instead of a dense N x N matrix and its O(N^3) eigendecomposition."""
+    if m < 2:
+        raise ValueError("grid side m must be >= 2")
+    import scipy.sparse as sp
+
+    t1 = sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    eye = sp.eye_array(m)
+    return (sp.kron(t1, eye) + sp.kron(eye, t1)).tocsr(), SineFactorization.for_grid(m)
 
 
 @dataclass(frozen=True)
@@ -56,7 +109,7 @@ def krylov_sum_subspace(a: np.ndarray, spec: KrylovSumSpec, rng) -> KrylovSumRes
     until the index matches the target when one is set."""
     if any(k < 1 for k in spec.orders):
         raise ValueError("all Krylov orders must be >= 1")
-    a = np.asarray(a)
+    a = as_operator(a)
     n = a.shape[0]
     for attempt in range(1, spec.max_retries + 1):
         seeds = tuple(rng.standard_normal(n) for _ in spec.orders)
@@ -97,6 +150,7 @@ class Figure1Result:
     attempts: int
     elapsed_seconds: float
     files: dict = field(default_factory=dict)
+    stages: dict = field(default_factory=dict)
 
 
 def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
@@ -148,26 +202,35 @@ def run_figure1(config: Figure1Config = Figure1Config()) -> Figure1Result:
     """Full pipeline: operator, Krylov-sum constraint, shift sweep, PCA, and
     (when an output prefix is set) the CSV/JSON artifacts.
 
-    A single master seed fans out to named substreams for the subspace seeds
-    and the right-hand side, so identical configurations give bit-identical
-    outputs."""
-    start = time.perf_counter()
-    a = poisson_2d(config.m)
+    The operator is the sparse grid Laplacian with its exact sine-transform
+    factorization, so no dense N x N matrix is formed. A single master seed
+    fans out to named substreams for the subspace seeds and the right-hand
+    side, so identical configurations give bit-identical outputs. The
+    seconds of each of FIGURE1_STAGES go into ``stages``."""
+    marks = [time.perf_counter()]
+    a, factorization = poisson_2d_factored(config.m)
+    marks.append(time.perf_counter())
     ss_subspace, ss_b = np.random.SeedSequence(config.seed).spawn(2)
     spec = KrylovSumSpec(tuple(config.orders), config.target_index, config.max_retries)
     built = krylov_sum_subspace(a, spec, np.random.default_rng(ss_subspace))
+    marks.append(time.perf_counter())
     b = np.random.default_rng(ss_b).standard_normal(a.shape[0])
-    inst = ProblemInstance.create(a, built.subspace, b)
+    inst = ProblemInstance.create(a, built.subspace, b, eig=factorization)
+    inst._factors  # made here so that the sweep stage times the shifts alone
+    marks.append(time.perf_counter())
     grid = default_omega_grid(config.count, config.omega_lo, config.omega_hi)
     sweep = sweep_solutions(inst, grid)
-    elapsed = time.perf_counter() - start
+    marks.append(time.perf_counter())
+    stages = {name: end - begin for name, begin, end in zip(FIGURE1_STAGES, marks, marks[1:])}
+    elapsed = marks[-1] - marks[0]
     files = {}
     if config.out_prefix is not None:
         metadata = dict(asdict(config))
         metadata.update({"subspace_dim": built.dim, "index": built.index,
                          "seed_attempts": built.attempts,
-                         "elapsed_seconds": elapsed})
+                         "elapsed_seconds": elapsed, "stages": dict(stages)})
         files = sweep_files(sweep, config.out_prefix, config.write_solutions, metadata)
+    stages["write"] = time.perf_counter() - marks[-1]
     return Figure1Result(sweep=sweep, subspace_dim=built.dim, index=built.index,
                          est_dim=sweep.est_dim, attempts=built.attempts,
-                         elapsed_seconds=elapsed, files=files)
+                         elapsed_seconds=elapsed, files=files, stages=stages)

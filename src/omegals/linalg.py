@@ -2,7 +2,9 @@
 
 Every routine works over R or C; the field is carried by the dtype
 (``complex128`` vs ``float64``) so conjugation degrades to a no-op for real
-input. All functions are pure and never mutate their arguments.
+input. All functions are pure and never mutate their arguments. Routines
+that only apply an operator with ``@`` also take a SciPy sparse matrix
+(:func:`as_operator`).
 """
 
 from __future__ import annotations
@@ -26,13 +28,34 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
+def _is_sparse(a) -> bool:
+    """Whether ``a`` is a SciPy sparse matrix or array, recognized by its
+    stored-entry count so that no SciPy module is imported here."""
+    return hasattr(a, "nnz")
+
+
+def as_operator(a):
+    """``a`` itself when it is sparse, else ``np.asarray(a)``: the form taken
+    by the routines that only apply A with ``@``."""
+    return a if _is_sparse(a) else np.asarray(a)
+
+
+def stored_entries(a) -> np.ndarray:
+    """The entries a sparse operator stores (``a.data``), or the dense array
+    itself; Frobenius norms and finiteness read the same from either."""
+    return a.data if _is_sparse(a) else np.asarray(a)
+
+
+def is_hermitian(m) -> bool:
+    """Whether ``m`` (dense or sparse) equals its adjoint within
+    ``HERMITIAN_TOL`` relative Frobenius norm."""
+    m = as_operator(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = np.linalg.norm(m)
+    scale = np.linalg.norm(stored_entries(m))
     if scale == 0.0:
         return True
-    return np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL * scale
+    return np.linalg.norm(stored_entries(m - m.conj().T)) <= HERMITIAN_TOL * scale
 
 
 def default_rank_tol(shape: tuple[int, int]) -> float:
@@ -50,7 +73,11 @@ def is_singular(lambdas: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Spectral factorization M = U diag(lambdas) U* with lambdas descending."""
+    """Spectral factorization M = U diag(lambdas) U* with lambdas descending.
+
+    A ``ProblemInstance`` reads its factorization only through ``lambdas``
+    and :meth:`apply_uh`, so any object with these two (such as the sine
+    transform of the grid Laplacian) can stand in for it there."""
 
     u: np.ndarray
     lambdas: np.ndarray
@@ -58,6 +85,10 @@ class EigDecomposition:
     @property
     def dim(self) -> int:
         return self.u.shape[0]
+
+    def apply_uh(self, x: np.ndarray) -> np.ndarray:
+        """U* x for a vector or a matrix of columns."""
+        return adjoint(self.u) @ x
 
     def shifted(self, omega: float) -> "EigDecomposition":
         """Eigendecomposition of M + omega*I (same eigenvectors)."""
@@ -68,7 +99,7 @@ class EigDecomposition:
 
 
 def _checked_hermitian(m) -> np.ndarray:
-    m = np.asarray(m)
+    m = m.toarray() if _is_sparse(m) else np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):

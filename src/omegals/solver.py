@@ -32,17 +32,23 @@ from .decomposition import (
 from .linalg import (
     EigDecomposition,
     adjoint,
+    as_operator,
     default_rank_tol,
     hermitian_eig,
     hermitian_part,
     is_hermitian,
     is_singular,
     solve_hermitian,
+    stored_entries,
 )
 from .subspaces import AffineSubspace, Subspace, normal_representation
 
 # Sentinel for the omega -> infinity endpoint in public interfaces.
 OMEGA_INF = math.inf
+
+# Relative residual ||U*(A x) - lambda U* x|| / (max|lambda| ||x||) above which
+# a factorization handed to ProblemInstance.create does not factor A.
+FACTORIZATION_PROBE_TOL = 1e-12
 
 
 def _qr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,9 +75,27 @@ def _weighted_solve(q, lam, omega: float, s: float, rhs) -> np.ndarray:
         ) from err
 
 
+def _probe_factorization(a, eig) -> None:
+    """Raise ValueError unless ``eig`` factors A: its order must be n, and
+    for one fixed vector x, ||U*(A x) - lambda U* x|| <= FACTORIZATION_PROBE_TOL
+    max|lambda| ||x||."""
+    n = a.shape[0]
+    if eig.lambdas.shape != (n,):
+        raise ValueError(f"factorization has {eig.lambdas.size} eigenvalues for an "
+                         f"operator of order {n}")
+    x = np.random.default_rng(0).standard_normal(n)
+    mismatch = np.linalg.norm(eig.apply_uh(a @ x) - eig.lambdas * eig.apply_uh(x))
+    bound = FACTORIZATION_PROBE_TOL * float(np.max(np.abs(eig.lambdas))) * np.linalg.norm(x)
+    if not mismatch <= bound:
+        raise ValueError(f"factorization does not match the operator: "
+                         f"||U*(Ax) - lambda U*x|| = {mismatch:.3e} > {bound:.3e}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One solvable problem: Hermitian invertible A, constraint set, and b."""
+    """One solvable problem: Hermitian invertible A (dense, or sparse with a
+    given factorization), constraint set, and b. ``eig`` is read only
+    through ``lambdas`` (descending) and ``apply_uh``."""
 
     a: np.ndarray
     constraint: AffineSubspace
@@ -79,12 +103,16 @@ class ProblemInstance:
     eig: EigDecomposition
 
     @classmethod
-    def create(cls, a: np.ndarray, space, b: np.ndarray) -> "ProblemInstance":
-        a = np.asarray(a)
+    def create(cls, a, space, b: np.ndarray, eig=None) -> "ProblemInstance":
+        """Check and assemble an instance. A given factorization ``eig`` (an
+        object with ``lambdas`` and ``apply_uh``) replaces the eigendecomposition
+        of A, after a probe that it factors A; every other check runs on A."""
+        a = as_operator(a)
         b = np.asarray(b)
         if isinstance(space, Subspace):
             space = normal_representation(np.zeros(space.ambient_dim, dtype=b.dtype), space)
-        for name, value in (("operator", a), ("b", b), ("constraint anchor x0", space.x0)):
+        for name, value in (("operator", stored_entries(a)), ("b", b),
+                            ("constraint anchor x0", space.x0)):
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
         if not is_hermitian(a):
@@ -93,7 +121,10 @@ class ProblemInstance:
             raise ValueError("constraint set must have dimension >= 1")
         if b.shape[0] != a.shape[0] or space.ambient_dim != a.shape[0]:
             raise ValueError("shape mismatch between operator, constraint set, and b")
-        eig = hermitian_eig(a)
+        if eig is None:
+            eig = hermitian_eig(a)
+        else:
+            _probe_factorization(a, eig)
         if is_singular(eig.lambdas):
             raise ValueError("operator is singular to working precision")
         return cls(a=a, constraint=space, b=b, eig=eig)
@@ -121,9 +152,9 @@ class ProblemInstance:
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Q, V R^{-1}, beta) with Q R = U* A V and beta = U* (b - A x0),
         made on first solve; x = x0 + V R^{-1} z needs no per-shift R solve."""
-        uh, v = adjoint(self.eig.u), self.constraint.direction.basis
-        q, r = _qr(uh @ (self.a @ v))
-        return q, np.linalg.solve(r.T, v.T).T, uh @ (self.b - self.a @ self.constraint.x0)
+        uh, v = self.eig.apply_uh, self.constraint.direction.basis
+        q, r = _qr(uh(self.a @ v))
+        return q, np.linalg.solve(r.T, v.T).T, uh(self.b - self.a @ self.constraint.x0)
 
     def _solve(self, omega: float, s: float) -> np.ndarray:
         """x0 + V R^{-1} z with z from the weighted-solve kernel; no shift guard."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     EigDecomposition,
+    as_operator,
     default_rank_tol,
     extend_orthonormal,
     hermitian_eig,
@@ -139,11 +140,11 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     rank-deficient long before the span actually degenerates, so they are
     never formed. Stops early once the next direction falls into the current
     span (invariance reached), so the dimension can be below k. b = 0 yields
-    the zero subspace.
+    the zero subspace. ``a`` may be dense or sparse; it is only applied.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = np.asarray(a)
+    a = as_operator(a)
     b = np.asarray(b)
     n = b.shape[0]
     dtype = np.promote_types(np.promote_types(a.dtype, b.dtype), np.float64)
@@ -165,16 +166,18 @@ def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
 
     The one place that decides what counts as a new direction: A V extended
     past V by :func:`extend_orthonormal` with scale sqrt(||A||_1 ||A||_inf),
-    an O(n^2) upper bound on ||A||_2. The round-off left of an invariant
-    direction is of the size of A, not of A S (eigenvalues of S small against
-    ||A|| leave residuals far above eps ||A V||). ||A V||_2 needs no term of
-    its own: V has orthonormal columns, so ||A V||_2 <= ||A||_2, which the
-    bound already covers.
+    an O(n^2) upper bound on ||A||_2 (O(nnz) for a sparse A; the same value
+    either way). The round-off left of an invariant direction is of the size
+    of A, not of A S (eigenvalues of S small against ||A|| leave residuals
+    far above eps ||A V||). ||A V||_2 needs no term of its own: V has
+    orthonormal columns, so ||A V||_2 <= ||A||_2, which the bound already
+    covers.
     """
-    a = np.asarray(a)
+    a = as_operator(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    scale = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))) if a.size else 0.0
+    mags = abs(a)
+    scale = float(np.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max())) if a.size else 0.0
     return extend_orthonormal(s.basis, a @ s.basis, scale=scale)
 
 

@@ -1,19 +1,23 @@
 import json
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from omegals.analysis import default_omega_grid, sweep_solutions
 from omegals.experiments import (
+    FIGURE1_STAGES,
     Figure1Config,
     KrylovSumSpec,
     krylov_sum_subspace,
     poisson_2d,
+    poisson_2d_factored,
     run_figure1,
 )
 from omegals.sampling import random_spd
 from omegals.solver import ProblemInstance
-from omegals.subspaces import index_of_invariance, krylov
+from omegals.subspaces import Subspace, index_of_invariance, krylov
 
 
 def grid_neighbor_pairs(m):
@@ -29,6 +33,67 @@ def grid_neighbor_pairs(m):
             if j + 1 < m:
                 pairs.add((node(i, j), node(i, j + 1)))
     return pairs
+
+
+class TestSineFactorization:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_rebuilds_the_dense_operator(self, m):
+        a, fac = poisson_2d_factored(m)
+        n = m * m
+        np.testing.assert_array_equal(a.toarray(), poisson_2d(m))
+        uh = fac.apply_uh(np.eye(n))
+        np.testing.assert_allclose(uh @ uh.T, np.eye(n), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(uh.T @ (fac.lambdas[:, None] * uh), poisson_2d(m),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_eigenvalues_descend_and_match_eigvalsh(self, m):
+        lam = poisson_2d_factored(m)[1].lambdas
+        assert np.all(np.diff(lam) <= 0)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(poisson_2d(m))[::-1],
+                                   rtol=0, atol=1e-13)
+
+    def test_vectors_columns_and_complex_input(self):
+        # U is real, so U* acts on the real and the imaginary part alike
+        fac = poisson_2d_factored(4)[1]
+        rng = np.random.default_rng(3)
+        re, im = rng.standard_normal((16, 3)), rng.standard_normal((16, 3))
+        y = fac.apply_uh(re + 1j * im)
+        np.testing.assert_allclose(y, fac.apply_uh(re) + 1j * fac.apply_uh(im),
+                                   rtol=0, atol=1e-14)
+        for k in range(3):
+            np.testing.assert_allclose(fac.apply_uh(re[:, k]), fac.apply_uh(re)[:, k],
+                                       rtol=0, atol=1e-14)
+
+    def test_instance_probes_the_factorization(self):
+        a, fac = poisson_2d_factored(5)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(25)
+        s = krylov(a, rng.standard_normal(25), 3)
+        inst = ProblemInstance.create(a, s, b, eig=fac)
+        np.testing.assert_allclose(inst.eig.lambdas, fac.lambdas)
+        with pytest.raises(ValueError, match="^factorization has 16 eigenvalues for an "
+                                             "operator of order 25"):
+            ProblemInstance.create(a, s, b, eig=poisson_2d_factored(4)[1])
+        perturbed = poisson_2d(5)
+        perturbed[0, 1] = perturbed[1, 0] = -1.0 + 1e-9
+        with pytest.raises(ValueError, match="^factorization does not match the operator"):
+            ProblemInstance.create(sp.csr_array(perturbed), s, b, eig=fac)
+
+    def test_sparse_operator_is_checked_like_a_dense_one(self):
+        a, fac = poisson_2d_factored(3)
+        s = Subspace(np.eye(9)[:, :2])
+        bad = a.copy()
+        bad.data[0] = np.nan
+        with pytest.raises(ValueError, match="^operator has a non-finite entry"):
+            ProblemInstance.create(bad, s, np.ones(9), eig=fac)
+        skew = a.copy()
+        skew.data[1] = 5.0
+        with pytest.raises(ValueError, match="^operator is not Hermitian"):
+            ProblemInstance.create(skew, s, np.ones(9), eig=fac)
+        # without a factorization the sparse operator is factored densely
+        dense = ProblemInstance.create(a, s, np.ones(9))
+        np.testing.assert_allclose(dense.eig.lambdas, fac.lambdas, rtol=0, atol=1e-13)
 
 
 class TestPoisson:
@@ -158,16 +223,45 @@ class TestRunFigure1:
         np.testing.assert_allclose(first[1:], result.sweep.solutions[:, 0])
 
     def test_matches_generic_sweep(self):
-        result = run_figure1(Figure1Config(**self.SMALL))
-        a = poisson_2d(5)
-        ss_sub, ss_b = np.random.SeedSequence(0).spawn(2)
-        built = krylov_sum_subspace(a, KrylovSumSpec((3, 2), 2),
-                                    np.random.default_rng(ss_sub))
-        b = np.random.default_rng(ss_b).standard_normal(25)
-        inst = ProblemInstance.create(a, built.subspace, b)
-        sweep = sweep_solutions(inst, default_omega_grid(25))
-        np.testing.assert_array_equal(sweep.solutions, result.sweep.solutions)
-        assert sweep.est_dim == result.est_dim
+        # the sine-transform route against the dense eigh of poisson_2d, for
+        # both figure-1 variants at m = 5 and m = 23: two exact factorizations
+        # agree to round-off, not bit for bit
+        for m, orders, target, count in ((5, (3, 2), 2, 25), (5, (3, 2, 2), 3, 25),
+                                         (23, (11, 6), 2, 200), (23, (11, 6, 4), 3, 200)):
+            result = run_figure1(Figure1Config(m=m, orders=orders, target_index=target,
+                                               count=count))
+            a = poisson_2d(m)
+            ss_sub, ss_b = np.random.SeedSequence(0).spawn(2)
+            built = krylov_sum_subspace(a, KrylovSumSpec(orders, target),
+                                        np.random.default_rng(ss_sub))
+            b = np.random.default_rng(ss_b).standard_normal(m * m)
+            inst = ProblemInstance.create(a, built.subspace, b)
+            sweep = sweep_solutions(inst, default_omega_grid(count))
+            x, ref = result.sweep.solutions, sweep.solutions
+            assert x.shape == ref.shape == (m * m, count)
+            rel = np.linalg.norm(x - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert rel.max() <= 1e-12, (m, orders)
+            assert result.index == built.index == target
+            assert result.est_dim == sweep.est_dim == target
+
+    def test_stage_timings(self, tmp_path):
+        start = time.perf_counter()
+        result = run_figure1(Figure1Config(out_prefix=str(tmp_path / "t_"), **self.SMALL))
+        wall = time.perf_counter() - start
+        assert tuple(result.stages) == FIGURE1_STAGES
+        assert all(t >= 0.0 for t in result.stages.values())
+        assert sum(result.stages.values()) <= wall
+        meta = json.loads((tmp_path / "t_meta.json").read_text())
+        # meta.json is written inside the write stage, so it holds the others
+        assert meta["stages"] == {k: result.stages[k] for k in FIGURE1_STAGES[:-1]}
+        assert meta["elapsed_seconds"] == pytest.approx(sum(meta["stages"].values()))
+
+    def test_grid_of_ten_thousand_nodes(self):
+        # N = 10^4 runs on the sparse operator; a dense A alone would be 800 MB
+        result = run_figure1(Figure1Config(m=100))
+        assert result.sweep.solutions.shape == (10_000, 200)
+        assert result.index == 2 and result.est_dim == 2
+        assert result.sweep.sigma[2] / result.sweep.sigma[0] <= 1e-8
 
     def test_difference_subspace_dimension_matches_index(self):
         from omegals.analysis import difference_subspace

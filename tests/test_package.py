@@ -10,16 +10,30 @@ from pathlib import Path
 import omegals
 
 
-def test_import_leaves_scipy_matrix_market_unloaded():
-    # scipy.io is most of the package import time and only the Matrix
-    # Market functions need it, so they import it on first use
+def _fresh_interpreter(code: str) -> str:
     src = str(Path(omegals.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
+def test_import_leaves_scipy_matrix_market_unloaded():
+    # scipy.io is most of the package import time and only the Matrix
+    # Market functions need it, so they import it on first use; no other
+    # SciPy module is loaded either
     code = ("import sys, omegals; "
-            "print(sorted(m for m in ('scipy.io', 'scipy.sparse') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_figure1_leaves_scipy_fft_unloaded():
+    # the figure-1 sine transform runs on NumPy: importing scipy.fft alone
+    # adds about 4 MB to the peak resident memory
+    code = ("import sys\n"
+            "from omegals.experiments import Figure1Config, run_figure1\n"
+            "run_figure1(Figure1Config(m=5, orders=(3, 2), target_index=2, count=25))\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.fft' in sys.modules)")
+    assert _fresh_interpreter(code) == "True False"
 
 
 def test_star_import_exports_no_submodule():

@@ -10,8 +10,15 @@ from omegals.decomposition import (
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
-from omegals.linalg import adjoint, default_rank_tol, hermitian_part, solve_hermitian
+from omegals.linalg import (
+    adjoint,
+    default_rank_tol,
+    hermitian_eig,
+    hermitian_part,
+    solve_hermitian,
+)
 from omegals.sampling import (
+    gaussian_matrix,
     gaussian_vector,
     random_hermitian_invertible,
     random_spd,
@@ -250,6 +257,23 @@ class TestSolveParametric:
         with pytest.raises(ValueError, match="^operator is singular to working precision"):
             ProblemInstance.create(np.diag([2.0, 1.0, cut]), s, np.ones(3))
         ProblemInstance.create(np.diag([2.0, 1.0, 2 * cut]), s, np.ones(3))
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_instance_takes_a_given_factorization(self, complex_field):
+        rng = np.random.default_rng(41)
+        a = random_hermitian_invertible(rng, 6, complex_field)
+        s = random_subspace(rng, 6, 2, complex_field)
+        b = gaussian_vector(rng, 6, complex_field)
+        eig = hermitian_eig(a)
+        given = ProblemInstance.create(a, s, b, eig=eig)
+        assert given.eig is eig
+        omega = given.omega_min + 1.0
+        np.testing.assert_array_equal(solve_weighted(given, omega),
+                                      solve_weighted(ProblemInstance.create(a, s, b), omega))
+        # the probe catches a factorization of a nearby operator
+        other = hermitian_eig(a + 1e-8 * hermitian_part(gaussian_matrix(rng, 6, 6, complex_field)))
+        with pytest.raises(ValueError, match="^factorization does not match the operator"):
+            ProblemInstance.create(a, s, b, eig=other)
 
     def test_weighted_approaches_limit(self):
         rng = np.random.default_rng(26)

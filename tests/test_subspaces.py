@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegals.linalg import hermitian_eig
+from omegals.linalg import hermitian_eig, is_hermitian
 from omegals.subspaces import (
     AffineSubspace,
     Subspace,
@@ -170,6 +171,42 @@ class TestIndexOfInvariance:
         v = Subspace.from_vectors(raw).basis
         bound = np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
         assert np.linalg.norm(a @ v, 2) <= bound * (1 + 1e-12)
+
+
+class TestSparseOperators:
+    """Routines that only apply A take a SciPy sparse operator and give the
+    results of its dense copy."""
+
+    @staticmethod
+    def sparse_hermitian(seed, n, complex_field):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        if complex_field:
+            a = a + 1j * rng.standard_normal((n, n))
+        a = np.where(rng.random((n, n)) < 0.3, a, 0.0)
+        return rng, a + a.conj().T
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_krylov_and_index(self, seed, complex_field):
+        rng, a = self.sparse_hermitian(seed, 12, complex_field)
+        csr = sp.csr_array(a)
+        b = rng.standard_normal(12) + (1j * rng.standard_normal(12) if complex_field else 0)
+        dense_k, sparse_k = krylov(a, b, 5), krylov(csr, b, 5)
+        assert sparse_k.dim == dense_k.dim == 5
+        np.testing.assert_allclose(sparse_k.basis, dense_k.basis, rtol=0, atol=1e-12)
+        invariant = Subspace(hermitian_eig(a).u[:, :4])
+        generic = Subspace.from_vectors(rng.standard_normal((12, 3)))
+        for space, q in ((dense_k, 1), (invariant, 0), (generic, 3)):
+            assert index_of_invariance(csr, space) == index_of_invariance(a, space) == q
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_is_hermitian(self, complex_field):
+        _, a = self.sparse_hermitian(7, 9, complex_field)
+        assert is_hermitian(sp.csr_array(a)) and is_hermitian(a)
+        a[0, 1] += 1e-3
+        assert not is_hermitian(sp.csr_array(a)) and not is_hermitian(a)
+        assert is_hermitian(sp.csr_array((3, 3)))
 
 
 class TestInvariantClosure:
