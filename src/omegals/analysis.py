@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import TridiagDecomp, check_omega
+from .decomposition import TridiagDecomp, check_omega, guard_threshold
 from .linalg import (
     adjoint,
     default_rank_tol,
@@ -21,7 +21,13 @@ from .linalg import (
     solve_hermitian,
 )
 from .sampling import gaussian_matrix
-from .solver import ProblemInstance, _solution_map, solve_limit, solve_weighted
+from .solver import (
+    ProblemInstance,
+    _solution_maps,
+    _weighted_solve,
+    gram_cond_bound,
+    solve_limit,
+)
 from .subspaces import (
     Subspace,
     eigenspace_split,
@@ -75,8 +81,15 @@ class SweepResult:
     with ``omegas[ok]``); ``sigma`` is the spectrum of the column-centered
     solution matrix and ``est_dim`` the number of singular values above
     EST_DIM_RATIO times the largest. ``coords`` (est_dim x columns) are the
-    centered solutions in the leading est_dim principal directions,
-    real(U_r* centered), from the same SVD.
+    centered solutions in the leading est_dim principal directions. The
+    centered solutions are Q_s (T Z - mean) with Q_s orthonormal (n x p), so
+    the SVD is taken of the p x K coordinates and ``sigma`` has min(p, K)
+    entries: the rest of the n x K spectrum is zero in exact arithmetic.
+
+    Per grid point, ``gram_cond_bound`` is the a-priori bound max w / min w
+    on the condition number of the inner Gram matrix (NaN where the shift was
+    rejected) and ``guard_margin`` is omega minus the guard threshold
+    (negative below the guard, NaN for NaN).
     """
 
     omegas: np.ndarray
@@ -85,6 +98,8 @@ class SweepResult:
     sigma: np.ndarray
     est_dim: int
     coords: np.ndarray
+    gram_cond_bound: np.ndarray
+    guard_margin: np.ndarray
     failures: list = field(default_factory=list)
 
 
@@ -94,11 +109,13 @@ def _family_dim(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0])) if sigma.size else 0
 
 
-def _centered_spectrum(x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """(sigma, est_dim, coords) of the column-centered x from one thin SVD."""
-    if x.shape[1] == 0:
+def _centered_spectrum(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sigma, est_dim, coords) of the column-centered solutions x = x0 + Q_s y
+    (Q_s with orthonormal columns) from one thin SVD of the centered p-row
+    coordinates y: both have the same singular values and coordinates."""
+    if y.shape[1] == 0:
         return np.zeros(0), 0, np.zeros((0, 0))
-    centered = x - x.mean(axis=1, keepdims=True)
+    centered = y - y.mean(axis=1, keepdims=True)
     u, sigma, _ = np.linalg.svd(centered, full_matrices=False)
     # a constant family centers to pure round-off; the leading singular value
     # only counts as signal when it clears the noise floor of the solutions
@@ -112,27 +129,43 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     """Solve the weighted problem at every grid point and estimate the
     dimension of the affine family from the centered singular spectrum.
 
-    Every grid point is one call of the instance's weighted-solve kernel,
-    the one ``solve_weighted`` uses; omega = OMEGA_INF takes the limit
-    weights 1 and gives the ``solve_limit`` solution. Grid points that fail
-    (shift below the guard, Gram breakdown) are recorded in ``failures`` and
-    skipped.
+    All admitted grid points are one call of the batched weighted-solve
+    kernel, the one ``solve_weighted`` uses; omega = OMEGA_INF takes the
+    limit weights 1 and gives the ``solve_limit`` solution. Grid points that
+    fail (shift below the guard, Gram breakdown, a rank-deficient U* A V) are
+    recorded in ``failures``, in grid order, and skipped.
     """
     omegas = np.asarray(omegas, dtype=float)
-    cols = []
-    ok = np.zeros(omegas.size, dtype=bool)
+    threshold = guard_threshold(inst.omega_min, inst.op_norm)
+    guard_margin = omegas - threshold
+    ok = omegas >= threshold
     failures = []
-    for j, omega in enumerate(omegas):
+    for j in np.flatnonzero(~ok):
         try:
-            inst.check_omega(float(omega))
-            cols.append(inst._solve(float(omega), -1))
-            ok[j] = True
-        except (ValueError, np.linalg.LinAlgError) as err:
-            failures.append((j, str(err)))
-    x = np.column_stack(cols) if cols else np.zeros((inst.n, 0))
-    sigma, est, coords = _centered_spectrum(x)
-    return SweepResult(omegas=omegas, ok=ok, solutions=x, sigma=sigma,
-                       est_dim=est, coords=coords, failures=failures)
+            inst.check_omega(float(omegas[j]))
+        except ValueError as err:
+            failures.append((int(j), str(err)))
+    admitted = np.flatnonzero(ok)
+    bound = np.full(omegas.size, np.nan)
+    bound[admitted] = gram_cond_bound(inst.eig.lambdas, omegas[admitted], -1)
+    x, y = np.zeros((inst.n, 0)), np.zeros((inst.p, 0))
+    if admitted.size:
+        try:
+            q, q_s, t, beta = inst._factors
+        except np.linalg.LinAlgError as err:
+            failures += [(int(j), str(err)) for j in admitted]
+            ok[:] = False
+        else:
+            z, singular = _weighted_solve(q, inst.eig.lambdas, omegas[admitted], -1, beta)
+            failures += [(int(admitted[k]), message) for k, message in singular]
+            ok[admitted[[k for k, _ in singular]]] = False
+            y = t @ z[ok[admitted]].T
+            x = inst.constraint.x0[:, None] + q_s @ y
+    failures.sort()
+    sigma, est, coords = _centered_spectrum(y, x)
+    return SweepResult(omegas=omegas, ok=ok, solutions=x, sigma=sigma, est_dim=est,
+                       coords=coords, gram_cond_bound=bound, guard_margin=guard_margin,
+                       failures=failures)
 
 
 def estimate_span_dim(
@@ -144,7 +177,8 @@ def estimate_span_dim(
 ) -> int:
     """Numerical dimension of the span of solution differences over random
     right-hand sides and SPAN_PAIRS sampled shift pairs; bounded by the index
-    q. A is factored once and shifted for every sampled shift.
+    q. A is factored once, and all sampled shifts and right-hand sides are
+    one call of the batched weighted-solve kernel.
     """
     a = np.asarray(a)
     q = index_of_invariance(a, s)
@@ -163,12 +197,13 @@ def estimate_span_dim(
         i, j = rng.integers(0, grid.size, size=2)
         if grid[i] != grid[j]:
             pairs.append((float(grid[i]), float(grid[j])))
-    eig = hermitian_eig(a)
-    av = a @ s.basis
-    maps = {omega: s.basis @ _solution_map(eig, av, omega)
-            for omega in {w for pair in pairs for w in pair}}
+    shifts = sorted({w for pair in pairs for w in pair})
     bs = gaussian_matrix(rng, a.shape[0], n_samples, np.iscomplexobj(a))
-    diffs = np.hstack([(maps[omega] - maps[mu]) @ bs for omega, mu in pairs])
+    # coordinates M(omega) bs of the solutions for every sampled shift; V has
+    # orthonormal columns, so the differences keep their singular values in
+    # these coordinates
+    coords = dict(zip(shifts, _solution_maps(hermitian_eig(a), a @ s.basis, shifts, bs)))
+    diffs = np.hstack([coords[omega] - coords[mu] for omega, mu in pairs])
     return _family_dim(np.linalg.svd(diffs, compute_uv=False))
 
 
@@ -195,7 +230,7 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     split = eigenspace_split(eig)
     v = s.basis
     av = a @ v
-    m = _solution_map(eig, av, omega)
+    m = _solution_maps(eig, av, [omega])[0]
     ut = adjoint(eig.u)
     ut_r = ut - (ut @ av) @ m   # U* (I - A V M(omega))
     ut_v = ut @ v
@@ -292,7 +327,9 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     """For positive A and a Krylov constraint generated by b itself, express
     every sampled solution as x_zero + t (x_inf - x_zero); t is the real
     least-squares coefficient and the off-segment residual is reported
-    relative to the segment length.
+    relative to the segment length. x_zero and the grid are one
+    :func:`sweep_solutions` call; a failed grid point raises a ValueError
+    naming the failures (index -1 is the zero shift).
     """
     if inst.eig.lambdas[-1] <= 0:
         raise ValueError("operator must be positive definite")
@@ -302,7 +339,13 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     if not subspaces_equal(s, krylov(inst.a, inst.b, s.dim)):
         raise ValueError("constraint is not the Krylov subspace generated by b")
     omegas = np.asarray(omegas, dtype=float)
-    x_zero = solve_weighted(inst, 0.0)
+    # the zero shift rides in the same sweep as the grid, so that a grid
+    # point at omega = 0 reproduces x_zero bit for bit
+    sweep = sweep_solutions(inst, np.concatenate([[0.0], omegas]))
+    failures = [(j - 1, message) for j, message in sweep.failures]
+    if failures:
+        raise ValueError(f"solver failed at grid points: {failures}")
+    x_zero, xs = sweep.solutions[:, 0], sweep.solutions[:, 1:]
     x_inf = solve_limit(inst)
     q = index_of_invariance(inst.a, s)
     if q == 0:
@@ -312,13 +355,9 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     seg = float(np.linalg.norm(w))
     if seg == 0.0:
         raise ValueError("degenerate segment: endpoint solutions coincide")
-    ts = np.empty(omegas.size)
-    off = np.empty(omegas.size)
-    for j, omega in enumerate(omegas):
-        dx = solve_weighted(inst, float(omega)) - x_zero
-        t = float(np.real(np.vdot(w, dx)) / seg**2)
-        ts[j] = t
-        off[j] = float(np.linalg.norm(dx - t * w) / seg)
+    dx = xs - x_zero[:, None]
+    ts = np.real(adjoint(w) @ dx) / seg**2
+    off = np.linalg.norm(dx - w[:, None] * ts, axis=0) / seg
     return ConvexityResult(False, ts, off, x_zero, x_inf)
 
 

@@ -12,6 +12,7 @@ principal-component coordinates of the solution family. The dense
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -157,8 +158,9 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
                 metadata: dict | None = None) -> dict:
     """Write sigma.csv (index, sigma, sigma_ratio), coords.csv (omega plus the
     projection onto the leading est_dim principal directions), optionally
-    solutions.csv (omega, x_1..x_n), and a metadata sidecar. Returns the
-    written paths keyed by kind."""
+    solutions.csv (omega, x_1..x_n), and a metadata sidecar with the largest
+    Gram condition bound and the smallest guard margin of the solved shifts.
+    Returns the written paths keyed by kind."""
     prefix_path = Path(prefix)
     if prefix_path.parent != Path("."):
         prefix_path.parent.mkdir(parents=True, exist_ok=True)
@@ -190,6 +192,12 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     meta = {"est_dim": sweep.est_dim, "est_dim_sigma_ratio": EST_DIM_RATIO,
             "grid_points": int(sweep.omegas.size),
             "failures": list(sweep.failures)}
+    # the worst per-shift diagnostic over the solved shifts; null when none
+    # was solved or the value is not finite (every solved shift at OMEGA_INF)
+    for name, worst in (("gram_cond_bound", np.max), ("guard_margin", np.min)):
+        values = getattr(sweep, name)[sweep.ok]
+        value = float(worst(values)) if values.size else math.nan
+        meta[f"worst_{name}"] = value if math.isfinite(value) else None
     if metadata:
         meta.update(metadata)
     meta_path = f"{prefix}meta.json"

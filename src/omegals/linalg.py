@@ -24,8 +24,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*)/2; suppresses round-off drift before eigendecompositions."""
-    return 0.5 * (m + m.conj().T)
+    """(M + M*)/2, of each matrix in a stack (..., n, n); suppresses round-off
+    drift before eigendecompositions."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _is_sparse(a) -> bool:
@@ -63,12 +64,22 @@ def default_rank_tol(shape: tuple[int, int]) -> float:
     return max(shape) * EPS * 32 if len(shape) else EPS * 32
 
 
-def is_singular(lambdas: np.ndarray) -> bool:
+# The message of every LinAlgError raised for a singular Hermitian matrix.
+SINGULAR_MESSAGE = "matrix is singular to working precision"
+
+
+def is_singular(lambdas: np.ndarray):
     """Whether the Hermitian matrix with spectrum ``lambdas`` is singular to
     working precision: min |lambda| <= ``default_rank_tol`` of its order
-    times max |lambda|. An empty spectrum (the 0 x 0 matrix) is not."""
+    times max |lambda|. An empty spectrum (the 0 x 0 matrix) is not. A stack
+    of spectra (..., n) gives one boolean per spectrum."""
     mags = np.abs(np.asarray(lambdas))
-    return bool(mags.size and mags.min() <= default_rank_tol((mags.size, mags.size)) * mags.max())
+    order = mags.shape[-1]
+    if order == 0:
+        singular = np.zeros(mags.shape[:-1], dtype=bool)
+    else:
+        singular = mags.min(axis=-1) <= default_rank_tol((order, order)) * mags.max(axis=-1)
+    return bool(singular) if mags.ndim == 1 else singular
 
 
 @dataclass(frozen=True)
@@ -227,7 +238,7 @@ def solve_hermitian(m, rhs: np.ndarray) -> np.ndarray:
     eig = m if isinstance(m, EigDecomposition) else hermitian_eig(np.asarray(m))
     lam = eig.lambdas
     if is_singular(lam):
-        raise np.linalg.LinAlgError("matrix is singular to working precision")
+        raise np.linalg.LinAlgError(SINGULAR_MESSAGE)
     rhs = np.asarray(rhs)
     y = eig.u.conj().T @ rhs
     y = y / lam if rhs.ndim == 1 else y / lam[:, None]

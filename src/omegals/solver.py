@@ -30,6 +30,7 @@ from .decomposition import (
     shifted_blocks,
 )
 from .linalg import (
+    SINGULAR_MESSAGE,
     EigDecomposition,
     adjoint,
     as_operator,
@@ -46,6 +47,10 @@ from .subspaces import AffineSubspace, Subspace, normal_representation
 # Sentinel for the omega -> infinity endpoint in public interfaces.
 OMEGA_INF = math.inf
 
+# Bytes of the Gram factor M (n x p^2) and of the expanded right-hand sides
+# formed per row chunk in the weighted-solve kernel.
+GRAM_CHUNK_BYTES = 2**20
+
 # Relative residual ||U*(A x) - lambda U* x|| / (max|lambda| ||x||) above which
 # a factorization handed to ProblemInstance.create does not factor A.
 FACTORIZATION_PROBE_TOL = 1e-12
@@ -60,19 +65,78 @@ def _qr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _weighted_solve(q, lam, omega: float, s: float, rhs) -> np.ndarray:
-    """z = (Q* W Q)^{-1} Q* W rhs for W = diag((lam + omega)^s), W = I at
-    OMEGA_INF: the one place the weighted Gram matrix is formed. With
-    P = Q R, y = R^{-1} z = (P* W P)^{-1} P* W rhs. Raises LinAlgError naming
-    omega when Q* W Q is singular to working precision."""
-    w = np.ones_like(lam) if omega == OMEGA_INF else (lam + omega) ** s
-    qw = adjoint(q) * w
-    try:
-        return solve_hermitian(hermitian_part(qw @ q), qw @ rhs)
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"inner Gram matrix singular at omega = {omega}: {err}"
-        ) from err
+def _limit_weights(omegas, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, power) with (lam + shift)^power the weights of each shift: at
+    OMEGA_INF the power is 0, so every weight is exactly 1."""
+    omegas = np.asarray(omegas, dtype=float)
+    inf = np.isinf(omegas)
+    return np.where(inf, 0.0, omegas), np.where(inf, 0.0, s)
+
+
+def gram_cond_bound(lam: np.ndarray, omegas, s: float) -> np.ndarray:
+    """max w / min w for W = diag((lam + omega)^s) at each shift (1 at
+    OMEGA_INF): for Q with orthonormal columns and positive weights,
+    cond(Q* W Q) is at most this. The weights are monotone in lambda, so the
+    extreme eigenvalues carry the extreme weights."""
+    shift, power = _limit_weights(omegas, s)
+    ends = (np.array([lam.min(), lam.max()])[:, None] + shift) ** power
+    return ends.max(axis=0) / ends.min(axis=0)
+
+
+def _weighted_solve(q, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
+    """Z[k] = (Q* W_k Q)^{-1} Q* W_k rhs for W_k = diag((lam + omegas[k])^s),
+    W_k = I at OMEGA_INF, for all K shifts at once: the one place the
+    weighted Gram matrix is formed. With P = Q R, R^{-1} Z[k] =
+    (P* W_k P)^{-1} P* W_k rhs.
+
+    With the rows of Q as an n x p^2 matrix M = (conj(q_ia) q_ib), ``W @ M``
+    holds all K Gram matrices; M is formed in row chunks of about
+    GRAM_CHUNK_BYTES, together with the right-hand sides expanded the same
+    way. One batched solve handles the K systems. Since
+    cond(Q* W Q) <= :func:`gram_cond_bound`, a shift whose bound clears the
+    singularity test of ``is_singular`` by the round-off of the n-term sums
+    is not singular; only the others take an eigvalsh. Returns Z (K x p,
+    or K x p x r for an n x r ``rhs``; NaN rows at singular shifts) and the
+    failures as (k, message), the message naming omega."""
+    omegas = np.asarray(omegas, dtype=float)
+    (n, p), kk = q.shape, omegas.size
+    cols = rhs.reshape(n, -1)
+    r = cols.shape[1]
+    shift, power = (v[:, None] for v in _limit_weights(omegas, s))
+    gram = np.zeros((kk, p * p), dtype=q.dtype)
+    proj = np.zeros((kk, p, r), dtype=np.result_type(q, cols))
+    qbar = q.conj()
+    step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + min(r, kk))))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        w = (lam[rows] + shift) ** power    # K x chunk
+        qc, qbar_c, rhs_c = q[rows], qbar[rows], cols[rows]
+        gram += w @ (qbar_c[:, :, None] * qc[:, None, :]).reshape(-1, p * p)
+        # Q* W_k rhs through the smaller of the two expanded operands
+        if r <= kk:
+            expanded = (qbar_c[:, :, None] * rhs_c[:, None, :]).reshape(-1, p * r)
+            proj += (w @ expanded).reshape(kk, p, r)
+        else:
+            proj += ((w[:, None, :] * qbar_c.T).reshape(kk * p, -1) @ rhs_c).reshape(kk, p, r)
+    gram = hermitian_part(gram.reshape(kk, p, p))
+    singular = np.zeros(kk, dtype=bool)
+    # round-off in the n-term sums moves the eigenvalues of Q* W Q by at most
+    # about p n eps max w, so a bound below 1 / (p * 32 n eps) keeps the
+    # smallest one above the cut of is_singular
+    suspect = gram_cond_bound(lam, omegas, s) * p * default_rank_tol((n, p)) >= 1.0
+    if suspect.any():
+        singular[suspect] = is_singular(np.linalg.eigvalsh(gram[suspect]))
+    z = np.full(proj.shape, np.nan, dtype=proj.dtype)
+    z[~singular] = np.linalg.solve(gram[~singular], proj[~singular])
+    failures = [(int(k), f"inner Gram matrix singular at omega = {float(omegas[k])}: "
+                 f"{SINGULAR_MESSAGE}") for k in np.flatnonzero(singular)]
+    return (z[:, :, 0] if rhs.ndim == 1 else z), failures
+
+
+def _first_failure(failures: list) -> None:
+    """Raise the first kernel failure as a LinAlgError."""
+    if failures:
+        raise np.linalg.LinAlgError(failures[0][1])
 
 
 def _probe_factorization(a, eig) -> None:
@@ -149,17 +213,23 @@ class ProblemInstance:
         check_shift(omega, self.omega_min, self.op_norm)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, V R^{-1}, beta) with Q R = U* A V and beta = U* (b - A x0),
-        made on first solve; x = x0 + V R^{-1} z needs no per-shift R solve."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, Q_s, T, beta) with Q R = U* A V, Q_s T = V R^{-1} (thin QR) and
+        beta = U* (b - A x0), made on first solve: x = x0 + Q_s (T z) needs no
+        per-shift R solve, and Q_s has orthonormal columns, so a family of
+        solutions has the singular values of its p-row coordinates T Z."""
         uh, v = self.eig.apply_uh, self.constraint.direction.basis
         q, r = _qr(uh(self.a @ v))
-        return q, np.linalg.solve(r.T, v.T).T, uh(self.b - self.a @ self.constraint.x0)
+        q_s, t = np.linalg.qr(np.linalg.solve(r.T, v.T).T)
+        return q, q_s, t, uh(self.b - self.a @ self.constraint.x0)
 
     def _solve(self, omega: float, s: float) -> np.ndarray:
-        """x0 + V R^{-1} z with z from the weighted-solve kernel; no shift guard."""
-        q, v_rinv, beta = self._factors
-        return self.constraint.x0 + v_rinv @ _weighted_solve(q, self.eig.lambdas, omega, s, beta)
+        """x0 + Q_s (T z) with z from the weighted-solve kernel at one shift;
+        no shift guard."""
+        q, q_s, t, beta = self._factors
+        z, failures = _weighted_solve(q, self.eig.lambdas, [omega], s, beta)
+        _first_failure(failures)
+        return self.constraint.x0 + q_s @ (t @ z[0])
 
 
 def solve_parametric(inst: ProblemInstance, omega: float, s: float) -> np.ndarray:
@@ -181,15 +251,19 @@ def solve_limit(inst: ProblemInstance) -> np.ndarray:
     return inst._solve(OMEGA_INF, 0)
 
 
-def _solution_map(eig: EigDecomposition, av: np.ndarray, omega: float) -> np.ndarray:
-    """M(omega) = (AV* A_omega^{-1} AV)^{-1} AV* A_omega^{-1} from the
-    factorization ``eig`` of A and the product AV: the weighted-solve kernel
-    with rhs = U*. At OMEGA_INF it is the map of the limit solution."""
+def _solution_maps(eig: EigDecomposition, av: np.ndarray, omegas, rhs=None) -> np.ndarray:
+    """M(omega) = (AV* A_omega^{-1} AV)^{-1} AV* A_omega^{-1} for each shift
+    (K x p x n), or M(omega) rhs (K x p x r) for an n x r ``rhs``, from the
+    factorization ``eig`` of A and the product AV: one QR of U* A V and one
+    kernel call. At OMEGA_INF it is the map of the limit solution."""
     lam = eig.lambdas
-    check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
-    uh = adjoint(eig.u)
-    q, r = _qr(uh @ av)
-    return np.linalg.solve(r, _weighted_solve(q, lam, omega, -1, uh))
+    for omega in omegas:
+        check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
+    q, r = _qr(eig.apply_uh(av))
+    z, failures = _weighted_solve(q, lam, omegas, -1,
+                                  adjoint(eig.u) if rhs is None else eig.apply_uh(rhs))
+    _first_failure(failures)
+    return np.linalg.solve(r, z)
 
 
 def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
@@ -200,17 +274,16 @@ def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
     themselves and reuse it shifted through the same kernel.
     """
     a = np.asarray(a)
-    return _solution_map(hermitian_eig(a), a @ s.basis, omega)
+    return _solution_maps(hermitian_eig(a), a @ s.basis, [omega])[0]
 
 
 def solution_map_diff(a: np.ndarray, s: Subspace, omega: float, mu: float) -> np.ndarray:
     """The n x n difference V (M(omega) - M(mu)) of the solution operators;
     its image sits inside the q-dimensional difference subspace. A is
-    factored once for both shifts."""
+    factored once, and both shifts are one kernel call."""
     a = np.asarray(a)
-    eig = hermitian_eig(a)
-    av = a @ s.basis
-    return s.basis @ (_solution_map(eig, av, omega) - _solution_map(eig, av, mu))
+    maps = _solution_maps(hermitian_eig(a), a @ s.basis, [omega, mu])
+    return s.basis @ (maps[0] - maps[1])
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,10 @@ def run_main_theorem_suite(seed: int = 0, trials: int = 200) -> SuiteResult:
         mu = random_omega(rng, inst.omega_min)
         while abs(mu - omega) < 0.25:
             mu = random_omega(rng, inst.omega_min)
-        diff = solve_weighted(inst, omega) - solve_weighted(inst, mu)
+        x_omega = solve_weighted(inst, omega)
+        diff = x_omega - solve_weighted(inst, mu)
         if dec.q == 0:
-            scale = max(1.0, float(np.linalg.norm(solve_weighted(inst, omega))))
+            scale = max(1.0, float(np.linalg.norm(x_omega)))
             result.check(np.linalg.norm(diff) <= MEMBERSHIP_TOL * scale,
                          f"trial {trial}: invariant case produced a nonzero difference")
         else:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from omegals.analysis import (
+    EST_DIM_RATIO,
+    SPAN_PAIRS,
     condition_report,
     constant_kernel,
     convexity_coordinates,
@@ -12,10 +14,11 @@ from omegals.analysis import (
     membership_residual,
     sweep_solutions,
 )
-from omegals.decomposition import tridiagonal_block_decomposition
-from omegals.linalg import adjoint, hermitian_part
+from omegals.decomposition import guard_threshold, tridiagonal_block_decomposition
+from omegals.linalg import adjoint, hermitian_eig, hermitian_part
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
+    gaussian_matrix,
     gaussian_vector,
     random_hermitian_invertible,
     random_spd,
@@ -38,6 +41,21 @@ from omegals.subspaces import (
     strongly_orthogonal,
     subspaces_equal,
 )
+
+
+def per_shift_sweep(inst, omegas):
+    """The per-shift loop that the batched sweep replaced, kept as the
+    reference for ``ok``, ``failures`` and the solutions."""
+    ok = np.zeros(len(omegas), dtype=bool)
+    failures, cols = [], []
+    for j, omega in enumerate(omegas):
+        try:
+            inst.check_omega(float(omega))
+            cols.append(inst._solve(float(omega), -1))
+            ok[j] = True
+        except (ValueError, np.linalg.LinAlgError) as err:
+            failures.append((j, str(err)))
+    return ok, failures, cols
 
 
 def alpha_operator(alpha, p):
@@ -158,6 +176,108 @@ class TestSweep:
         err = np.linalg.norm(result.solutions[:, 0] - x_limit)
         assert err <= 1e-12 * np.linalg.norm(x_limit)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_batch_matches_single_solves(self, complex_field):
+        rng = np.random.default_rng(40)
+        a = random_hermitian_invertible(rng, 30, complex_field)
+        space = normal_representation(gaussian_vector(rng, 30, complex_field),
+                                      random_subspace(rng, 30, 6, complex_field))
+        inst = ProblemInstance.create(a, space, gaussian_vector(rng, 30, complex_field))
+        grid = inst.omega_min + np.logspace(-2, 4, 50)
+        result = sweep_solutions(inst, grid)
+        assert result.ok.all() and not result.failures
+        for j, omega in enumerate(grid):
+            x = solve_weighted(inst, float(omega))
+            assert np.linalg.norm(result.solutions[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_failures_match_the_per_shift_loop(self, complex_field):
+        rng = np.random.default_rng(41)
+        a = random_hermitian_invertible(rng, 12, complex_field)
+        inst = ProblemInstance.create(a, random_subspace(rng, 12, 4, complex_field),
+                                      gaussian_vector(rng, 12, complex_field))
+        threshold = guard_threshold(inst.omega_min, inst.op_norm)
+        grid = [threshold + 0.5, np.nan, threshold, np.nextafter(threshold, -np.inf),
+                OMEGA_INF, inst.omega_min - 3.0, threshold + 40.0, np.nan, OMEGA_INF]
+        result = sweep_solutions(inst, grid)
+        ok, failures, cols = per_shift_sweep(inst, grid)
+        assert result.ok.tolist() == ok.tolist() == [True, False, True, False, True, False,
+                                                    True, False, True]
+        assert result.failures == failures
+        assert [j for j, _ in failures] == [1, 3, 5, 7]
+        # solutions at the guard itself carry cond(Q* W Q) ~ 1e8 and agree
+        # only to that; the well-conditioned ones agree to round-off
+        for j in (0, 4, 6, 8):
+            x, y = result.solutions[:, ok[:j].sum()], cols[ok[:j].sum()]
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_rank_deficient_image_fails_every_admitted_shift(self):
+        # A is singular on S (A V has rank 1 < p = 2); the instance is built
+        # directly, since ProblemInstance.create rejects a singular A
+        a = np.diag([3.0, 0.0, -1.0, 2.0])
+        s = Subspace.from_vectors(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.5]]).T)
+        inst = ProblemInstance(a=a, constraint=normal_representation(np.zeros(4), s),
+                               b=np.ones(4), eig=hermitian_eig(a))
+        grid = [5.0, 0.0, np.nan, OMEGA_INF, 2.0]
+        result = sweep_solutions(inst, grid)
+        ok, failures, _ = per_shift_sweep(inst, grid)
+        assert result.failures == failures
+        assert [j for j, _ in failures] == [0, 1, 2, 3, 4]
+        assert all("rank deficient" in failures[j][1] for j in (0, 3, 4))
+        assert not result.ok.any() and not ok.any()
+        assert result.solutions.shape == (4, 0) and result.est_dim == 0
+
+    def test_takes_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        a = random_hermitian_invertible(rng, 40, False)
+        inst = ProblemInstance.create(a, random_subspace(rng, 40, 5, False),
+                                      rng.standard_normal(40))
+        inst._factors
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, *args, _f=original, _n=name, **kw:
+                                calls.append((_n, np.shape(m))) or _f(m, *args, **kw))
+        sweep_solutions(inst, inst.omega_min + np.logspace(-3, 3, 200))
+        # one SVD, of the p x K centered coordinates
+        assert calls == [("svd", (5, 200))]
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_spectrum_matches_the_full_centered_solutions(self, complex_field):
+        rng = np.random.default_rng(43)
+        a = random_hermitian_invertible(rng, 25, complex_field)
+        space = normal_representation(gaussian_vector(rng, 25, complex_field),
+                                      random_subspace(rng, 25, 7, complex_field))
+        inst = ProblemInstance.create(a, space, gaussian_vector(rng, 25, complex_field))
+        result = sweep_solutions(inst, inst.omega_min + np.logspace(-2, 2, 40))
+        x = result.solutions
+        centered = x - x.mean(axis=1, keepdims=True)
+        sigma = np.linalg.svd(centered, compute_uv=False)
+        assert result.sigma.size == 7
+        np.testing.assert_allclose(result.sigma, sigma[:7], rtol=1e-10,
+                                   atol=1e-12 * sigma[0])
+        assert np.all(sigma[7:] <= 1e-12 * sigma[0])
+        coords = result.coords
+        assert coords.shape == (result.est_dim, 40)
+        if complex_field:
+            return  # coords are real parts of complex coordinates
+        np.testing.assert_allclose(coords @ coords.T,
+                                   np.diag(result.sigma[:result.est_dim] ** 2),
+                                   atol=1e-10 * sigma[0] ** 2)
+
+    def test_per_shift_diagnostics(self):
+        lam = np.array([4.0, 2.0, 0.5])
+        u = random_unitary(np.random.default_rng(44), 3, False)
+        a = hermitian_part((u * lam) @ u.T)
+        inst = ProblemInstance.create(a, Subspace((u[:, :1] + u[:, 2:]) / np.sqrt(2)), np.ones(3))
+        threshold = guard_threshold(-0.5, 4.0)
+        grid = np.array([1.0, -1.0, np.nan, OMEGA_INF])
+        result = sweep_solutions(inst, grid)
+        np.testing.assert_allclose(result.gram_cond_bound[[0, 3]], [5.0 / 1.5, 1.0])
+        assert np.isnan(result.gram_cond_bound[[1, 2]]).all()
+        np.testing.assert_allclose(result.guard_margin[:2], grid[:2] - threshold)
+        assert np.isnan(result.guard_margin[2]) and result.guard_margin[3] == np.inf
+
     def test_bound_chain(self):
         rng = np.random.default_rng(5)
         a = random_hermitian_invertible(rng, 10, False)
@@ -190,6 +310,30 @@ class TestEstimateSpanDim:
         q = index_of_invariance(a, s)
         grid = np.logspace(-2, 2, 30)
         assert estimate_span_dim(a, s, grid=grid, seed=2) == q
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matches_the_solution_map_route(self, complex_field):
+        # the former route: one n x n map V M(omega) per sampled shift, applied
+        # to the same sampled right-hand sides
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            n, p = 14, 4 + seed % 3
+            a = random_hermitian_invertible(rng, n, complex_field)
+            s = random_subspace(rng, n, p, complex_field)
+            q = index_of_invariance(a, s)
+            grid = -float(np.linalg.eigvalsh(a)[0]) + np.logspace(-2, 2, 30)
+            draws = np.random.default_rng(seed)
+            pairs = []
+            while len(pairs) < SPAN_PAIRS:
+                i, j = draws.integers(0, grid.size, size=2)
+                if grid[i] != grid[j]:
+                    pairs.append((float(grid[i]), float(grid[j])))
+            maps = {w: s.basis @ solution_map(a, s, w) for pair in pairs for w in pair}
+            bs = gaussian_matrix(draws, n, 4 * q, complex_field)
+            diffs = np.hstack([(maps[w] - maps[m]) @ bs for w, m in pairs])
+            sv = np.linalg.svd(diffs, compute_uv=False)
+            expected = int(np.count_nonzero(sv > EST_DIM_RATIO * sv[0]))
+            assert estimate_span_dim(a, s, grid=grid, seed=seed) == expected == q
 
     def test_sample_count_validation(self):
         rng = np.random.default_rng(10)
@@ -440,6 +584,28 @@ class TestConvexity:
         inst = ProblemInstance.create(a, krylov(a, b, 1), b)
         with pytest.raises(ValueError):
             convexity_coordinates(inst, np.array([3.0, 4.0]))
+
+    def test_matches_per_shift_coordinates(self):
+        rng = np.random.default_rng(19)
+        a = random_spd(rng, 12, lo=0.3, hi=30.0)
+        b = rng.standard_normal(12)
+        inst = ProblemInstance.create(a, krylov(a, b, 3), b)
+        omegas = np.logspace(-3, 3, 40)
+        conv = convexity_coordinates(inst, omegas)
+        x_zero = solve_weighted(inst, 0.0)
+        w = solve_limit(inst) - x_zero
+        for omega, t in zip(omegas, conv.ts):
+            dx = solve_weighted(inst, float(omega)) - x_zero
+            assert t == pytest.approx(np.vdot(w, dx).real / np.vdot(w, w).real, abs=1e-10)
+
+    def test_failed_grid_points_are_named(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        b = np.array([1.0, 0.0])
+        inst = ProblemInstance.create(a, krylov(a, b, 1), b)
+        with pytest.raises(ValueError, match=r"solver failed at grid points: \[\(1, 'omega = -5.0"):
+            convexity_coordinates(inst, np.array([0.5, -5.0, 2.0]))
+        with pytest.raises(ValueError, match=r"\[\(0, 'omega is NaN"):
+            convexity_coordinates(inst, np.array([np.nan]))
 
     def test_rejects_non_krylov_constraint(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])

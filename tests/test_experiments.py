@@ -244,6 +244,33 @@ class TestRunFigure1:
             assert result.index == built.index == target
             assert result.est_dim == sweep.est_dim == target
 
+    def test_spectrum_matches_the_dense_svd(self):
+        # sigma comes from the p x K coordinates; the n x K SVD of the
+        # centered solutions gives the same leading ratios and est_dim
+        from omegals.analysis import EST_DIM_RATIO
+        from omegals.linalg import default_rank_tol
+
+        for orders, target in (((11, 6), 2), ((11, 6, 4), 3)):
+            result = run_figure1(Figure1Config(m=23, orders=orders, target_index=target))
+            x = result.sweep.solutions
+            dense = np.linalg.svd(x - x.mean(axis=1, keepdims=True), compute_uv=False)
+            sigma = result.sweep.sigma
+            assert sigma.size == result.subspace_dim
+            np.testing.assert_allclose(sigma[:target + 2] / sigma[0],
+                                       dense[:target + 2] / dense[0], rtol=1e-10, atol=1e-12)
+            assert dense[0] > default_rank_tol(x.shape) * np.linalg.norm(x)
+            assert result.est_dim == np.count_nonzero(dense > EST_DIM_RATIO * dense[0]) == target
+
+    def test_meta_records_the_worst_diagnostics(self, tmp_path):
+        result = run_figure1(Figure1Config(out_prefix=str(tmp_path / "d_"), **self.SMALL))
+        sweep = result.sweep
+        meta = json.loads((tmp_path / "d_meta.json").read_text())
+        assert meta["worst_gram_cond_bound"] == sweep.gram_cond_bound.max()
+        assert meta["worst_guard_margin"] == sweep.guard_margin.min()
+        # the smallest shift is the worst on both counts
+        assert sweep.gram_cond_bound.argmax() == sweep.guard_margin.argmin() == 0
+        assert 1.0 < meta["worst_gram_cond_bound"] < 1e4 and meta["worst_guard_margin"] > 0
+
     def test_stage_timings(self, tmp_path):
         start = time.perf_counter()
         result = run_figure1(Figure1Config(out_prefix=str(tmp_path / "t_"), **self.SMALL))

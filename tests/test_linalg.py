@@ -9,6 +9,7 @@ from omegals.linalg import (
     extend_orthonormal,
     hermitian_eig,
     hermitian_eigvals,
+    hermitian_part,
     is_singular,
     matrix_power_pos,
     numerical_rank,
@@ -286,9 +287,28 @@ class TestIsSingular:
     def test_zero_spectrum_is_singular(self):
         assert is_singular(np.zeros(2))
 
+    def test_stack_of_spectra(self):
+        cut = default_rank_tol((3, 3)) * 4.0
+        spectra = np.array([[4.0, 1.0, cut], [4.0, 1.0, np.nextafter(cut, 1.0)], [0.0, 0.0, 0.0]])
+        assert is_singular(spectra).tolist() == [is_singular(row) for row in spectra]
+        assert is_singular(spectra).tolist() == [True, False, True]
+        assert is_singular(np.zeros((4, 0))).tolist() == [False] * 4
+
     def test_solve_hermitian_uses_it(self):
         cut = default_rank_tol((2, 2))
         with pytest.raises(np.linalg.LinAlgError, match="singular to working precision"):
             solve_hermitian(np.diag([1.0, cut]), np.ones(2))
         np.testing.assert_allclose(
             solve_hermitian(np.diag([1.0, 2 * cut]), np.ones(2)), [1.0, 0.5 / cut])
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_hermitian_part_of_a_stack(complex_field):
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((3, 4, 4))
+    if complex_field:
+        stack = stack + 1j * rng.standard_normal((3, 4, 4))
+    parts = hermitian_part(stack)
+    for m, part in zip(stack, parts):
+        np.testing.assert_array_equal(part, hermitian_part(m))
+        np.testing.assert_array_equal(part, part.conj().T)

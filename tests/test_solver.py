@@ -25,9 +25,11 @@ from omegals.sampling import (
     random_subspace,
     random_unitary,
 )
+from omegals import solver
 from omegals.solver import (
     OMEGA_INF,
     ProblemInstance,
+    gram_cond_bound,
     difference_via_blocks,
     limit_difference_via_blocks,
     solution_map,
@@ -370,6 +372,105 @@ class TestSolutionMaps:
         for vec in images[1:]:
             overlap = abs(np.vdot(images[0], vec))
             assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+def rotated_instance(lambdas, p, seed):
+    """An instance with spectrum ``lambdas`` in a random real eigenbasis."""
+    rng = np.random.default_rng(seed)
+    n = len(lambdas)
+    u = random_unitary(rng, n, False)
+    a = hermitian_part((u * np.asarray(lambdas)) @ u.T)
+    return ProblemInstance.create(a, random_subspace(rng, n, p, False), rng.standard_normal(n))
+
+
+def scaled_lstsq_solution(inst, omega, sexp):
+    """argmin ||(A + omega I)^{s/2} (b - A x)|| over the subspace, by least
+    squares on the problem scaled in the eigenbasis of A."""
+    lam, u = inst.eig.lambdas, inst.eig.u
+    scale = (lam + omega) ** (sexp / 2)
+    v = inst.constraint.direction.basis
+    y, *_ = np.linalg.lstsq(scale[:, None] * (adjoint(u) @ (inst.a @ v)),
+                            scale * (adjoint(u) @ inst.b), rcond=None)
+    return v @ y
+
+
+# cond(A) = 1e6; near the guard, A + omega I has the eigenvalue ~1e-8 from
+# -1 while all the others stay near 1
+INDEFINITE_SPECTRUM = [1.0, 0.5, 0.1, 1e-2, 1e-4, 1e-6, -1e-3, -1.0]
+
+
+class TestWeightedSolveKernel:
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_the_bound_holds(self):
+        rng = np.random.default_rng(41)
+        for complex_field in (False, True):
+            a = random_hermitian_invertible(rng, 9, complex_field)
+            inst = ProblemInstance.create(a, random_subspace(rng, 9, 4, complex_field),
+                                          gaussian_vector(rng, 9, complex_field))
+            q = inst._factors[0]
+            omegas = inst.omega_min + np.array([1e-6, 0.1, 3.0, 1e4])
+            for sexp in (-3, -1, -0.5, 2):
+                bounds = gram_cond_bound(inst.eig.lambdas, omegas, sexp)
+                for omega, bound in zip(omegas, bounds):
+                    w = (inst.eig.lambdas + omega) ** sexp
+                    assert np.linalg.cond(adjoint(q) @ (w[:, None] * q)) <= bound * (1 + 1e-6)
+        assert gram_cond_bound(np.array([3.0, -1.0]), [OMEGA_INF], -1).tolist() == [1.0]
+
+    def test_a_shift_at_s_minus_one_takes_no_eigvalsh(self, eigvalsh_calls):
+        # the guard caps cond(Q* W Q) far inside the singularity test
+        inst = rotated_instance(INDEFINITE_SPECTRUM, 3, seed=42)
+        omega = guard_threshold(inst.omega_min, inst.op_norm) + 1e-8
+        x = solve_weighted(inst, omega)
+        assert eigvalsh_calls == []
+        ref = scaled_lstsq_solution(inst, omega, -1)
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_s_minus_three_near_the_guard_takes_eigvalsh_and_solves(self, eigvalsh_calls):
+        inst = rotated_instance(np.logspace(0, -4, 8), 3, seed=43)
+        omega = inst.omega_min + 1e-6
+        bound = gram_cond_bound(inst.eig.lambdas, [omega], -3)[0]
+        assert bound * 3 * default_rank_tol((8, 3)) >= 1.0
+        x = solve_parametric(inst, omega, -3)
+        assert eigvalsh_calls == [(1, 3, 3)]
+        ref = scaled_lstsq_solution(inst, omega, -3)
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_s_minus_three_near_the_guard_fails_by_name(self, eigvalsh_calls):
+        inst = rotated_instance(INDEFINITE_SPECTRUM, 3, seed=42)
+        omega = guard_threshold(inst.omega_min, inst.op_norm) + 1e-8
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            solve_parametric(inst, omega, -3)
+        assert str(err.value) == (f"inner Gram matrix singular at omega = {omega}: "
+                                  "matrix is singular to working precision")
+        assert eigvalsh_calls == [(1, 3, 3)]
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_chunk_boundaries(self, monkeypatch, complex_field):
+        # n = 10 rows in chunks of 3 (3 + 3 + 3 + 1) against one chunk
+        rng = np.random.default_rng(44)
+        n, p = 10, 2
+        a = random_hermitian_invertible(rng, n, complex_field)
+        s = random_subspace(rng, n, p, complex_field)
+        inst = ProblemInstance.create(a, s, gaussian_vector(rng, n, complex_field))
+        omegas = inst.omega_min + np.array([0.3, 1.0, 7.0])
+        whole = [solve_weighted(inst, w) for w in omegas], solution_map_diff(a, s, *omegas[:2])
+        itemsize = 16 if complex_field else 8
+        monkeypatch.setattr(solver, "GRAM_CHUNK_BYTES", 3 * itemsize * p * (p + 1) + 1)
+        chunked = [solve_weighted(inst, w) for w in omegas], solution_map_diff(a, s, *omegas[:2])
+        for x, y in zip(whole[0], chunked[0]):
+            assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(x)
+        assert np.linalg.norm(whole[1] - chunked[1]) <= 1e-13 * np.linalg.norm(whole[1])
 
 
 class TestDifferenceViaBlocks:
