@@ -329,7 +329,8 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     least-squares coefficient and the off-segment residual is reported
     relative to the segment length. x_zero and the grid are one
     :func:`sweep_solutions` call; a failed grid point raises a ValueError
-    naming the failures (index -1 is the zero shift).
+    naming the failures (index -1 is the zero shift). An invariant
+    constraint (q = 0) solves only the zero shift: every t is 0 there.
     """
     if inst.eig.lambdas[-1] <= 0:
         raise ValueError("operator must be positive definite")
@@ -339,15 +340,15 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     if not subspaces_equal(s, krylov(inst.a, inst.b, s.dim)):
         raise ValueError("constraint is not the Krylov subspace generated by b")
     omegas = np.asarray(omegas, dtype=float)
+    q = index_of_invariance(inst.a, s)
     # the zero shift rides in the same sweep as the grid, so that a grid
     # point at omega = 0 reproduces x_zero bit for bit
-    sweep = sweep_solutions(inst, np.concatenate([[0.0], omegas]))
+    sweep = sweep_solutions(inst, np.concatenate([[0.0], omegas if q else []]))
     failures = [(j - 1, message) for j, message in sweep.failures]
     if failures:
         raise ValueError(f"solver failed at grid points: {failures}")
     x_zero, xs = sweep.solutions[:, 0], sweep.solutions[:, 1:]
     x_inf = solve_limit(inst)
-    q = index_of_invariance(inst.a, s)
     if q == 0:
         return ConvexityResult(True, np.zeros(omegas.size), np.zeros(omegas.size),
                                x_zero, x_inf)

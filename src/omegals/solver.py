@@ -106,18 +106,13 @@ def _weighted_solve(q, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
     gram = np.zeros((kk, p * p), dtype=q.dtype)
     proj = np.zeros((kk, p, r), dtype=np.result_type(q, cols))
     qbar = q.conj()
-    step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + min(r, kk))))
+    step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + r)))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         w = (lam[rows] + shift) ** power    # K x chunk
-        qc, qbar_c, rhs_c = q[rows], qbar[rows], cols[rows]
-        gram += w @ (qbar_c[:, :, None] * qc[:, None, :]).reshape(-1, p * p)
-        # Q* W_k rhs through the smaller of the two expanded operands
-        if r <= kk:
-            expanded = (qbar_c[:, :, None] * rhs_c[:, None, :]).reshape(-1, p * r)
-            proj += (w @ expanded).reshape(kk, p, r)
-        else:
-            proj += ((w[:, None, :] * qbar_c.T).reshape(kk * p, -1) @ rhs_c).reshape(kk, p, r)
+        qbar_c = qbar[rows]
+        gram += w @ (qbar_c[:, :, None] * q[rows, None, :]).reshape(-1, p * p)
+        proj += (w @ (qbar_c[:, :, None] * cols[rows, None, :]).reshape(-1, p * r)).reshape(kk, p, r)
     gram = hermitian_part(gram.reshape(kk, p, p))
     singular = np.zeros(kk, dtype=bool)
     # round-off in the n-term sums moves the eigenvalues of Q* W Q by at most

@@ -15,7 +15,7 @@ from omegals.analysis import (
     sweep_solutions,
 )
 from omegals.decomposition import guard_threshold, tridiagonal_block_decomposition
-from omegals.linalg import adjoint, hermitian_eig, hermitian_part
+from omegals.linalg import adjoint, hermitian_eig, hermitian_part, solve_hermitian
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
     gaussian_matrix,
@@ -28,6 +28,7 @@ from omegals.sampling import (
 from omegals.solver import (
     OMEGA_INF,
     ProblemInstance,
+    _qr,
     solution_map,
     solve_limit,
     solve_weighted,
@@ -44,14 +45,25 @@ from omegals.subspaces import (
 
 
 def per_shift_sweep(inst, omegas):
-    """The per-shift loop that the batched sweep replaced, kept as the
-    reference for ``ok``, ``failures`` and the solutions."""
+    """The per-shift loop that the batched sweep replaced, with the kernel
+    body it ran at every shift: the thin QR of P = U* A V, then the
+    eigh-based solve of Q* W Q, which tests each shift for singularity.
+    Kept as the reference for ``ok``, ``failures`` and the solutions."""
+    lam, v = inst.eig.lambdas, inst.constraint.direction.basis
+    beta = inst.eig.apply_uh(inst.b - inst.a @ inst.constraint.x0)
     ok = np.zeros(len(omegas), dtype=bool)
     failures, cols = [], []
-    for j, omega in enumerate(omegas):
+    for j, omega in enumerate(map(float, omegas)):
         try:
-            inst.check_omega(float(omega))
-            cols.append(inst._solve(float(omega), -1))
+            inst.check_omega(omega)
+            q, r = _qr(inst.eig.apply_uh(inst.a @ v))
+            qw = adjoint(q) * (np.ones_like(lam) if omega == OMEGA_INF else (lam + omega) ** -1)
+            try:
+                z = solve_hermitian(hermitian_part(qw @ q), qw @ beta)
+            except np.linalg.LinAlgError as err:
+                raise np.linalg.LinAlgError(
+                    f"inner Gram matrix singular at omega = {omega}: {err}") from err
+            cols.append(inst.constraint.x0 + v @ np.linalg.solve(r, z))
             ok[j] = True
         except (ValueError, np.linalg.LinAlgError) as err:
             failures.append((j, str(err)))
@@ -577,6 +589,17 @@ class TestConvexity:
         inst = ProblemInstance.create(a, krylov(a, b, 2), b)
         conv = convexity_coordinates(inst, np.array([0.5, 2.0]))
         assert conv.all_equal
+
+    def test_invariant_constraint_never_solves_the_grid(self):
+        # q = 0: the grid is not solved, so a shift below the guard or a NaN
+        # in it does not raise
+        a = np.diag([1.0, 2.0, 3.0])
+        b = np.array([1.0, 0.0, 0.0])
+        inst = ProblemInstance.create(a, krylov(a, b, 2), b)
+        conv = convexity_coordinates(inst, np.array([0.5, -5.0, np.nan]))
+        assert conv.all_equal
+        assert conv.ts.tolist() == conv.off_residuals.tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(conv.x_zero, solve_weighted(inst, 0.0))
 
     def test_rejects_indefinite_operator(self):
         a = np.diag([1.0, -2.0])
