@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import TridiagDecomp, check_omega, guard_threshold
+from .decomposition import TridiagDecomp, check_omega, check_shift, guard_threshold
 from .linalg import (
     adjoint,
     default_rank_tol,
+    extend_orthonormal,
     hermitian_eig,
     hermitian_eigvals,
     hermitian_part,
@@ -209,52 +210,43 @@ def estimate_span_dim(
 
 def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     """Subspace of right-hand sides whose solution curve is constant in the
-    shift; contains A S, proper whenever the index is >= 1, and all of F^n
-    when the index is 0.
+    shift: A S (+) K, with K the orthogonal complement of the smallest
+    A-invariant subspace containing S. It contains A S, is proper whenever
+    the index is >= 1, and is all of F^n when the index is 0 and A is
+    invertible on S. The result does not depend on ``omega``; the shift is
+    only checked against the shift guard.
 
-    The kernel of the stacked functionals v_j* Q_i Q_i* (I - A V M(omega))
-    over eigenspace blocks Q_i and subspace basis vectors v_j. One
-    factorization A = U diag(lambda) U* serves both M(omega) and the blocks
-    Q_i (column slices of U), so block i contributes X_i* Y_i with
-    X_i = Q_i* V and Y_i = Q_i* (I - A V M(omega)), read off the rows of U* V
-    and U* - (U* A V) M(omega). The stack holds R_i Y_i instead, with R_i the
-    triangular factor of X_i* = Q R_i: since R_i* R_i = X_i X_i*, it has the
-    same Gram matrix f* f, hence the same singular values and kernel, and at
-    most min(p, dim Q_i) rows per block, at most n in all. One SVD of the
-    stack gives the rank and the kernel; the rank cut is taken on the scale
-    of the uncompressed (p * #blocks) x n stack.
+    This is the kernel of b -> (V* P_i P b)_i over the eigenprojectors P_i,
+    with P = I - A V M(omega). The P_i S span the invariant closure of S, so
+    K = {y : V* P_i y = 0 for all i}. Proof of the identity:
+      1. M(omega) A V = I, so P is a projector with kernel A S.
+      2. Every y in K has V* g(A) y = 0 for every g, so M(omega) y = 0 and
+         K lies in range(P).
+      3. Hence the kernel, {b : P b in K}, is A S (+) K.
+
+    One factorization A = U diag(lambda) U* gives the eigenspace blocks Q_i
+    (column slices of U). K's part in block i is Q_i times the left null
+    space of Q_i* V, read off the rows of U* V, from one dim_i x p SVD; the
+    rank cut is ``default_rank_tol`` of U* V against ||V||_2 = 1. A V is then
+    appended by :func:`extend_orthonormal` on the scale of ||A||_2, so a
+    round-off image of a null direction of A counts as zero.
     """
     a = np.asarray(a)
-    n = a.shape[0]
     eig = hermitian_eig(a)
-    split = eigenspace_split(eig)
+    op_norm = float(np.max(np.abs(eig.lambdas)))
+    check_shift(omega, -float(eig.lambdas[-1]), op_norm)
     v = s.basis
-    av = a @ v
-    m = _solution_maps(eig, av, [omega])[0]
-    ut = adjoint(eig.u)
-    ut_r = ut - (ut @ av) @ m   # U* (I - A V M(omega))
-    ut_v = ut @ v
-    rows = []
+    ut_v = eig.apply_uh(v)
+    tol = default_rank_tol(ut_v.shape)
+    parts = []
     start = 0
-    for _, q_block in split.blocks:
+    for _, q_block in eigenspace_split(eig).blocks:
         stop = start + q_block.shape[1]
-        rows.append(np.linalg.qr(adjoint(ut_v[start:stop]), mode="r") @ ut_r[start:stop])
+        left, sv, _ = np.linalg.svd(ut_v[start:stop], full_matrices=True)
+        parts.append(q_block @ left[:, np.count_nonzero(sv > tol):])
         start = stop
-    f = np.vstack(rows) if rows else np.zeros((0, n))
-    # When the index is 0 the stacked functionals vanish identically, so the
-    # rank cut must be taken against the scale of the residual operator, not
-    # against the (noise-level) top singular value of f itself.
-    scale = float(np.linalg.norm(ut_r, 2))
-    rank = 0
-    if f.size:
-        # a thin V* has only min(rows, n) rows: a short, wide f needs the
-        # full one to carry the kernel
-        _, sv, vh = np.linalg.svd(f, full_matrices=f.shape[0] < n)
-        tol = default_rank_tol((s.dim * len(split.blocks), n))
-        rank = int(np.count_nonzero(sv > tol * max(scale, 1e-300)))
-    if rank == 0:
-        return Subspace(np.eye(n, dtype=complex if np.iscomplexobj(a) else float))
-    return Subspace(adjoint(vh[rank:]))
+    k = np.hstack(parts)
+    return Subspace(np.hstack([k, extend_orthonormal(k, a @ v, scale=op_norm)]))
 
 
 @dataclass(frozen=True)

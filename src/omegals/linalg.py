@@ -124,10 +124,11 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     Raises ValueError for non-square input or when the Hermitian check fails
     beyond ``HERMITIAN_TOL`` (relative Frobenius). The input is symmetrized
     before the factorization so that round-off drift cannot leak into the
-    eigenvectors.
+    eigenvectors. U is stored C-contiguous: the reversed view has a negative
+    column stride, which every later product with U would copy first.
     """
     lam, u = np.linalg.eigh(_checked_hermitian(m))
-    return EigDecomposition(u[:, ::-1], lam[::-1])
+    return EigDecomposition(np.ascontiguousarray(u[:, ::-1]), lam[::-1])
 
 
 def hermitian_eigvals(m: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """The structural checks factor A, the outer block E and H*H once each:
-counted as np.linalg.eigh calls by matrix order, or by the matrix itself."""
+counted as np.linalg.eigh calls by matrix order, or by the matrix itself.
+The constant kernel takes no SVD of order n and no solution map."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from omegals import analysis, solver
 from omegals.analysis import (
     condition_report,
     constant_kernel,
@@ -63,6 +65,31 @@ def test_span_estimate_and_constant_kernel_factor_a_once(eigh_orders):
     kernel = constant_kernel(a, s, 0.5)
     assert kernel.dim < n
     assert eigh_orders[n] <= 1
+
+
+def test_constant_kernel_takes_one_eigh_and_only_small_svds(eigh_orders, monkeypatch):
+    rng = np.random.default_rng(53)
+    n = 10
+    a = random_spd(rng, n)
+    s = random_subspace(rng, n, 3, False)
+    widths = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        widths.append(np.shape(m)[-1])
+        return svd(m, *args, **kwargs)
+
+    def no_solution_maps(*args, **kwargs):
+        raise AssertionError("constant_kernel solved for a solution map")
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(analysis, "_solution_maps", no_solution_maps)
+    monkeypatch.setattr(solver, "_solution_maps", no_solution_maps)
+    kernel = constant_kernel(a, s, 0.5)
+    assert s.dim <= kernel.dim < n
+    assert eigh_orders == Counter({n: 1})
+    # one dim_i x p SVD per eigenspace block, none with n columns
+    assert widths and all(width == s.dim for width in widths)
 
 
 def test_difference_routes_share_one_factorization_of_hh(monkeypatch):

@@ -46,6 +46,16 @@ class TestHermitianEig:
         assert np.all(np.diff(eig.lambdas) <= 0)
 
     @pytest.mark.parametrize("complex_field", [False, True])
+    def test_eigenvectors_are_contiguous(self, complex_field):
+        # a reversed view of eigh's output would make every product with U copy it
+        m = random_hermitian(4, 9, complex_field)
+        eig = hermitian_eig(m)
+        assert eig.u.flags.c_contiguous
+        lam, u = np.linalg.eigh(hermitian_part(m))
+        np.testing.assert_array_equal(eig.lambdas, lam[::-1])
+        np.testing.assert_array_equal(eig.u, u[:, ::-1])
+
+    @pytest.mark.parametrize("complex_field", [False, True])
     def test_reconstruction_residual(self, complex_field):
         m = random_hermitian(7, 200, complex_field)
         eig = hermitian_eig(m)
