@@ -17,6 +17,7 @@ from .linalg import (
     hermitian_eig,
     hermitian_eigvals,
     hermitian_part,
+    is_singular,
     numerical_rank,
     orthonormalize,
     solve_hermitian,
@@ -42,8 +43,10 @@ from .subspaces import (
 # estimating the dimension of a sampled solution family.
 EST_DIM_RATIO = 1e-8
 
-# Shift pairs sampled by estimate_span_dim.
+# Shift pairs sampled by estimate_span_dim, and its random right-hand sides
+# per unit of the index q.
 SPAN_PAIRS = 4
+SPAN_SAMPLES_PER_INDEX = 4
 
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
@@ -172,23 +175,19 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
 def estimate_span_dim(
     a: np.ndarray,
     s: Subspace,
-    n_samples: int | None = None,
     grid=None,
     seed: int = 0,
 ) -> int:
     """Numerical dimension of the span of solution differences over random
-    right-hand sides and SPAN_PAIRS sampled shift pairs; bounded by the index
-    q. A is factored once, and all sampled shifts and right-hand sides are
-    one call of the batched weighted-solve kernel.
+    right-hand sides (SPAN_SAMPLES_PER_INDEX * q of them) and SPAN_PAIRS
+    sampled shift pairs; bounded by the index q. A is factored once, and all
+    sampled shifts and right-hand sides are one call of the batched
+    weighted-solve kernel.
     """
     a = np.asarray(a)
     q = index_of_invariance(a, s)
     if q == 0:
         return 0
-    if n_samples is None:
-        n_samples = 4 * q
-    if n_samples < q:
-        raise ValueError(f"n_samples = {n_samples} is below the index q = {q}")
     if grid is None:
         grid = default_omega_grid()
     grid = np.asarray(grid, dtype=float)
@@ -199,7 +198,7 @@ def estimate_span_dim(
         if grid[i] != grid[j]:
             pairs.append((float(grid[i]), float(grid[j])))
     shifts = sorted({w for pair in pairs for w in pair})
-    bs = gaussian_matrix(rng, a.shape[0], n_samples, np.iscomplexobj(a))
+    bs = gaussian_matrix(rng, a.shape[0], SPAN_SAMPLES_PER_INDEX * q, np.iscomplexobj(a))
     # coordinates M(omega) bs of the solutions for every sampled shift; V has
     # orthonormal columns, so the differences keep their singular values in
     # these coordinates
@@ -297,8 +296,11 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
             raise ValueError("L(omega, mu) requires omega != mu")
         k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
         l_matrix = hermitian_part(base - adjoint(ud) @ (k_diag[:, None] * ud))
-        invertible = numerical_rank(l_matrix) == dec.q
-        positive = bool(dec.q == 0 or hermitian_eigvals(l_matrix)[-1] > 0)
+        # |lambda| are the singular values of the Hermitian L: one spectrum
+        # decides both invertibility and positivity
+        lam = hermitian_eigvals(l_matrix)
+        invertible = not is_singular(lam)
+        positive = bool(dec.q == 0 or lam[-1] > 0)
         samples.append(LSample(float(omega), float(mu), l_matrix, invertible, positive))
     return ConditionReport(t_invertible, trivial, tuple(samples))
 

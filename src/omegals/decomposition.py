@@ -55,6 +55,13 @@ def check_shift(omega: float, omega_min: float, op_norm: float) -> None:
         )
 
 
+def block_tridiagonal(t, b, c, d, e) -> np.ndarray:
+    """The layout of W* A W, [[T, B*, 0], [B, C, D*], [0, D, E]], from its
+    blocks T (p x p), B (q x p), C (q x q), D (r x q) and E (r x r)."""
+    z = np.zeros((t.shape[0], e.shape[0]))
+    return np.block([[t, adjoint(b), z], [b, c, adjoint(d)], [z.T, d, e]])
+
+
 @dataclass(frozen=True)
 class TridiagDecomp:
     """Adapted-basis blocks of one Hermitian operator and one subspace.
@@ -110,7 +117,8 @@ class TridiagDecomp:
 
     @property
     def H(self) -> np.ndarray:
-        """Stacked coupling block [T; B], full column rank p for invertible A."""
+        """Stacked coupling block [T; B], full column rank p for invertible A.
+        Its adjoint is the row [T B*] exactly, since T is stored Hermitian."""
         return np.vstack([self.T, self.B])
 
     @property
@@ -119,14 +127,7 @@ class TridiagDecomp:
 
     def compressed(self) -> np.ndarray:
         """Reassemble W* A W from the stored blocks (zero corners imposed)."""
-        r = self.n - self.p - self.q
-        z_pr = np.zeros((self.p, r))
-        rows = [
-            np.hstack([self.T, adjoint(self.B), z_pr]),
-            np.hstack([self.B, self.C, adjoint(self.D)]),
-            np.hstack([z_pr.T, self.D, self.E]),
-        ]
-        return np.vstack(rows)
+        return block_tridiagonal(self.T, self.B, self.C, self.D, self.E)
 
     def coefficients(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinates (c, c', c'') of b relative to (V, V', V'')."""
@@ -184,7 +185,7 @@ def nullspace_of_hstar(dec: TridiagDecomp) -> NullspaceN:
     """
     if dec.q == 0:
         raise ValueError("q = 0: the nullspace of H* is trivial")
-    hstar = np.hstack([dec.T, adjoint(dec.B)])  # p x (p+q)
+    hstar = adjoint(dec.H)  # p x (p+q)
     _, _, vh = np.linalg.svd(hstar, full_matrices=True)
     r = numerical_rank(hstar)
     n_basis = adjoint(vh[r:])  # (p+q) x (p+q-r); width q when H has full rank
@@ -219,9 +220,8 @@ def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
     if omega == math.inf:
         raise ValueError("shifted blocks need a finite omega: G_omega grows without bound")
     f_omega = hermitian_part(_coupled_solve(dec, omega, dec.D))
-    top = np.hstack([dec.T, adjoint(dec.B)])
     bottom = np.hstack([dec.B, dec.C - f_omega])
-    g_omega = np.vstack([top, bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)
+    g_omega = np.vstack([adjoint(dec.H), bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)
     return ShiftedBlocks(omega=omega, F_omega=f_omega, G_omega=hermitian_part(g_omega))
 
 

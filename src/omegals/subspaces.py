@@ -126,11 +126,6 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     )
 
 
-def apply_operator(a: np.ndarray, s: Subspace) -> Subspace:
-    """The image A*S (may have lower dimension than S)."""
-    return Subspace(orthonormalize(a @ s.basis))
-
-
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     """Orthonormal basis of span{b, Ab, ..., A^(k-1) b}.
 

@@ -16,7 +16,11 @@ from .analysis import (
     difference_subspace,
     membership_residual,
 )
-from .decomposition import nullspace_of_hstar, tridiagonal_block_decomposition
+from .decomposition import (
+    block_tridiagonal,
+    nullspace_of_hstar,
+    tridiagonal_block_decomposition,
+)
 from .linalg import adjoint, hermitian_part, numerical_rank, orthonormalize, solve_hermitian
 from .manifolds import (
     ManifoldClass,
@@ -40,10 +44,10 @@ from .sampling import (
 from .solver import ProblemInstance, solve_limit, solve_weighted
 from .subspaces import (
     Subspace,
-    apply_operator,
     index_of_invariance,
     krylov,
     orthogonal_complement,
+    reach,
     subspace_intersect,
     subspace_sum,
     subspaces_equal,
@@ -110,7 +114,7 @@ def run_index_suite(seed: int = 0, trials: int = 500) -> SuiteResult:
         q_perp = index_of_invariance(a_h, s_perp)
         result.check(q_perp == q_h,
                      f"trial {trial}: Hermitian complement index {q_h}->{q_perp}")
-        s_between = subspace_intersect(s_perp, subspace_sum(s, apply_operator(a_h, s)))
+        s_between = subspace_intersect(s_perp, reach(a_h, s))
         result.check(s_between.dim == q_h,
                      f"trial {trial}: complement-in-sum dimension {s_between.dim} != {q_h}")
         q_between = index_of_invariance(a_h, s_between)
@@ -174,7 +178,7 @@ def run_main_theorem_suite(seed: int = 0, trials: int = 200) -> SuiteResult:
     return result
 
 
-def run_convexity_suite(seed: int = 0, trials: int = 50, grid_points: int = 50) -> SuiteResult:
+def run_convexity_suite(seed: int = 0, trials: int = 50) -> SuiteResult:
     """Endpoint identities and convex-combination coordinates for positive
     operators over Krylov constraints with index 1.
 
@@ -186,7 +190,7 @@ def run_convexity_suite(seed: int = 0, trials: int = 50, grid_points: int = 50) 
     """
     result = SuiteResult("convexity")
     rng = np.random.default_rng(seed)
-    grid = np.logspace(-3, 3, grid_points)
+    grid = np.logspace(-3, 3, 50)
     for trial in range(trials):
         result.trials += 1
         inst = None
@@ -235,7 +239,7 @@ def run_convexity_suite(seed: int = 0, trials: int = 50, grid_points: int = 50) 
 
 def _nullspace_identities(result: SuiteResult, dec, label: str) -> None:
     ns = nullspace_of_hstar(dec)
-    hstar = np.hstack([dec.T, adjoint(dec.B)])
+    hstar = adjoint(dec.H)
     scale = max(1.0, float(np.linalg.norm(hstar)))
     result.check(np.linalg.norm(hstar @ ns.N) <= RESIDUAL_TOL * scale,
                  f"{label}: H* N residual too large")
@@ -304,14 +308,7 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
         c3 = random_hermitian(rng, q3, complex_field)
         d3 = gaussian_matrix(rng, extra, q3, complex_field)
         e3 = random_hermitian(rng, extra, complex_field)
-        compressed = np.zeros((n3, n3), dtype=complex if complex_field else float)
-        compressed[:p3, :p3] = t3
-        compressed[:p3, p3:p3 + q3] = bstar3
-        compressed[p3:p3 + q3, :p3] = adjoint(bstar3)
-        compressed[p3:p3 + q3, p3:p3 + q3] = c3
-        compressed[p3 + q3:, p3:p3 + q3] = d3
-        compressed[p3:p3 + q3, p3 + q3:] = adjoint(d3)
-        compressed[p3 + q3:, p3 + q3:] = e3
+        compressed = block_tridiagonal(t3, adjoint(bstar3), c3, d3, e3)
         w = random_unitary(rng, n3, complex_field)
         a3 = hermitian_part(w @ compressed @ adjoint(w))
         dec3 = tridiagonal_block_decomposition(a3, Subspace(w[:, :p3]))

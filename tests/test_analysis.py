@@ -4,6 +4,7 @@ import pytest
 from omegals.analysis import (
     EST_DIM_RATIO,
     SPAN_PAIRS,
+    SPAN_SAMPLES_PER_INDEX,
     condition_report,
     constant_kernel,
     convexity_coordinates,
@@ -20,6 +21,7 @@ from omegals.linalg import (
     adjoint,
     hermitian_eig,
     hermitian_part,
+    numerical_rank,
     orthonormalize,
     solve_hermitian,
 )
@@ -352,20 +354,11 @@ class TestEstimateSpanDim:
                 if grid[i] != grid[j]:
                     pairs.append((float(grid[i]), float(grid[j])))
             maps = {w: s.basis @ solution_map(a, s, w) for pair in pairs for w in pair}
-            bs = gaussian_matrix(draws, n, 4 * q, complex_field)
+            bs = gaussian_matrix(draws, n, SPAN_SAMPLES_PER_INDEX * q, complex_field)
             diffs = np.hstack([(maps[w] - maps[m]) @ bs for w, m in pairs])
             sv = np.linalg.svd(diffs, compute_uv=False)
             expected = int(np.count_nonzero(sv > EST_DIM_RATIO * sv[0]))
             assert estimate_span_dim(a, s, grid=grid, seed=seed) == expected == q
-
-    def test_sample_count_validation(self):
-        rng = np.random.default_rng(10)
-        a = random_spd(rng, 8)
-        s = random_subspace(rng, 8, 3, False)
-        q = index_of_invariance(a, s)
-        assert q >= 2
-        with pytest.raises(ValueError):
-            estimate_span_dim(a, s, n_samples=q - 1)
 
 
 def uncompressed_kernel(a, s, omega):
@@ -650,6 +643,30 @@ class TestConditionReport:
         assert report.t_invertible
         for sample in report.samples:
             assert sample.invertible and sample.positive
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_flags_match_rank_and_smallest_eigenvalue(self, complex_field):
+        rng = np.random.default_rng(19 + complex_field)
+        for _ in range(6):
+            a = random_hermitian_invertible(rng, 9, complex_field)
+            dec = tridiagonal_block_decomposition(a, random_subspace(rng, 9, 3, complex_field))
+            floor = guard_threshold(dec.omega_min, dec.op_norm)
+            pairs = [(floor + x, floor + y) for x, y in [(0.1, 2.0), (1.0, 0.3), (5.0, 40.0)]]
+            report = condition_report(dec, pairs)
+            assert report.t_invertible and dec.q >= 1
+            for sample in report.samples:
+                assert sample.invertible == (numerical_rank(sample.l_matrix) == dec.q)
+                assert sample.positive == (np.linalg.eigvalsh(sample.l_matrix).min() > 0)
+
+    def test_invariant_subspace_has_an_empty_l(self):
+        rng = np.random.default_rng(21)
+        a = random_spd(rng, 6)
+        s = Subspace(hermitian_eig(a).u[:, :2])
+        dec = tridiagonal_block_decomposition(a, s)
+        assert (dec.p, dec.q) == (2, 0)
+        (sample,) = condition_report(dec, [(0.5, 1.5)]).samples
+        assert sample.l_matrix.shape == (0, 0)
+        assert sample.invertible and sample.positive
 
     def test_degenerate_outer_block(self):
         # n = p + q: the K-term is empty and L = C - B T^{-1} B*

@@ -167,8 +167,7 @@ class TestKrylovSum:
         a = random_spd(rng, 10)
         # a single Krylov summand can never have index 3
         with pytest.raises(RuntimeError):
-            krylov_sum_subspace(a, KrylovSumSpec(orders=(4,), target_index=3,
-                                                 max_retries=3),
+            krylov_sum_subspace(a, KrylovSumSpec(orders=(4,), target_index=3),
                                 np.random.default_rng(7))
 
     def test_rejects_bad_orders(self):

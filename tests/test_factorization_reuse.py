@@ -1,6 +1,7 @@
 """The structural checks factor A, the outer block E and H*H once each:
 counted as np.linalg.eigh calls by matrix order, or by the matrix itself.
-The constant kernel takes no SVD of order n and no solution map."""
+The constant kernel takes no SVD of order n and no solution map, and the
+condition report none of order q."""
 
 from collections import Counter
 
@@ -18,7 +19,7 @@ from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.linalg import adjoint
 from omegals.sampling import random_spd, random_subspace
 from omegals.solver import difference_via_blocks, limit_difference_via_blocks
-from omegals.subspaces import index_of_invariance
+from omegals.subspaces import index_of_invariance, krylov
 
 
 @pytest.fixture
@@ -90,6 +91,26 @@ def test_constant_kernel_takes_one_eigh_and_only_small_svds(eigh_orders, monkeyp
     assert eigh_orders == Counter({n: 1})
     # one dim_i x p SVD per eigenspace block, none with n columns
     assert widths and all(width == s.dim for width in widths)
+
+
+def test_condition_report_takes_no_svd_of_l(monkeypatch):
+    rng = np.random.default_rng(54)
+    n = 12
+    a = random_spd(rng, n)
+    dec = tridiagonal_block_decomposition(a, krylov(a, rng.standard_normal(n), 4))
+    # p != q, so no other matrix of the report is q x q
+    assert (dec.p, dec.q) == (4, 1)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report = condition_report(dec, [(0.1, 2.0), (0.5, 7.0), (3.0, 90.0)])
+    assert len(report.samples) == 3
+    assert (dec.q, dec.q) not in shapes
 
 
 def test_difference_routes_share_one_factorization_of_hh(monkeypatch):

@@ -4,17 +4,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegals.linalg import hermitian_eig, is_hermitian
+from omegals.linalg import hermitian_eig, hermitian_part, is_hermitian
+from omegals.sampling import random_unitary
 from omegals.subspaces import (
     AffineSubspace,
     Subspace,
-    apply_operator,
     eigenspace_split,
     index_of_invariance,
     invariant_closure,
     krylov,
     normal_representation,
     orthogonal_complement,
+    reach,
     strongly_orthogonal,
     subspace_intersect,
     subspace_sum,
@@ -359,7 +360,17 @@ class TestShiftAndInverseInvariance:
         s = Subspace.from_vectors(rng.standard_normal((6, 2)))
         q = index_of_invariance(a, s)
         assert index_of_invariance(a, orthogonal_complement(s)) == q
-        between = subspace_intersect(orthogonal_complement(s),
-                                     subspace_sum(s, apply_operator(a, s)))
+        between = subspace_intersect(orthogonal_complement(s), reach(a, s))
         assert between.dim == q
         assert index_of_invariance(a, between) == q
+
+    def test_complement_in_sum_for_singular_operator(self):
+        # S holds a null vector of A: the first column of A V is round-off
+        # (norm ~5e-16), so S + A S has dimension 3, not 4
+        rng = np.random.default_rng(17)
+        u = random_unitary(rng, 9, False)
+        lam = np.array([0.0, 0.0, 1.0, 2.0, 2.0, -1.0, 3.0, 0.5, 4.0])
+        a = hermitian_part((u * lam) @ u.T)
+        s = Subspace.from_vectors([u[:, 0], rng.standard_normal(9)])
+        between = subspace_intersect(orthogonal_complement(s), reach(a, s))
+        assert between.dim == index_of_invariance(a, s) == 1
