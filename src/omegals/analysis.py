@@ -35,7 +35,6 @@ from .subspaces import (
     eigenspace_split,
     index_of_invariance,
     krylov,
-    subspace_intersect,
     subspaces_equal,
 )
 
@@ -272,19 +271,24 @@ class ConditionReport:
 
 
 def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport:
-    # block ranks and images are judged against the operator scale, so a
-    # compression that is round-off of ||A|| counts as zero
+    """The sufficient conditions as rank counts under :func:`numerical_rank`
+    at the scale ||A||_2. T is invertible iff rank T = p; Img T + Img B* is
+    the column space of H* = [T B*], so the images meet only in 0 iff
+    rank T + rank B* = rank H*. Each (omega, mu) gives L = C - B T^{-1} B*
+    - D* K D, K = U diag(k) U* for E = U diag(xi) U*, with k formed as
+    (xi + omega + mu) / ((xi + omega)(xi + mu)): (mu/(xi+omega) -
+    omega/(xi+mu)) / (mu - omega) without its cancellation at close shifts.
+    One spectrum of L decides its invertibility and positivity."""
     op_scale = max(dec.op_norm, 1e-300)
-    t_invertible = dec.p > 0 and numerical_rank(dec.T, scale=op_scale) == dec.p
-    img_t = Subspace(orthonormalize(dec.T, scale=op_scale))
-    img_bstar = Subspace(orthonormalize(adjoint(dec.B), scale=op_scale))
-    trivial = subspace_intersect(img_t, img_bstar).dim == 0
+    rank_t = numerical_rank(dec.T, scale=op_scale)
+    t_invertible = dec.p > 0 and rank_t == dec.p
+    trivial = (rank_t + numerical_rank(adjoint(dec.B), scale=op_scale)
+               == numerical_rank(adjoint(dec.H), scale=op_scale))
     samples = []
     if len(omega_mu_samples) and not t_invertible:
         raise ValueError("T is singular: L(omega, mu) is not defined")
     if len(omega_mu_samples):
         base = dec.C - dec.B @ solve_hermitian(dec.T, adjoint(dec.B))
-        # D* K D = (U* D)* diag(k) (U* D) with E = U diag(xi) U*
         xi = dec.E_eig.lambdas
         ud = adjoint(dec.E_eig.u) @ dec.D
     for omega, mu in omega_mu_samples:
@@ -294,10 +298,8 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
                 raise ValueError(f"{name} = inf: L(omega, mu) needs finite shifts")
         if omega == mu:
             raise ValueError("L(omega, mu) requires omega != mu")
-        k_diag = (mu / (xi + omega) - omega / (xi + mu)) / (mu - omega)
+        k_diag = (xi + omega + mu) / ((xi + omega) * (xi + mu))
         l_matrix = hermitian_part(base - adjoint(ud) @ (k_diag[:, None] * ud))
-        # |lambda| are the singular values of the Hermitian L: one spectrum
-        # decides both invertibility and positivity
         lam = hermitian_eigvals(l_matrix)
         invertible = not is_singular(lam)
         positive = bool(dec.q == 0 or lam[-1] > 0)

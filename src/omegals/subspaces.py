@@ -62,10 +62,6 @@ class Subspace:
         dtype = complex if complex_field else float
         return cls(np.zeros((n, 0), dtype=dtype))
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
@@ -245,10 +241,6 @@ class EigenspaceSplit:
     @property
     def eigenvalues(self) -> list[float]:
         return [lam for lam, _ in self.blocks]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.blocks[0][1].shape[0] if self.blocks else 0
 
 
 def eigenspace_split(a) -> EigenspaceSplit:

@@ -17,6 +17,7 @@ from .analysis import (
     membership_residual,
 )
 from .decomposition import (
+    NullspaceN,
     block_tridiagonal,
     nullspace_of_hstar,
     tridiagonal_block_decomposition,
@@ -109,12 +110,13 @@ def run_index_suite(seed: int = 0, trials: int = 500) -> SuiteResult:
         result.check(q_inv == q, f"trial {trial}: inverse changed the index {q}->{q_inv}")
 
         a_h = random_hermitian(rng, n, complex_field)
-        q_h = index_of_invariance(a_h, s)
+        sum_h = reach(a_h, s)
+        q_h = sum_h.dim - s.dim
         s_perp = orthogonal_complement(s)
         q_perp = index_of_invariance(a_h, s_perp)
         result.check(q_perp == q_h,
                      f"trial {trial}: Hermitian complement index {q_h}->{q_perp}")
-        s_between = subspace_intersect(s_perp, reach(a_h, s))
+        s_between = subspace_intersect(s_perp, sum_h)
         result.check(s_between.dim == q_h,
                      f"trial {trial}: complement-in-sum dimension {s_between.dim} != {q_h}")
         q_between = index_of_invariance(a_h, s_between)
@@ -184,7 +186,7 @@ def run_convexity_suite(seed: int = 0, trials: int = 50) -> SuiteResult:
 
     Off-segment residuals are measured relative to the segment length, so the
     sampler rejects right-hand sides whose Krylov family has numerically
-    converged (endpoint separation below 1e-3 of the solution scale): there
+    converged (endpoint separation below 1e-4 * max(1, ||b||)): there
     the segment direction itself is round-off and the relative measure is
     meaningless.
     """
@@ -237,7 +239,8 @@ def run_convexity_suite(seed: int = 0, trials: int = 50) -> SuiteResult:
     return result
 
 
-def _nullspace_identities(result: SuiteResult, dec, label: str) -> None:
+def _nullspace_identities(result: SuiteResult, dec, label: str) -> NullspaceN:
+    """Check the nullspace identities of H*; returns the nullspace checked."""
     ns = nullspace_of_hstar(dec)
     hstar = adjoint(dec.H)
     scale = max(1.0, float(np.linalg.norm(hstar)))
@@ -250,6 +253,7 @@ def _nullspace_identities(result: SuiteResult, dec, label: str) -> None:
     predicted_n2 = -np.linalg.lstsq(adjoint(dec.B), dec.T @ ns.N1, rcond=None)[0]
     result.check(np.linalg.norm(ns.N2 - predicted_n2) <= RESIDUAL_TOL * max(1.0, np.linalg.norm(ns.N2)),
                  f"{label}: N2 != -(BB*)^-1 B T N1")
+    return ns
 
 
 def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
@@ -268,9 +272,8 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
         s = random_subspace(rng, n, p, complex_field)
         dec = tridiagonal_block_decomposition(a, s)
         if dec.q >= 1:
-            _nullspace_identities(result, dec, f"trial {trial} generic")
-            if numerical_rank(dec.T) == dec.p:
-                ns = nullspace_of_hstar(dec)
+            ns = _nullspace_identities(result, dec, f"trial {trial} generic")
+            if compression_invertible(a, s):
                 candidate = np.vstack([
                     -solve_hermitian(dec.T, adjoint(dec.B)),
                     np.eye(dec.q, dtype=dec.B.dtype),
@@ -287,8 +290,7 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
             a_eq = random_hermitian_invertible(rng, n, complex_field)
             dec_eq = tridiagonal_block_decomposition(a_eq, s_eq)
             if dec_eq.q == dec_eq.p:
-                _nullspace_identities(result, dec_eq, f"trial {trial} square")
-                ns_eq = nullspace_of_hstar(dec_eq)
+                ns_eq = _nullspace_identities(result, dec_eq, f"trial {trial} square")
                 result.check(numerical_rank(ns_eq.N1) == dec_eq.p,
                              f"trial {trial}: square case N1 not invertible")
 
@@ -315,8 +317,7 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
         if dec3.q != q3:
             result.check(False, f"trial {trial}: designed disjoint-image case lost its index")
             continue
-        _nullspace_identities(result, dec3, f"trial {trial} disjoint")
-        ns3 = nullspace_of_hstar(dec3)
+        ns3 = _nullspace_identities(result, dec3, f"trial {trial} disjoint")
         img_t_perp = orthogonal_complement(
             Subspace(orthonormalize(dec3.T, scale=dec3.op_norm)))
         result.check(subspaces_equal(Subspace(orthonormalize(ns3.N1)), img_t_perp),

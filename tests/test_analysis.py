@@ -15,7 +15,12 @@ from omegals.analysis import (
     membership_residual,
     sweep_solutions,
 )
-from omegals.decomposition import guard_threshold, tridiagonal_block_decomposition
+from omegals.decomposition import (
+    TridiagDecomp,
+    block_tridiagonal,
+    guard_threshold,
+    tridiagonal_block_decomposition,
+)
 from omegals.experiments import KrylovSumSpec, krylov_sum_subspace, poisson_2d
 from omegals.linalg import (
     adjoint,
@@ -687,6 +692,49 @@ class TestConditionReport:
         assert not report.t_invertible
         with pytest.raises(ValueError):
             condition_report(dec, [(0.5, 1.5)])
+
+    def test_static_flags_agree_with_the_rank_of_t(self):
+        # T = R diag(1, 1.2e-14) R^T has numerical rank 1 at ||A|| = 1, so Img T
+        # is the line (1, 1), which B* = (0.3, 0.7) does not touch; a
+        # Gram-Schmidt image of T keeps both columns and meets B*
+        r = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        t = r @ np.diag([1.0, 1.2e-14]) @ r.T
+        eye = np.eye(3)
+        dec = TridiagDecomp(
+            V=eye[:, :2], Vp=eye[:, 2:], Vpp=eye[:, 3:], T=t, B=np.array([[0.3, 0.7]]),
+            C=np.array([[1.0]]), D=np.zeros((0, 1)), E=np.zeros((0, 0)),
+            lambda_min=-0.5, op_norm=1.0)
+        assert numerical_rank(t, scale=1.0) == 1
+        report = condition_report(dec)
+        assert not report.t_invertible
+        assert report.images_trivial_intersection
+
+    @pytest.mark.parametrize("omega, mu", [
+        (5.0, 5.0 * (1 + 1e-8)),
+        (5.0, 5.0 * (1 + 1e-12)),
+        (100.0, 100.0 * (1 + 1e-12)),
+        (100.0 * (1 + 1e-12), 100.0),
+        (2.0, 30.0),
+    ])
+    def test_k_at_close_shifts_matches_50_digits(self, omega, mu):
+        # T = B = C = D = I and E = diag(xi): L = -K exactly, so its diagonal
+        # is k(xi) = (mu/(xi+omega) - omega/(xi+mu)) / (mu-omega), which
+        # loses eps/|mu-omega| to cancellation when formed as written
+        mpmath = pytest.importorskip("mpmath")
+        m = 50
+        xi = np.random.default_rng(23).permutation(np.linspace(-0.5, 8.0, m))
+        eye, w = np.eye(m), np.eye(3 * m)
+        lam = np.linalg.eigvalsh(block_tridiagonal(eye, eye, eye, eye, np.diag(xi)))
+        dec = TridiagDecomp(
+            V=w[:, :m], Vp=w[:, m:2 * m], Vpp=w[:, 2 * m:], T=eye, B=eye, C=eye, D=eye,
+            E=np.diag(xi), lambda_min=float(lam[0]), op_norm=float(np.abs(lam).max()))
+        assert dec.omega_min < 2.0
+        (sample,) = condition_report(dec, [(omega, mu)]).samples
+        with mpmath.workdps(50):
+            om, mu_ = mpmath.mpf(omega), mpmath.mpf(mu)
+            ref = np.array([float((mu_ / (x + om) - om / (x + mu_)) / (mu_ - om))
+                            for x in map(mpmath.mpf, xi)])
+        np.testing.assert_allclose(-np.diag(sample.l_matrix), ref, rtol=8 * np.finfo(float).eps)
 
     def test_rejects_equal_shifts(self):
         rng = np.random.default_rng(17)

@@ -1,7 +1,7 @@
 """The structural checks factor A, the outer block E and H*H once each:
 counted as np.linalg.eigh calls by matrix order, or by the matrix itself.
 The constant kernel takes no SVD of order n and no solution map, and the
-condition report none of order q."""
+condition report none of order q, no full SVD and no Subspace."""
 
 from collections import Counter
 
@@ -19,7 +19,7 @@ from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.linalg import adjoint
 from omegals.sampling import random_spd, random_subspace
 from omegals.solver import difference_via_blocks, limit_difference_via_blocks
-from omegals.subspaces import index_of_invariance, krylov
+from omegals.subspaces import Subspace, index_of_invariance, krylov
 
 
 @pytest.fixture
@@ -100,17 +100,25 @@ def test_condition_report_takes_no_svd_of_l(monkeypatch):
     dec = tridiagonal_block_decomposition(a, krylov(a, rng.standard_normal(n), 4))
     # p != q, so no other matrix of the report is q x q
     assert (dec.p, dec.q) == (4, 1)
-    shapes = []
+    shapes, full_svds = [], []
     svd = np.linalg.svd
 
-    def recording_svd(m, *args, **kwargs):
+    def recording_svd(m, full_matrices=True, compute_uv=True, **kwargs):
         shapes.append(np.shape(m))
-        return svd(m, *args, **kwargs)
+        if full_matrices and compute_uv:
+            full_svds.append(np.shape(m))
+        return svd(m, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def no_subspace(self):
+        raise AssertionError("condition_report built a Subspace")
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(Subspace, "__post_init__", no_subspace)
     report = condition_report(dec, [(0.1, 2.0), (0.5, 7.0), (3.0, 90.0)])
     assert len(report.samples) == 3
     assert (dec.q, dec.q) not in shapes
+    # the static flags are rank counts: singular values only, no image bases
+    assert full_svds == []
 
 
 def test_difference_routes_share_one_factorization_of_hh(monkeypatch):

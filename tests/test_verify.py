@@ -50,6 +50,7 @@ def test_convexity_suite_default_trials_seed_88():
 def test_nullspace_suite_small():
     res = run_nullspace_suite(seed=6, trials=10)
     assert res.passed, res.failures[:5]
+    assert res.checks == 160
 
 
 def test_nullspace_suite_default_trials_seed_304():
