@@ -6,9 +6,12 @@ Builds the N = 529 five-point-stencil operator, a sum of Krylov subspaces
 (two summands of orders 11 and 6 for index 2, plus the three-summand variant
 of orders 11, 6, 4 for index 3), sweeps 200 log-spaced shifts in
 [1e-3, 1e3], and writes sigma.csv / coords.csv / meta.json per variant.
+Prints each run's stage timings and the peak resident set size of the
+process so far.
 """
 
 import argparse
+import resource
 from pathlib import Path
 
 from omegals.experiments import Figure1Config, run_figure1
@@ -39,6 +42,10 @@ def main() -> int:
               f"estimated family dim = {result.est_dim}, "
               f"sigma_{result.index + 1}/sigma_1 = {drop:.3e}, "
               f"elapsed = {result.elapsed_seconds:.2f}s")
+        stages = ", ".join(f"{stage} {seconds:.3f}s" for stage, seconds in result.stages.items())
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"  stages: {stages}; peak RSS {peak_mb:.1f} MB")
         for kind, path in result.files.items():
             print(f"  wrote {kind}: {path}")
     return 0

@@ -6,6 +6,7 @@ condition reports, convexity coordinates, and the injectivity scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,12 @@ EST_DIM_RATIO = 1e-8
 SPAN_PAIRS = 4
 SPAN_SAMPLES_PER_INDEX = 4
 
+# Bytes of one column block of a swept solution family (SweepResult.
+# solution_blocks): large enough that x0 + Q_s Y[:, block] is one GEMM over
+# tens of columns at N of a few thousand, small enough that a writer holds
+# only a block, not the n x K family.
+SOLUTION_BLOCK_BYTES = 2**20
+
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
     """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1))."""
@@ -80,14 +87,22 @@ def membership_residual(x_diff: np.ndarray, s: Subspace) -> float:
 class SweepResult:
     """Solutions along a shift grid plus the centered singular spectrum.
 
-    ``solutions`` holds one column per successful grid point (columns align
-    with ``omegas[ok]``); ``sigma`` is the spectrum of the column-centered
-    solution matrix and ``est_dim`` the number of singular values above
-    EST_DIM_RATIO times the largest. ``coords`` (est_dim x columns) are the
-    centered solutions in the leading est_dim principal directions. The
-    centered solutions are Q_s (T Z - mean) with Q_s orthonormal (n x p), so
-    the SVD is taken of the p x K coordinates and ``sigma`` has min(p, K)
-    entries: the rest of the n x K spectrum is zero in exact arithmetic.
+    The family is kept factored: the solution at the k-th successful grid
+    point (columns align with ``omegas[ok]``) is x0 + Q_s y_k, with the
+    anchor ``x0`` (n), ``q_s`` (n x p) with orthonormal columns, and the
+    coordinates ``y`` (p x K), so the sweep itself stores no n x K matrix.
+    ``solution_blocks`` yields the family in column blocks of about
+    SOLUTION_BLOCK_BYTES, and ``solutions``, the dense n x K matrix, is
+    assembled from those blocks on first read (then kept), so it agrees bit
+    for bit with every consumer of the blocks, such as solutions.csv.
+
+    ``sigma`` is the spectrum of the column-centered solutions and
+    ``est_dim`` the number of singular values above EST_DIM_RATIO times the
+    largest. ``coords`` (est_dim x columns) are the centered solutions in the
+    leading est_dim principal directions. The centered solutions are
+    Q_s (y - mean), so the SVD is taken of the p x K coordinates and
+    ``sigma`` has min(p, K) entries: the rest of the n x K spectrum is zero
+    in exact arithmetic.
 
     Per grid point, ``gram_cond_bound`` is the a-priori bound max w / min w
     on the condition number of the inner Gram matrix (NaN where the shift was
@@ -97,13 +112,37 @@ class SweepResult:
 
     omegas: np.ndarray
     ok: np.ndarray
-    solutions: np.ndarray
+    x0: np.ndarray
+    q_s: np.ndarray
+    y: np.ndarray
     sigma: np.ndarray
     est_dim: int
     coords: np.ndarray
     gram_cond_bound: np.ndarray
     guard_margin: np.ndarray
     failures: list = field(default_factory=list)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the solutions, that of x0 + Q_s y."""
+        return np.result_type(self.x0, self.q_s, self.y)
+
+    def solution_blocks(self):
+        """Yield (cols, x0 + Q_s y[:, cols]) for consecutive column slices
+        of about SOLUTION_BLOCK_BYTES each (at least one column)."""
+        n, k = self.q_s.shape[0], self.y.shape[1]
+        step = max(1, SOLUTION_BLOCK_BYTES // (n * self.dtype.itemsize))
+        for lo in range(0, k, step):
+            cols = slice(lo, min(lo + step, k))
+            yield cols, self.x0[:, None] + self.q_s @ self.y[:, cols]
+
+    @cached_property
+    def solutions(self) -> np.ndarray:
+        """The dense n x K solution matrix, filled from ``solution_blocks``."""
+        x = np.empty((self.x0.size, self.y.shape[1]), dtype=self.dtype)
+        for cols, block in self.solution_blocks():
+            x[:, cols] = block
+        return x
 
 
 def _family_dim(sigma: np.ndarray) -> int:
@@ -112,8 +151,18 @@ def _family_dim(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0])) if sigma.size else 0
 
 
-def _centered_spectrum(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """(sigma, est_dim, coords) of the column-centered solutions x = x0 + Q_s y
+def _column_norms(x0: np.ndarray, q_s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x0 + Q_s y_k|| for every column y_k of y, without forming the
+    columns: Q_s has orthonormal columns, so
+    ||x0 + Q_s y_k||^2 = ||x0||^2 + 2 Re((Q_s* x0)* y_k) + ||y_k||^2."""
+    c = adjoint(q_s) @ x0
+    sq = np.vdot(x0, x0).real + 2.0 * np.real(c.conj() @ y) + np.sum(np.abs(y) ** 2, axis=0)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _centered_spectrum(x0: np.ndarray, q_s: np.ndarray,
+                       y: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sigma, est_dim, coords) of the column-centered solutions x0 + Q_s y
     (Q_s with orthonormal columns) from one thin SVD of the centered p-row
     coordinates y: both have the same singular values and coordinates."""
     if y.shape[1] == 0:
@@ -122,8 +171,10 @@ def _centered_spectrum(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int, n
     u, sigma, _ = np.linalg.svd(centered, full_matrices=False)
     # a constant family centers to pure round-off; the leading singular value
     # only counts as signal when it clears the noise floor of the solutions
-    # themselves, taken on ||x||_F >= ||x||_2 so that no second SVD is needed
-    floor = default_rank_tol(x.shape) * float(np.linalg.norm(x))
+    # themselves, taken on ||x||_F >= ||x||_2 (from the factors) so that
+    # neither x nor a second SVD is needed
+    norm_x = float(np.linalg.norm(_column_norms(x0, q_s, y)))
+    floor = default_rank_tol((x0.size, y.shape[1])) * norm_x
     est = _family_dim(sigma) if sigma.size and sigma[0] > floor else 0
     return sigma, est, np.real(adjoint(u[:, :est]) @ centered)
 
@@ -151,7 +202,8 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     admitted = np.flatnonzero(ok)
     bound = np.full(omegas.size, np.nan)
     bound[admitted] = gram_cond_bound(inst.eig.lambdas, omegas[admitted], -1)
-    x, y = np.zeros((inst.n, 0)), np.zeros((inst.p, 0))
+    x0 = inst.constraint.x0
+    q_s, y = np.zeros((inst.n, 0)), np.zeros((0, 0))
     if admitted.size:
         try:
             q, q_s, t, beta = inst._factors
@@ -163,10 +215,9 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
             failures += [(int(admitted[k]), message) for k, message in singular]
             ok[admitted[[k for k, _ in singular]]] = False
             y = t @ z[ok[admitted]].T
-            x = inst.constraint.x0[:, None] + q_s @ y
     failures.sort()
-    sigma, est, coords = _centered_spectrum(y, x)
-    return SweepResult(omegas=omegas, ok=ok, solutions=x, sigma=sigma, est_dim=est,
+    sigma, est, coords = _centered_spectrum(x0, q_s, y)
+    return SweepResult(omegas=omegas, ok=ok, x0=x0, q_s=q_s, y=y, sigma=sigma, est_dim=est,
                        coords=coords, gram_cond_bound=bound, guard_margin=guard_margin,
                        failures=failures)
 
@@ -378,19 +429,22 @@ class CollisionReport:
 def injectivity_scan(inst: ProblemInstance, omegas, tol: float = 1e-10) -> CollisionReport:
     """Report all grid pairs with ||x_i - x_j|| <= tol * scale, where scale
     is the largest sampled solution norm. An empty report means no collision
-    was detected at this sampling (not a proof of injectivity)."""
+    was detected at this sampling (not a proof of injectivity). Distances and
+    norms come from the sweep's factors (x_i - x_j = Q_s (y_i - y_j) with Q_s
+    orthonormal), so no n x K matrix is formed."""
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size and (np.diff(omegas) <= 0).any():
         raise ValueError("omega grid must be sorted and distinct")
     result = sweep_solutions(inst, omegas)
     if result.failures:
         raise ValueError(f"solver failed at grid points: {result.failures}")
-    x = result.solutions
-    scale = float(max(np.linalg.norm(x, axis=0).max() if x.size else 0.0, 1e-300))
+    y = result.y
+    norms = _column_norms(result.x0, result.q_s, y)
+    scale = float(max(norms.max() if norms.size else 0.0, 1e-300))
     pairs = []
-    for i in range(x.shape[1]):
-        dist = np.linalg.norm(x[:, i + 1:] - x[:, i:i + 1], axis=0)
+    for i in range(y.shape[1]):
+        dist = np.linalg.norm(y[:, i + 1:] - y[:, i:i + 1], axis=0)
         for off, dval in enumerate(dist):
             if dval <= tol * scale:
                 pairs.append((i, i + 1 + off, float(dval)))
-    return CollisionReport(tuple(pairs), scale, x.shape[1])
+    return CollisionReport(tuple(pairs), scale, y.shape[1])

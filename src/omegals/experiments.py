@@ -162,7 +162,13 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     projection onto the leading est_dim principal directions), optionally
     solutions.csv (omega, x_1..x_n), and a metadata sidecar with the largest
     Gram condition bound and the smallest guard margin of the solved shifts.
-    Returns the written paths keyed by kind."""
+    solutions.csv is streamed from ``sweep.solution_blocks()``, so no n x K
+    matrix is formed. A family with a nonzero imaginary part raises a
+    ValueError before any file is written. Returns the written paths keyed
+    by kind."""
+    if (write_solutions and sweep.dtype.kind == "c"
+            and any(np.abs(x.imag).max() > 0 for _, x in sweep.solution_blocks())):
+        raise ValueError("solutions CSV supports real solutions only")
     prefix_path = Path(prefix)
     if prefix_path.parent != Path("."):
         prefix_path.parent.mkdir(parents=True, exist_ok=True)
@@ -173,22 +179,20 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     ratio = sigma / top if top else np.zeros_like(sigma)
     sigma_path = f"{prefix}sigma.csv"
     write_csv(sigma_path, ["index", "sigma", "sigma_ratio"],
-              np.column_stack([np.arange(1, sigma.size + 1), sigma, ratio]))
+              [np.column_stack([np.arange(1, sigma.size + 1), sigma, ratio])])
     files["sigma"] = sigma_path
 
-    x = sweep.solutions
     omegas_ok = sweep.omegas[sweep.ok]
     coords_path = f"{prefix}coords.csv"
     write_csv(coords_path, ["omega"] + [f"coord_{k + 1}" for k in range(sweep.est_dim)],
-              np.column_stack([omegas_ok, sweep.coords.T]))
+              [np.column_stack([omegas_ok, sweep.coords.T])])
     files["coords"] = coords_path
 
     if write_solutions:
-        if np.iscomplexobj(x) and np.abs(x.imag).max() > 0:
-            raise ValueError("solutions CSV supports real solutions only")
         sol_path = f"{prefix}solutions.csv"
-        write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(x.shape[0])],
-                  np.column_stack([omegas_ok, np.real(x).T]))
+        write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(sweep.x0.size)],
+                  (np.column_stack([omegas_ok[cols], np.real(x).T])
+                   for cols, x in sweep.solution_blocks()))
         files["solutions"] = sol_path
 
     meta = {"est_dim": sweep.est_dim, "est_dim_sigma_ratio": EST_DIM_RATIO,

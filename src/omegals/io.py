@@ -180,9 +180,18 @@ def save_condition_report(path, report) -> None:
     Path(path).write_text(json.dumps(condition_report_to_json(report), indent=2))
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a 2-D array (or a sequence of rows) of floats, one column per
-    header name, with the 17-significant-digit formatting of
-    :func:`format_float`; integral values print as ints do."""
-    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write an iterable of row blocks (2-D arrays, or sequences of rows, of
+    floats with one column per header name) as one CSV table; a table held
+    whole is passed as ``[table]``. Each row is ``"%.17g"`` per cell, the
+    17-significant-digit formatting of :func:`format_float`, so integral
+    values print as ints do. The bytes are those of ``np.savetxt(fmt="%.17g",
+    delimiter=",", header=..., comments="")`` on the stacked blocks, while
+    only one block is held at a time."""
+    ncol = len(header)
+    row = ",".join(["%.17g"] * ncol) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            for cells in np.asarray(block, dtype=float).reshape(-1, ncol):
+                fh.write(row % tuple(cells.tolist()))

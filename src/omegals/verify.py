@@ -318,8 +318,10 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
             result.check(False, f"trial {trial}: designed disjoint-image case lost its index")
             continue
         ns3 = _nullspace_identities(result, dec3, f"trial {trial} disjoint")
-        img_t_perp = orthogonal_complement(
-            Subspace(orthonormalize(dec3.T, scale=dec3.op_norm)))
+        # Img(T)^perp: the left singular vectors of T past its rank, the
+        # rank judged at ||A||_2 as condition_report judges it
+        u3, _, _ = np.linalg.svd(dec3.T)
+        img_t_perp = Subspace(u3[:, numerical_rank(dec3.T, scale=dec3.op_norm):])
         result.check(subspaces_equal(Subspace(orthonormalize(ns3.N1)), img_t_perp),
                      f"trial {trial}: disjoint case Img(N1) != Img(T)-perp")
         result.check(np.linalg.norm(ns3.N2) <= RESIDUAL_TOL,

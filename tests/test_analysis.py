@@ -856,6 +856,23 @@ class TestInjectivityScan:
         report = injectivity_scan(inst, np.logspace(-2, 2, 12))
         assert report.empty
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_factored_distances_match_the_dense_family(self, complex_field):
+        # scale and distances come from x0, Q_s and the p-row coordinates;
+        # an anchored constraint exercises the cross term of the norms
+        rng = np.random.default_rng(19)
+        a = random_hermitian_invertible(rng, 10, complex_field)
+        space = normal_representation(gaussian_vector(rng, 10, complex_field),
+                                      random_subspace(rng, 10, 3, complex_field))
+        inst = ProblemInstance.create(a, space, gaussian_vector(rng, 10, complex_field))
+        grid = inst.omega_min + np.logspace(-1, 2, 6)
+        report = injectivity_scan(inst, grid, tol=1e10)
+        x = sweep_solutions(inst, grid).solutions
+        assert report.full
+        np.testing.assert_allclose(report.scale, np.linalg.norm(x, axis=0).max(), rtol=1e-13)
+        for i, j, dist in report.pairs:
+            np.testing.assert_allclose(dist, np.linalg.norm(x[:, i] - x[:, j]), rtol=1e-9)
+
     def test_rejects_unsorted_grid(self):
         inst = ProblemInstance.create(np.array([[2.0, 1.0], [1.0, 2.0]]),
                                       Subspace(np.array([[1.0], [0.0]])),

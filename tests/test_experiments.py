@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from omegals import analysis
 from omegals.analysis import default_omega_grid, sweep_solutions
 from omegals.experiments import (
     FIGURE1_STAGES,
@@ -14,10 +17,16 @@ from omegals.experiments import (
     poisson_2d,
     poisson_2d_factored,
     run_figure1,
+    sweep_files,
 )
-from omegals.sampling import random_spd
+from omegals.sampling import (
+    gaussian_vector,
+    random_hermitian_invertible,
+    random_spd,
+    random_subspace,
+)
 from omegals.solver import ProblemInstance
-from omegals.subspaces import Subspace, index_of_invariance, krylov
+from omegals.subspaces import Subspace, index_of_invariance, krylov, normal_representation
 
 
 def grid_neighbor_pairs(m):
@@ -220,6 +229,60 @@ class TestRunFigure1:
         assert len(lines) == 26
         first = np.array([float(v) for v in lines[1].split(",")])
         np.testing.assert_allclose(first[1:], result.sweep.solutions[:, 0])
+
+    @pytest.mark.parametrize("block_columns", [1, 70, None])
+    def test_solutions_csv_rows_are_the_solution_columns(self, tmp_path, monkeypatch,
+                                                         block_columns):
+        # one-column blocks (a matrix-vector product), ragged 70-column blocks
+        # and the default block size: every row of solutions.csv is the
+        # matching column of sweep.solutions bit for bit
+        if block_columns is not None:
+            monkeypatch.setattr(analysis, "SOLUTION_BLOCK_BYTES", 8 * 529 * block_columns)
+        result = run_figure1(Figure1Config(m=23, out_prefix=str(tmp_path / "b_"),
+                                           write_solutions=True))
+        table = np.loadtxt(result.files["solutions"], delimiter=",", skiprows=1)
+        sweep = result.sweep
+        assert table.shape == (200, 530)
+        assert np.array_equal(table[:, 0], sweep.omegas[sweep.ok])
+        assert np.array_equal(table[:, 1:], sweep.solutions.T)
+
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_complex_family_writes_no_file(self, tmp_path, anchored):
+        rng = np.random.default_rng(23)
+        a = random_hermitian_invertible(rng, 12, True)
+        s = random_subspace(rng, 12, 3, True)
+        space = normal_representation(gaussian_vector(rng, 12, True) if anchored
+                                      else np.zeros(12, dtype=complex), s)
+        inst = ProblemInstance.create(a, space, gaussian_vector(rng, 12, True))
+        sweep = sweep_solutions(inst, inst.omega_min + np.logspace(-1, 2, 9))
+        with pytest.raises(ValueError, match="real solutions only"):
+            sweep_files(sweep, str(tmp_path / "out" / "c_"), write_solutions=True)
+        assert not (tmp_path / "out").exists()
+        # the spectrum and coordinates alone are still written
+        assert set(sweep_files(sweep, str(tmp_path / "out" / "c_"))) == {"sigma", "coords",
+                                                                         "meta"}
+
+    def test_complex_dtype_with_zero_imaginary_part_is_written(self, tmp_path):
+        real = run_figure1(Figure1Config(**self.SMALL)).sweep
+        sweep = dataclasses.replace(real, q_s=real.q_s.astype(complex))
+        files = sweep_files(sweep, str(tmp_path / "z_"), write_solutions=True)
+        table = np.loadtxt(files["solutions"], delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 1:], sweep.solutions.real.T)
+
+    def test_written_family_stays_below_one_dense_copy(self, tmp_path):
+        # N = 10^4, K = 200: the dense n x K family alone is N K 8 bytes; the
+        # sweep keeps it factored and solutions.csv streams it in blocks
+        run_figure1(Figure1Config(out_prefix=str(tmp_path / "w_"), write_solutions=True,
+                                  **self.SMALL))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            result = run_figure1(Figure1Config(m=100, out_prefix=str(tmp_path / "m_"),
+                                               write_solutions=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "solutions" in result.files and "solutions" not in vars(result.sweep)
+        assert peak < 10_000 * 200 * 8
 
     def test_matches_generic_sweep(self):
         # the sine-transform route against the dense eigh of poisson_2d, for

@@ -133,7 +133,7 @@ def test_condition_report_json(tmp_path):
 
 def test_csv_float_formatting(tmp_path):
     path = tmp_path / "t.csv"
-    oio.write_csv(path, ["a", "b"], [(1, 1 / 3)])
+    oio.write_csv(path, ["a", "b"], [[(1, 1 / 3)]])
     text = path.read_text()
     assert text.splitlines()[0] == "a,b"
     assert "0.33333333333333331" in text
@@ -157,11 +157,29 @@ def test_csv_matches_the_per_cell_formatter(tmp_path):
     header = ["index", "value", "gauss"]
     for name, table in (("rows", rows), ("array", np.array(rows, dtype=float))):
         path = tmp_path / f"{name}.csv"
-        oio.write_csv(path, header, table)
+        oio.write_csv(path, header, [table])
         assert path.read_bytes() == _per_cell_csv(header, rows).encode(), name
     empty = tmp_path / "empty.csv"
-    oio.write_csv(empty, ["omega"], np.zeros((0, 1)))
+    oio.write_csv(empty, ["omega"], [np.zeros((0, 1))])
     assert empty.read_bytes() == b"omega\n"
+
+
+
+@pytest.mark.parametrize("rows", [0, 1, 17])
+@pytest.mark.parametrize("cuts", [(), (0,), (1,), (0, 1, 1, 5), (6, 12)])
+def test_csv_row_blocks_match_savetxt(tmp_path, rows, cuts):
+    # any split into row blocks (empty, single-row, ragged last) writes the
+    # bytes np.savetxt writes for the whole table
+    rng = np.random.default_rng(21)
+    specials = [0.0, -0.0, 7.0, -3.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.0**53, 0.1]
+    table = rng.standard_normal((17, 3))
+    table.flat[:len(specials)] = specials
+    table = table[:rows]
+    header = ["omega", "x_1", "x_2"]
+    path, ref = tmp_path / "blocks.csv", tmp_path / "savetxt.csv"
+    oio.write_csv(path, header, np.split(table, [c for c in cuts if c <= rows]))
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_format_float_17_digits():
