@@ -25,11 +25,11 @@ from .linalg import (
 )
 from .sampling import gaussian_matrix
 from .solver import (
+    OMEGA_INF,
     ProblemInstance,
     _solution_maps,
     _weighted_solve,
     gram_cond_bound,
-    solve_limit,
 )
 from .subspaces import (
     Subspace,
@@ -49,7 +49,7 @@ SPAN_PAIRS = 4
 SPAN_SAMPLES_PER_INDEX = 4
 
 # Bytes of one column block of a swept solution family (SweepResult.
-# solution_blocks): large enough that x0 + Q_s Y[:, block] is one GEMM over
+# solution_blocks): large enough that x0 + V Y[:, block] is one GEMM over
 # tens of columns at N of a few thousand, small enough that a writer holds
 # only a block, not the n x K family.
 SOLUTION_BLOCK_BYTES = 2**20
@@ -88,9 +88,9 @@ class SweepResult:
     """Solutions along a shift grid plus the centered singular spectrum.
 
     The family is kept factored: the solution at the k-th successful grid
-    point (columns align with ``omegas[ok]``) is x0 + Q_s y_k, with the
-    anchor ``x0`` (n), ``q_s`` (n x p) with orthonormal columns, and the
-    coordinates ``y`` (p x K), so the sweep itself stores no n x K matrix.
+    point (columns align with ``omegas[ok]``) is x0 + V y_k: the anchor
+    ``x0`` (n), ``v`` the constraint basis V itself (n x p, orthonormal
+    columns) and the coordinates ``y`` (p x K), so no n x K matrix is stored.
     ``solution_blocks`` yields the family in column blocks of about
     SOLUTION_BLOCK_BYTES, and ``solutions``, the dense n x K matrix, is
     assembled from those blocks on first read (then kept), so it agrees bit
@@ -100,7 +100,7 @@ class SweepResult:
     ``est_dim`` the number of singular values above EST_DIM_RATIO times the
     largest. ``coords`` (est_dim x columns) are the centered solutions in the
     leading est_dim principal directions. The centered solutions are
-    Q_s (y - mean), so the SVD is taken of the p x K coordinates and
+    V (y - mean), so the SVD is taken of the p x K coordinates and
     ``sigma`` has min(p, K) entries: the rest of the n x K spectrum is zero
     in exact arithmetic.
 
@@ -113,7 +113,7 @@ class SweepResult:
     omegas: np.ndarray
     ok: np.ndarray
     x0: np.ndarray
-    q_s: np.ndarray
+    v: np.ndarray
     y: np.ndarray
     sigma: np.ndarray
     est_dim: int
@@ -124,17 +124,17 @@ class SweepResult:
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype of the solutions, that of x0 + Q_s y."""
-        return np.result_type(self.x0, self.q_s, self.y)
+        """The dtype of the solutions, that of x0 + V y."""
+        return np.result_type(self.x0, self.v, self.y)
 
     def solution_blocks(self):
-        """Yield (cols, x0 + Q_s y[:, cols]) for consecutive column slices
+        """Yield (cols, x0 + V y[:, cols]) for consecutive column slices
         of about SOLUTION_BLOCK_BYTES each (at least one column)."""
-        n, k = self.q_s.shape[0], self.y.shape[1]
+        n, k = self.v.shape[0], self.y.shape[1]
         step = max(1, SOLUTION_BLOCK_BYTES // (n * self.dtype.itemsize))
         for lo in range(0, k, step):
             cols = slice(lo, min(lo + step, k))
-            yield cols, self.x0[:, None] + self.q_s @ self.y[:, cols]
+            yield cols, self.x0[:, None] + self.v @ self.y[:, cols]
 
     @cached_property
     def solutions(self) -> np.ndarray:
@@ -151,19 +151,19 @@ def _family_dim(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > EST_DIM_RATIO * sigma[0])) if sigma.size else 0
 
 
-def _column_norms(x0: np.ndarray, q_s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||x0 + Q_s y_k|| for every column y_k of y, without forming the
-    columns: Q_s has orthonormal columns, so
-    ||x0 + Q_s y_k||^2 = ||x0||^2 + 2 Re((Q_s* x0)* y_k) + ||y_k||^2."""
-    c = adjoint(q_s) @ x0
+def _column_norms(x0: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x0 + V y_k|| for every column y_k of y, without forming the
+    columns: V has orthonormal columns, so
+    ||x0 + V y_k||^2 = ||x0||^2 + 2 Re((V* x0)* y_k) + ||y_k||^2."""
+    c = adjoint(v) @ x0
     sq = np.vdot(x0, x0).real + 2.0 * np.real(c.conj() @ y) + np.sum(np.abs(y) ** 2, axis=0)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _centered_spectrum(x0: np.ndarray, q_s: np.ndarray,
+def _centered_spectrum(x0: np.ndarray, v: np.ndarray,
                        y: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """(sigma, est_dim, coords) of the column-centered solutions x0 + Q_s y
-    (Q_s with orthonormal columns) from one thin SVD of the centered p-row
+    """(sigma, est_dim, coords) of the column-centered solutions x0 + V y
+    (V with orthonormal columns) from one thin SVD of the centered p-row
     coordinates y: both have the same singular values and coordinates."""
     if y.shape[1] == 0:
         return np.zeros(0), 0, np.zeros((0, 0))
@@ -173,7 +173,7 @@ def _centered_spectrum(x0: np.ndarray, q_s: np.ndarray,
     # only counts as signal when it clears the noise floor of the solutions
     # themselves, taken on ||x||_F >= ||x||_2 (from the factors) so that
     # neither x nor a second SVD is needed
-    norm_x = float(np.linalg.norm(_column_norms(x0, q_s, y)))
+    norm_x = float(np.linalg.norm(_column_norms(x0, v, y)))
     floor = default_rank_tol((x0.size, y.shape[1])) * norm_x
     est = _family_dim(sigma) if sigma.size and sigma[0] > floor else 0
     return sigma, est, np.real(adjoint(u[:, :est]) @ centered)
@@ -202,22 +202,22 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     admitted = np.flatnonzero(ok)
     bound = np.full(omegas.size, np.nan)
     bound[admitted] = gram_cond_bound(inst.eig.lambdas, omegas[admitted], -1)
-    x0 = inst.constraint.x0
-    q_s, y = np.zeros((inst.n, 0)), np.zeros((0, 0))
+    x0, v = inst.constraint.x0, inst.constraint.direction.basis
+    y = np.zeros((inst.p, 0))
     if admitted.size:
         try:
-            q, q_s, t, beta = inst._factors
+            q, r, beta = inst._factors
         except np.linalg.LinAlgError as err:
             failures += [(int(j), str(err)) for j in admitted]
             ok[:] = False
         else:
-            z, singular = _weighted_solve(q, inst.eig.lambdas, omegas[admitted], -1, beta)
+            y, singular = _weighted_solve(q, r, inst.eig.lambdas, omegas[admitted], -1, beta)
             failures += [(int(admitted[k]), message) for k, message in singular]
             ok[admitted[[k for k, _ in singular]]] = False
-            y = t @ z[ok[admitted]].T
+            y = y[ok[admitted]].T
     failures.sort()
-    sigma, est, coords = _centered_spectrum(x0, q_s, y)
-    return SweepResult(omegas=omegas, ok=ok, x0=x0, q_s=q_s, y=y, sigma=sigma, est_dim=est,
+    sigma, est, coords = _centered_spectrum(x0, v, y)
+    return SweepResult(omegas=omegas, ok=ok, x0=x0, v=v, y=y, sigma=sigma, est_dim=est,
                        coords=coords, gram_cond_bound=bound, guard_margin=guard_margin,
                        failures=failures)
 
@@ -374,10 +374,11 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
     """For positive A and a Krylov constraint generated by b itself, express
     every sampled solution as x_zero + t (x_inf - x_zero); t is the real
     least-squares coefficient and the off-segment residual is reported
-    relative to the segment length. x_zero and the grid are one
-    :func:`sweep_solutions` call; a failed grid point raises a ValueError
-    naming the failures (index -1 is the zero shift). An invariant
-    constraint (q = 0) solves only the zero shift: every t is 0 there.
+    relative to the segment length, both read from the p-vector coordinates
+    y of one :func:`sweep_solutions` call over 0, the grid and OMEGA_INF
+    (x = x0 + V y, V orthonormal). A failed point raises a ValueError naming
+    the failures (-1 is the zero shift). An invariant constraint (q = 0)
+    solves only the two endpoints: every t is 0 there.
     """
     if inst.eig.lambdas[-1] <= 0:
         raise ValueError("operator must be positive definite")
@@ -388,24 +389,24 @@ def convexity_coordinates(inst: ProblemInstance, omegas) -> ConvexityResult:
         raise ValueError("constraint is not the Krylov subspace generated by b")
     omegas = np.asarray(omegas, dtype=float)
     q = index_of_invariance(inst.a, s)
-    # the zero shift rides in the same sweep as the grid, so that a grid
-    # point at omega = 0 reproduces x_zero bit for bit
-    sweep = sweep_solutions(inst, np.concatenate([[0.0], omegas if q else []]))
+    # the endpoints ride in the same sweep as the grid, so that a grid point
+    # at omega = 0 reproduces x_zero bit for bit
+    sweep = sweep_solutions(inst, np.concatenate([[0.0], omegas if q else [], [OMEGA_INF]]))
     failures = [(j - 1, message) for j, message in sweep.failures]
     if failures:
         raise ValueError(f"solver failed at grid points: {failures}")
-    x_zero, xs = sweep.solutions[:, 0], sweep.solutions[:, 1:]
-    x_inf = solve_limit(inst)
+    y_zero, ys, y_inf = sweep.y[:, 0], sweep.y[:, 1:-1], sweep.y[:, -1]
+    x_zero, x_inf = (inst.constraint.x0 + s.basis @ y for y in (y_zero, y_inf))
     if q == 0:
         return ConvexityResult(True, np.zeros(omegas.size), np.zeros(omegas.size),
                                x_zero, x_inf)
-    w = x_inf - x_zero
+    w = y_inf - y_zero
     seg = float(np.linalg.norm(w))
     if seg == 0.0:
         raise ValueError("degenerate segment: endpoint solutions coincide")
-    dx = xs - x_zero[:, None]
-    ts = np.real(adjoint(w) @ dx) / seg**2
-    off = np.linalg.norm(dx - w[:, None] * ts, axis=0) / seg
+    dy = ys - y_zero[:, None]
+    ts = np.real(adjoint(w) @ dy) / seg**2
+    off = np.linalg.norm(dy - w[:, None] * ts, axis=0) / seg
     return ConvexityResult(False, ts, off, x_zero, x_inf)
 
 
@@ -430,7 +431,7 @@ def injectivity_scan(inst: ProblemInstance, omegas, tol: float = 1e-10) -> Colli
     """Report all grid pairs with ||x_i - x_j|| <= tol * scale, where scale
     is the largest sampled solution norm. An empty report means no collision
     was detected at this sampling (not a proof of injectivity). Distances and
-    norms come from the sweep's factors (x_i - x_j = Q_s (y_i - y_j) with Q_s
+    norms come from the sweep's factors (x_i - x_j = V (y_i - y_j) with V
     orthonormal), so no n x K matrix is formed."""
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size and (np.diff(omegas) <= 0).any():
@@ -439,7 +440,7 @@ def injectivity_scan(inst: ProblemInstance, omegas, tol: float = 1e-10) -> Colli
     if result.failures:
         raise ValueError(f"solver failed at grid points: {result.failures}")
     y = result.y
-    norms = _column_norms(result.x0, result.q_s, y)
+    norms = _column_norms(result.x0, result.v, y)
     scale = float(max(norms.max() if norms.size else 0.0, 1e-300))
     pairs = []
     for i in range(y.shape[1]):

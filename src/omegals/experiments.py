@@ -221,6 +221,7 @@ def run_figure1(config: Figure1Config = Figure1Config()) -> Figure1Result:
     fans out to named substreams for the subspace seeds and the right-hand
     side, so identical configurations give bit-identical outputs. The
     seconds of each of FIGURE1_STAGES go into ``stages``."""
+    import scipy.sparse  # noqa: F401  loaded before the clock: no stage times the import
     marks = [time.perf_counter()]
     a, factorization = poisson_2d_factored(config.m)
     marks.append(time.perf_counter())

@@ -137,23 +137,21 @@ def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_checked_hermitian(m))[::-1]
 
 
-def extend_orthonormal(q: np.ndarray, cols: np.ndarray, drop_tol: float | None = None,
-                       scale: float | None = None) -> np.ndarray:
+def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:
     """New orthonormal columns Q' with [q Q'] spanning span(q, cols): the
     library's one Gram-Schmidt kernel, for q (n x m) with orthonormal columns.
 
     Each column of ``cols`` is taken in order and projected off [q, kept]
     twice as a block, v -= B (B* v) (twice is enough to hold ||Q*Q - I|| near
     machine precision). A column is dropped when it is zero or its residual
-    is below ``drop_tol`` (default ``default_rank_tol(cols.shape)``) times its
+    is below drop_tol = ``default_rank_tol(cols.shape)`` times its
     norm. ``scale`` marks the columns as parts of a larger computation whose
     round-off a per-column test cannot see: columns whose norm or residual is
     below ``drop_tol * scale`` are dropped as well.
     """
     q, cols = np.asarray(q), np.asarray(cols)
     (n, m), k = q.shape, cols.shape[1]
-    if drop_tol is None:
-        drop_tol = default_rank_tol((n, max(k, 1)))
+    drop_tol = default_rank_tol((n, max(k, 1)))
     basis = np.empty((n, m + k), dtype=np.result_type(q, cols, np.float64), order="F")
     basis[:, :m] = q
     width = m
@@ -172,7 +170,7 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, drop_tol: float | None =
     return basis[:, m:width]
 
 
-def orthonormalize(vectors, scale: float | None = None) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis for the span of the given vectors, kept in order:
     :func:`extend_orthonormal` of the empty basis, so the result is
     rank-revealing under the same drop rule.
@@ -187,7 +185,7 @@ def orthonormalize(vectors, scale: float | None = None) -> np.ndarray:
         if not vecs:
             return np.zeros((0, 0))
         cols = np.column_stack([np.asarray(v) for v in vecs])
-    return extend_orthonormal(np.zeros((cols.shape[0], 0)), cols, scale=scale)
+    return extend_orthonormal(np.zeros((cols.shape[0], 0)), cols)
 
 
 def numerical_rank(m: np.ndarray, scale: float | None = None) -> int:

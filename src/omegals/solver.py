@@ -83,11 +83,11 @@ def gram_cond_bound(lam: np.ndarray, omegas, s: float) -> np.ndarray:
     return ends.max(axis=0) / ends.min(axis=0)
 
 
-def _weighted_solve(q, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
-    """Z[k] = (Q* W_k Q)^{-1} Q* W_k rhs for W_k = diag((lam + omegas[k])^s),
-    W_k = I at OMEGA_INF, for all K shifts at once: the one place the
-    weighted Gram matrix is formed. With P = Q R, R^{-1} Z[k] =
-    (P* W_k P)^{-1} P* W_k rhs.
+def _weighted_solve(q, r, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
+    """Y[k] = R^{-1} (Q* W_k Q)^{-1} Q* W_k rhs = (P* W_k P)^{-1} P* W_k rhs
+    for P = Q R, W_k = diag((lam + omegas[k])^s), W_k = I at OMEGA_INF, for
+    all K shifts at once: the one place the weighted Gram matrix is formed;
+    R^{-1} is one solve on the right-hand sides of all K shifts side by side.
 
     With the rows of Q as an n x p^2 matrix M = (conj(q_ia) q_ib), ``W @ M``
     holds all K Gram matrices; M is formed in row chunks of about
@@ -95,24 +95,24 @@ def _weighted_solve(q, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
     way. One batched solve handles the K systems. Since
     cond(Q* W Q) <= :func:`gram_cond_bound`, a shift whose bound clears the
     singularity test of ``is_singular`` by the round-off of the n-term sums
-    is not singular; only the others take an eigvalsh. Returns Z (K x p,
-    or K x p x r for an n x r ``rhs``; NaN rows at singular shifts) and the
+    is not singular; only the others take an eigvalsh. Returns Y (K x p,
+    or K x p x m for an n x m ``rhs``; NaN rows at singular shifts) and the
     failures as (k, message), the message naming omega."""
     omegas = np.asarray(omegas, dtype=float)
     (n, p), kk = q.shape, omegas.size
     cols = rhs.reshape(n, -1)
-    r = cols.shape[1]
+    m = cols.shape[1]
     shift, power = (v[:, None] for v in _limit_weights(omegas, s))
     gram = np.zeros((kk, p * p), dtype=q.dtype)
-    proj = np.zeros((kk, p, r), dtype=np.result_type(q, cols))
+    proj = np.zeros((kk, p, m), dtype=np.result_type(q, cols))
     qbar = q.conj()
-    step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + r)))
+    step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + m)))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         w = (lam[rows] + shift) ** power    # K x chunk
         qbar_c = qbar[rows]
         gram += w @ (qbar_c[:, :, None] * q[rows, None, :]).reshape(-1, p * p)
-        proj += (w @ (qbar_c[:, :, None] * cols[rows, None, :]).reshape(-1, p * r)).reshape(kk, p, r)
+        proj += (w @ (qbar_c[:, :, None] * cols[rows, None, :]).reshape(-1, p * m)).reshape(kk, p, m)
     gram = hermitian_part(gram.reshape(kk, p, p))
     singular = np.zeros(kk, dtype=bool)
     # round-off in the n-term sums moves the eigenvalues of Q* W Q by at most
@@ -121,11 +121,12 @@ def _weighted_solve(q, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
     suspect = gram_cond_bound(lam, omegas, s) * p * default_rank_tol((n, p)) >= 1.0
     if suspect.any():
         singular[suspect] = is_singular(np.linalg.eigvalsh(gram[suspect]))
-    z = np.full(proj.shape, np.nan, dtype=proj.dtype)
-    z[~singular] = np.linalg.solve(gram[~singular], proj[~singular])
+    z = np.linalg.solve(gram[~singular], proj[~singular]).transpose(1, 0, 2)  # p x K' x m
+    y = np.full((kk, p, m), np.nan, dtype=np.result_type(z, r))
+    y[~singular] = np.linalg.solve(r, z.reshape(p, -1)).reshape(z.shape).transpose(1, 0, 2)
     failures = [(int(k), f"inner Gram matrix singular at omega = {float(omegas[k])}: "
                  f"{SINGULAR_MESSAGE}") for k in np.flatnonzero(singular)]
-    return (z[:, :, 0] if rhs.ndim == 1 else z), failures
+    return (y[:, :, 0] if rhs.ndim == 1 else y), failures
 
 
 def _first_failure(failures: list) -> None:
@@ -208,23 +209,21 @@ class ProblemInstance:
         check_shift(omega, self.omega_min, self.op_norm)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, Q_s, T, beta) with Q R = U* A V, Q_s T = V R^{-1} (thin QR) and
-        beta = U* (b - A x0), made on first solve: x = x0 + Q_s (T z) needs no
-        per-shift R solve, and Q_s has orthonormal columns, so a family of
-        solutions has the singular values of its p-row coordinates T Z."""
-        uh, v = self.eig.apply_uh, self.constraint.direction.basis
-        q, r = _qr(uh(self.a @ v))
-        q_s, t = np.linalg.qr(np.linalg.solve(r.T, v.T).T)
-        return q, q_s, t, uh(self.b - self.a @ self.constraint.x0)
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, R, beta) with Q R = U* A V (thin QR) and beta = U* (b - A x0),
+        made on first solve; the solutions are x0 + V y, y from the
+        weighted-solve kernel."""
+        uh = self.eig.apply_uh
+        q, r = _qr(uh(self.a @ self.constraint.direction.basis))
+        return q, r, uh(self.b - self.a @ self.constraint.x0)
 
     def _solve(self, omega: float, s: float) -> np.ndarray:
-        """x0 + Q_s (T z) with z from the weighted-solve kernel at one shift;
-        no shift guard."""
-        q, q_s, t, beta = self._factors
-        z, failures = _weighted_solve(q, self.eig.lambdas, [omega], s, beta)
+        """x0 + V y with y from the weighted-solve kernel at one shift; no
+        shift guard."""
+        q, r, beta = self._factors
+        y, failures = _weighted_solve(q, r, self.eig.lambdas, [omega], s, beta)
         _first_failure(failures)
-        return self.constraint.x0 + q_s @ (t @ z[0])
+        return self.constraint.x0 + self.constraint.direction.basis @ y[0]
 
 
 def solve_parametric(inst: ProblemInstance, omega: float, s: float) -> np.ndarray:
@@ -254,11 +253,10 @@ def _solution_maps(eig: EigDecomposition, av: np.ndarray, omegas, rhs=None) -> n
     lam = eig.lambdas
     for omega in omegas:
         check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
-    q, r = _qr(eig.apply_uh(av))
-    z, failures = _weighted_solve(q, lam, omegas, -1,
+    y, failures = _weighted_solve(*_qr(eig.apply_uh(av)), lam, omegas, -1,
                                   adjoint(eig.u) if rhs is None else eig.apply_uh(rhs))
     _first_failure(failures)
-    return np.linalg.solve(r, z)
+    return y
 
 
 def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import (
     EigDecomposition,
     as_operator,
-    default_rank_tol,
     extend_orthonormal,
     hermitian_eig,
     orthonormalize,
@@ -125,12 +124,12 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     """Orthonormal basis of span{b, Ab, ..., A^(k-1) b}.
 
-    Built iteratively: each step extends the basis (:func:`extend_orthonormal`,
-    drop tolerance ``default_rank_tol((n, k))``) by A applied to its last
-    column. Raw power stacks [b, Ab, A^2 b, ...] are numerically
-    rank-deficient long before the span actually degenerates, so they are
-    never formed. Stops early once the next direction falls into the current
-    span (invariance reached), so the dimension can be below k. b = 0 yields
+    Built iteratively: each step extends the basis (:func:`extend_orthonormal`)
+    by A applied to its last column. Raw power stacks [b, Ab, A^2 b, ...] are
+    numerically rank-deficient long before the span actually degenerates, so
+    they are never formed. Stops early once the next direction falls into the
+    current span (invariance reached), so the dimension can be below k; a
+    Krylov space has at most n dimensions, so k is capped at n. b = 0 yields
     the zero subspace. ``a`` may be dense or sparse; it is only applied.
     """
     if k < 1:
@@ -141,10 +140,9 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     dtype = np.promote_types(np.promote_types(a.dtype, b.dtype), np.float64)
     if np.linalg.norm(b) == 0.0:
         return Subspace.zero(n, complex_field=np.issubdtype(dtype, np.complexfloating))
-    drop_tol = default_rank_tol((n, k))
     basis = (b.astype(dtype) / np.linalg.norm(b))[:, None]
-    for _ in range(k - 1):
-        new = extend_orthonormal(basis, a @ basis[:, -1:], drop_tol)
+    for _ in range(min(k, n) - 1):
+        new = extend_orthonormal(basis, a @ basis[:, -1:])
         if not new.shape[1]:
             break
         basis = np.hstack([basis, new])

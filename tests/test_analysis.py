@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from omegals import analysis
 from omegals.analysis import (
     EST_DIM_RATIO,
     SPAN_PAIRS,
@@ -24,6 +25,7 @@ from omegals.decomposition import (
 from omegals.experiments import KrylovSumSpec, krylov_sum_subspace, poisson_2d
 from omegals.linalg import (
     adjoint,
+    extend_orthonormal,
     hermitian_eig,
     hermitian_part,
     numerical_rank,
@@ -257,6 +259,15 @@ class TestSweep:
         assert not result.ok.any() and not ok.any()
         assert result.solutions.shape == (4, 0) and result.est_dim == 0
 
+    def test_family_lives_on_the_constraint_basis(self):
+        rng = np.random.default_rng(45)
+        inst = ProblemInstance.create(random_hermitian_invertible(rng, 9, True),
+                                      random_subspace(rng, 9, 3, True),
+                                      gaussian_vector(rng, 9, True))
+        result = sweep_solutions(inst, inst.omega_min + np.logspace(-1, 1, 5))
+        assert result.v is inst.constraint.direction.basis
+        assert result.y.shape == (3, 5)
+
     def test_takes_no_eigendecomposition(self, monkeypatch):
         rng = np.random.default_rng(42)
         a = random_hermitian_invertible(rng, 40, False)
@@ -470,7 +481,8 @@ def closure_kernel(a, s):
     the last member of the invariant closure of S, plus A S. A S drops the
     round-off images of null directions on the scale of ||A||_2."""
     chain, _ = invariant_closure(a, s)
-    image = Subspace(orthonormalize(a @ s.basis, scale=np.linalg.norm(a, 2)))
+    image = Subspace(extend_orthonormal(np.zeros((a.shape[0], 0)), a @ s.basis,
+                                        scale=np.linalg.norm(a, 2)))
     return subspace_sum(orthogonal_complement(chain[-1]), image)
 
 
@@ -820,6 +832,35 @@ class TestConvexity:
             dx = solve_weighted(inst, float(omega)) - x_zero
             assert t == pytest.approx(np.vdot(w, dx).real / np.vdot(w, w).real, abs=1e-10)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_one_kernel_call_matches_the_dense_segment(self, monkeypatch, complex_field):
+        # ts and the off-segment residuals come from p-vector coordinates;
+        # the reference forms the n-vectors, with x_inf from solve_limit
+        rng = np.random.default_rng(20)
+        a = random_spd(rng, 12, lo=0.3, hi=30.0)
+        if complex_field:
+            u = random_unitary(rng, 12, True)
+            a = hermitian_part(u @ a @ adjoint(u))
+        b = gaussian_vector(rng, 12, complex_field)
+        inst = ProblemInstance.create(a, krylov(a, b, 4), b)
+        omegas = np.logspace(-3, 3, 30)
+        calls = []
+        original = analysis._weighted_solve
+        monkeypatch.setattr(analysis, "_weighted_solve",
+                            lambda *args: calls.append(args[3]) or original(*args))
+        conv = convexity_coordinates(inst, omegas)
+        assert len(calls) == 1 and calls[0].size == omegas.size + 2
+        monkeypatch.undo()
+        x_zero, x_inf = solve_weighted(inst, 0.0), solve_limit(inst)
+        w = x_inf - x_zero
+        xs = np.column_stack([solve_weighted(inst, float(omega)) for omega in omegas])
+        dx = xs - x_zero[:, None]
+        ts = np.real(adjoint(w) @ dx) / np.vdot(w, w).real
+        off = np.linalg.norm(dx - w[:, None] * ts, axis=0) / np.linalg.norm(w)
+        np.testing.assert_allclose(conv.ts, ts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv.off_residuals, off, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conv.x_inf, x_inf, rtol=0, atol=1e-12 * np.linalg.norm(x_inf))
+
     def test_failed_grid_points_are_named(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, 0.0])
@@ -858,7 +899,7 @@ class TestInjectivityScan:
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_factored_distances_match_the_dense_family(self, complex_field):
-        # scale and distances come from x0, Q_s and the p-row coordinates;
+        # scale and distances come from x0, V and the p-row coordinates;
         # an anchored constraint exercises the cross term of the norms
         rng = np.random.default_rng(19)
         a = random_hermitian_invertible(rng, 10, complex_field)

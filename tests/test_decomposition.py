@@ -11,7 +11,14 @@ from omegals.decomposition import (
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
-from omegals.linalg import adjoint, hermitian_part, numerical_rank, orthonormalize, solve_hermitian
+from omegals.linalg import (
+    adjoint,
+    extend_orthonormal,
+    hermitian_part,
+    numerical_rank,
+    orthonormalize,
+    solve_hermitian,
+)
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
     random_hermitian,
@@ -280,6 +287,7 @@ class TestShiftedBlocks:
         ns = nullspace_of_hstar(dec)
         mu = dec.omega_min + 1.3
         j = j_matrix(dec, mu)
-        img_j = Subspace(orthonormalize(j, scale=float(np.linalg.norm(j, 2))))
+        img_j = Subspace(extend_orthonormal(np.zeros((j.shape[0], 0)), j,
+                                            scale=float(np.linalg.norm(j, 2))))
         assert img_j.dim == dec.q
         assert subspaces_equal(img_j, Subspace(ns.N), tol=1e-8)

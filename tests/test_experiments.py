@@ -264,7 +264,7 @@ class TestRunFigure1:
 
     def test_complex_dtype_with_zero_imaginary_part_is_written(self, tmp_path):
         real = run_figure1(Figure1Config(**self.SMALL)).sweep
-        sweep = dataclasses.replace(real, q_s=real.q_s.astype(complex))
+        sweep = dataclasses.replace(real, v=real.v.astype(complex))
         files = sweep_files(sweep, str(tmp_path / "z_"), write_solutions=True)
         table = np.loadtxt(files["solutions"], delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 1:], sweep.solutions.real.T)

@@ -36,6 +36,20 @@ def test_figure1_leaves_scipy_fft_unloaded():
     assert _fresh_interpreter(code) == "True False"
 
 
+def test_first_figure1_run_times_no_scipy_import():
+    # poisson_2d_factored imports scipy.sparse on first use; the first
+    # run_figure1 in a process has it loaded by the first clock reading, so
+    # its operator stage (0.2 s instead of 0.002 s with the import) holds
+    # only the operator
+    code = ("import sys, time\n"
+            "from omegals.experiments import Figure1Config, run_figure1\n"
+            "clock, loaded = time.perf_counter, []\n"
+            "time.perf_counter = lambda: loaded.append('scipy.sparse' in sys.modules) or clock()\n"
+            "run_figure1(Figure1Config(m=5, orders=(3, 2), target_index=2, count=25))\n"
+            "print(len(loaded) > 1, all(loaded))")
+    assert _fresh_interpreter(code) == "True True"
+
+
 def test_star_import_exports_no_submodule():
     for name in omegals.__all__:
         assert not isinstance(getattr(omegals, name), types.ModuleType), name

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from omegals.analysis import sweep_solutions
 from omegals.decomposition import (
     check_omega,
     guard_threshold,
@@ -471,6 +472,73 @@ class TestWeightedSolveKernel:
         for x, y in zip(whole[0], chunked[0]):
             assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(x)
         assert np.linalg.norm(whole[1] - chunked[1]) <= 1e-13 * np.linalg.norm(whole[1])
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_factors_hold_one_n_by_p_array(self, complex_field):
+        # Q, R and beta: the solutions are x0 + V y on the constraint basis
+        # itself, so no second n x p basis is kept
+        rng = np.random.default_rng(45)
+        inst = ProblemInstance.create(random_hermitian_invertible(rng, 11, complex_field),
+                                      random_subspace(rng, 11, 4, complex_field),
+                                      gaussian_vector(rng, 11, complex_field))
+        q, r, beta = inst._factors
+        assert (q.shape, r.shape, beta.shape) == ((11, 4), (4, 4), (11,))
+        p_mat = inst.eig.apply_uh(inst.a @ inst.constraint.direction.basis)
+        np.testing.assert_allclose(q @ r, p_mat, atol=1e-13)
+
+
+def graded_instance(seed, complex_field, indefinite, n=14, p=5):
+    """A with the graded spectrum 1 ... 1e-6 (every third eigenvalue negated
+    when ``indefinite``) in a random eigenbasis, a random S and b."""
+    rng = np.random.default_rng(seed)
+    lam = np.logspace(0, -6, n)
+    if indefinite:
+        lam[::3] *= -1
+    u = random_unitary(rng, n, complex_field)
+    a = hermitian_part((u * lam) @ adjoint(u))
+    return ProblemInstance.create(a, random_subspace(rng, n, p, complex_field),
+                                  gaussian_vector(rng, n, complex_field))
+
+
+def mp_weighted_solution(inst, omega):
+    """The s = -1 minimizer (plain residual minimizer at OMEGA_INF) over the
+    constraint subspace, from the normal equations
+    (AV)* (A + omega I)^{-1} A V y = (AV)* (A + omega I)^{-1} b solved with
+    50 significant digits on the float64 data taken as exact."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, v, b = (mpmath.matrix(m.tolist())
+                   for m in (inst.a, inst.constraint.direction.basis, inst.b))
+        av = a * v
+        wav, wb = av, b
+        if omega != OMEGA_INF:
+            inv = mpmath.inverse(a + mpmath.mpf(omega) * mpmath.eye(inst.n))
+            wav, wb = inv * av, inv * b
+        x = v * mpmath.lu_solve(av.H * wav, av.H * wb)
+        return np.array([complex(x[i]) for i in range(inst.n)])
+
+
+class TestHighPrecisionReference:
+    # worst relative errors measured over these instances (float64 against
+    # 50 digits): 5.4e-11 at omega_min + 1e-6, where A + omega I has
+    # condition number 1e6, and 2.6e-14 at every other shift
+    BOUNDS = {"near guard": 2e-10, "mid-range": 1e-13, "large": 1e-13, "limit": 1e-13}
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_solvers_and_sweep_match_the_reference(self, complex_field, indefinite):
+        for seed in range(3):
+            inst = graded_instance(seed, complex_field, indefinite)
+            shifts = {"near guard": inst.omega_min + 1e-6, "mid-range": inst.omega_min + 1.0,
+                      "large": 1e6, "limit": OMEGA_INF}
+            assert shifts["near guard"] > guard_threshold(inst.omega_min, inst.op_norm)
+            sweep = sweep_solutions(inst, list(shifts.values()))
+            for j, (name, omega) in enumerate(shifts.items()):
+                ref = mp_weighted_solution(inst, omega)
+                single = solve_limit(inst) if omega == OMEGA_INF else solve_weighted(inst, omega)
+                for x in (single, sweep.solutions[:, j]):
+                    err = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+                    assert err <= self.BOUNDS[name], (seed, name, err)
 
 
 class TestDifferenceViaBlocks:

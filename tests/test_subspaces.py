@@ -100,6 +100,17 @@ class TestKrylov:
         with pytest.raises(ValueError):
             krylov(np.eye(2), np.ones(2), 0)
 
+    def test_order_above_n_is_capped_at_n(self):
+        # a Krylov space has at most n dimensions
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        a = a + a.T
+        b = rng.standard_normal(6)
+        full = krylov(a, b, 6)
+        assert full.dim == 6
+        for k in (7, 12, 100):
+            np.testing.assert_array_equal(krylov(a, b, k).basis, full.basis)
+
 
 class TestIndexOfInvariance:
     def test_identity_is_invariant(self):
