@@ -33,7 +33,15 @@ FF = oio.format_float
 
 
 def _load_subspace(path: str) -> Subspace:
-    return Subspace(oio.load_subspace(path))
+    """The span of the file's basis columns, re-orthonormalized: the sweep's
+    spectrum and coordinates are only as accurate as the orthonormality of
+    the constraint basis, and a file may hold it to no better than 1e-8."""
+    cols = oio.load_subspace(path)
+    s = Subspace.from_vectors(cols)
+    if s.dim < cols.shape[1]:
+        raise ValueError(f"{path}: the {cols.shape[1]} basis columns are rank-deficient "
+                         f"(they span a subspace of dimension {s.dim})")
+    return s
 
 
 def _cmd_poisson(args) -> int:

@@ -147,7 +147,8 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = No
     is below drop_tol = ``default_rank_tol(cols.shape)`` times its
     norm. ``scale`` marks the columns as parts of a larger computation whose
     round-off a per-column test cannot see: columns whose norm or residual is
-    below ``drop_tol * scale`` are dropped as well.
+    below ``drop_tol * scale`` are dropped as well. Once [q, kept] has n
+    columns the remaining columns are not looked at.
     """
     q, cols = np.asarray(q), np.asarray(cols)
     (n, m), k = q.shape, cols.shape[1]
@@ -156,6 +157,9 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = No
     basis[:, :m] = q
     width = m
     for j in range(k):
+        if width == n:
+            # [q, kept] spans F^n: what is left of a column is round-off
+            break
         v = cols[:, j].astype(basis.dtype)
         orig = np.linalg.norm(v)
         if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):

@@ -69,7 +69,7 @@ def random_nested_subspaces(
     return Subspace(big[:, :p]), Subspace(big)
 
 
-def random_omega(rng: np.random.Generator, omega_min: float,
-                 lo: float = 0.2, hi: float = 50.0) -> float:
-    """Shift log-uniform in omega_min + [lo, hi]; stays clear of the guard."""
-    return omega_min + float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def random_shift_offset(rng: np.random.Generator, lo: float = 0.2, hi: float = 50.0) -> float:
+    """Distance of a shift above the guard omega_min, log-uniform in
+    [lo, hi]; omega_min plus it stays clear of the guard."""
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))

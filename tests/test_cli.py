@@ -6,7 +6,11 @@ import pytest
 from omegals import io as oio
 from omegals.cli import main
 from omegals.experiments import poisson_2d
-from omegals.sampling import random_nested_subspaces
+from omegals.sampling import (
+    random_hermitian_invertible,
+    random_nested_subspaces,
+    random_subspace,
+)
 from omegals.subspaces import krylov
 
 
@@ -79,6 +83,37 @@ def test_sweep_generates_b_from_seed(workspace, capsys):
                  "--count", "10", "--seed", "7", "--out-prefix", prefix]) == 0
     meta = json.loads((tmp_path / "seeded_meta.json").read_text())
     assert meta["seed"] == 7 and meta["b"] is None
+
+
+def test_sweep_orthonormalizes_the_loaded_basis(tmp_path, capsys):
+    # a file basis a little off orthonormal (||V*V - I|| = 1.7e-8, inside the
+    # Subspace check) once moved sigma by 3e-9 relative: the sweep reads its
+    # spectrum from the coordinates on V
+    rng = np.random.default_rng(3)
+    a_path, s_path, b_path = tmp_path / "a.mtx", tmp_path / "s.json", tmp_path / "b.mtx"
+    a = random_hermitian_invertible(rng, 40, False)
+    oio.write_matrix_market(a_path, a)
+    oio.write_matrix_market(b_path, rng.standard_normal(40))
+    v = random_subspace(rng, 40, 6, False).basis
+    loose = v @ np.diag(1.0 + np.array([6.0, -4.0, 3.0, 2.0, -2.0, 1.0]) * 1e-9)
+    assert 1e-8 < np.linalg.norm(loose.T @ loose - np.eye(6)) < 2e-8
+    oio.save_subspace(s_path, loose)
+    assert main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
+                 "--b", str(b_path), "--count", "30", "--out-prefix", str(tmp_path / "out_"),
+                 "--include-solutions"]) == 0
+    sigma = np.loadtxt(tmp_path / "out_sigma.csv", delimiter=",", skiprows=1)[:, 1]
+    x = np.loadtxt(tmp_path / "out_solutions.csv", delimiter=",", skiprows=1)[:, 1:].T
+    dense = np.linalg.svd(x - x.mean(axis=1, keepdims=True), compute_uv=False)
+    np.testing.assert_allclose(sigma, dense[:sigma.size], rtol=0, atol=1e-13 * dense[0])
+
+
+def test_rank_deficient_basis_file_is_rejected(workspace):
+    tmp_path, a_path, s_path = workspace
+    basis = oio.load_subspace(s_path)
+    bad_path = tmp_path / "bad.json"
+    oio.save_subspace(bad_path, np.hstack([basis, basis[:, :1]]))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        main(["index", "--matrix", str(a_path), "--subspace", str(bad_path)])
 
 
 def test_matrix_path_without_mtx_suffix(tmp_path, capsys):

@@ -168,6 +168,24 @@ class TestExtendOrthonormal:
         w = np.hstack([q, new])
         assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-13
 
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    @pytest.mark.parametrize("m", [0, 3, 7])
+    def test_more_columns_than_the_complement_fill_it(self, m, complex_field):
+        # [q, new] reaches all of F^n before the columns run out: the rest
+        # are not projected, and the loop drops them as round-off anyway
+        rng = np.random.default_rng(m)
+        n = 7
+        cols = rng.standard_normal((n, n - m + 4))
+        if complex_field:
+            cols = cols + 1j * rng.standard_normal(cols.shape)
+        q = orthonormalize(rng.standard_normal((n, m)))
+        new = extend_orthonormal(q, cols)
+        ref = loop_reference(q, cols, default_rank_tol(cols.shape))
+        assert new.shape == ref.shape == (n, n - m)
+        np.testing.assert_allclose(new, ref, atol=1e-12)
+        w = np.hstack([q, new])
+        assert np.linalg.norm(w.conj().T @ w - np.eye(n)) <= 1e-13
+
     def test_columns_inside_q_add_nothing(self):
         q = np.eye(4)[:, :2]
         assert extend_orthonormal(q, np.array([[1.0], [2.0], [0.0], [0.0]])).shape == (4, 0)

@@ -26,6 +26,14 @@ def test_import_leaves_scipy_matrix_market_unloaded():
     assert _fresh_interpreter(code) == "[]"
 
 
+def test_import_leaves_process_pools_unloaded():
+    # the verify suites fork their workers with os.fork; multiprocessing or
+    # concurrent.futures would add about 20 ms to the package import
+    code = ("import sys, omegals; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    assert _fresh_interpreter(code) == "[]"
+
+
 def test_figure1_leaves_scipy_fft_unloaded():
     # the figure-1 sine transform runs on NumPy: importing scipy.fft alone
     # adds about 4 MB to the peak resident memory
