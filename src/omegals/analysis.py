@@ -127,13 +127,17 @@ class SweepResult:
         """The dtype of the solutions, that of x0 + V y."""
         return np.result_type(self.x0, self.v, self.y)
 
-    def solution_blocks(self):
-        """Yield (cols, x0 + V y[:, cols]) for consecutive column slices
-        of about SOLUTION_BLOCK_BYTES each (at least one column)."""
+    def solution_columns(self) -> list[slice]:
+        """The block partition of the family: consecutive column slices of
+        about SOLUTION_BLOCK_BYTES each (at least one column)."""
         n, k = self.v.shape[0], self.y.shape[1]
         step = max(1, SOLUTION_BLOCK_BYTES // (n * self.dtype.itemsize))
-        for lo in range(0, k, step):
-            cols = slice(lo, min(lo + step, k))
+        return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+    def solution_blocks(self):
+        """Yield (cols, x0 + V y[:, cols]) for each slice of
+        ``solution_columns``, one GEMM per block."""
+        for cols in self.solution_columns():
             yield cols, self.x0[:, None] + self.v @ self.y[:, cols]
 
     @cached_property

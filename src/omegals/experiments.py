@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +163,11 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     projection onto the leading est_dim principal directions), optionally
     solutions.csv (omega, x_1..x_n), and a metadata sidecar with the largest
     Gram condition bound and the smallest guard margin of the solved shifts.
-    solutions.csv is streamed from ``sweep.solution_blocks()``, so no n x K
-    matrix is formed. A family with a nonzero imaginary part raises a
+    solutions.csv is written from ``sweep.solution_blocks()``, one row
+    block per column block of the family, so no n x K matrix is formed;
+    given the block sizes, ``write_csv`` formats a large family in whole
+    blocks across the usable CPUs, and the file holds the bits of
+    ``sweep.solutions``. A family with a nonzero imaginary part raises a
     ValueError before any file is written. Returns the written paths keyed
     by kind."""
     if (write_solutions and sweep.dtype.kind == "c"
@@ -191,8 +195,10 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     if write_solutions:
         sol_path = f"{prefix}solutions.csv"
         write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(sweep.x0.size)],
-                  (np.column_stack([omegas_ok[cols], np.real(x).T])
-                   for cols, x in sweep.solution_blocks()))
+                  # stacked with its omegas where it is formatted (in a worker)
+                  (partial(np.column_stack, [omegas_ok[cols], np.real(x).T])
+                   for cols, x in sweep.solution_blocks()),
+                  [cols.stop - cols.start for cols in sweep.solution_columns()])
         files["solutions"] = sol_path
 
     meta = {"est_dim": sweep.est_dim, "est_dim_sigma_ratio": EST_DIM_RATIO,

@@ -14,7 +14,6 @@ main-theorem suite runs as one chunk (see :func:`run_main_theorem_suite`).
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass, field
 
@@ -62,6 +61,7 @@ from .subspaces import (
     subspace_sum,
     subspaces_equal,
 )
+from .workers import Workers, usable_cpus
 
 MEMBERSHIP_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
@@ -113,30 +113,19 @@ def _run_chunk(name, draw, check, seed, start, stop) -> SuiteResult:
 
 def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
     """Contiguous (start, stop) chunks, one per usable CPU, each holding at
-    least ``MIN_CHUNK_TRIALS`` trials; one chunk where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return [(0, trials)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    chunks = max(1, min(cpus or 1, trials // MIN_CHUNK_TRIALS))
+    least ``MIN_CHUNK_TRIALS`` trials."""
+    chunks = max(1, min(usable_cpus(), trials // MIN_CHUNK_TRIALS))
     return [(k * trials // chunks, (k + 1) * trials // chunks) for k in range(chunks)]
 
 
-def _worker(write_fd: int, *chunk) -> None:
-    """Body of a forked worker: run the chunk, write the pickled (True,
-    result) or (False, exception) into the pipe, and exit without returning
-    (an exception that does not pickle leaves the pipe empty)."""
-    status = 1
+def _pickled_chunk(*chunk) -> bytes:
+    """A worker's result: the pickled (True, result) of its chunk or (False,
+    exception); an exception that does not pickle fails the worker."""
     try:
-        try:
-            outcome = (True, _run_chunk(*chunk))
-        except BaseException as exc:  # the caller re-raises it
-            outcome = (False, exc)
-        data = pickle.dumps(outcome)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+        outcome = (True, _run_chunk(*chunk))
+    except BaseException as exc:  # the caller re-raises it
+        outcome = (False, exc)
+    return pickle.dumps(outcome)
 
 
 def _run_trials(name, draw, check, seed: int, trials: int) -> SuiteResult:
@@ -149,38 +138,20 @@ def _run_trials(name, draw, check, seed: int, trials: int) -> SuiteResult:
     before this returns or raises.
     """
     first, *rest = _chunk_bounds(trials)
-    workers = []  # (pid, read end of its pipe, start, stop), in trial order
-    try:
+    with Workers() as workers:
         for start, stop in rest:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(write_fd, name, draw, check, seed, start, stop)
-            os.close(write_fd)
-            workers.append((pid, os.fdopen(read_fd, "rb"), start, stop))
+            workers.fork(f"{name} worker for trials {start}..{stop - 1}", _pickled_chunk,
+                         name, draw, check, seed, start, stop)
         result = _run_chunk(name, draw, check, seed, *first)
-        while workers:
-            pid, pipe, start, stop = workers[0]
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            workers.pop(0)
-            pipe.close()
-            if not data:
-                raise RuntimeError(f"{name} worker for trials {start}..{stop - 1} (pid {pid}) "
-                                   f"died without a result, exit code "
-                                   f"{os.waitstatus_to_exitcode(status)}")
-            ok, part = pickle.loads(data)
-            if not ok:
-                raise part
-            result.trials += part.trials
-            result.checks += part.checks
-            result.failures += part.failures
-        return result
-    finally:
-        for pid, pipe, _, _ in workers:
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL; a worker that has exited is a zombie until reaped
-            os.waitpid(pid, 0)
+        parts = [pipe.read() for pipe in workers.pipes()]
+    for data in parts:
+        ok, part = pickle.loads(data)
+        if not ok:
+            raise part
+        result.trials += part.trials
+        result.checks += part.checks
+        result.failures += part.failures
+    return result
 
 
 def _index_draw(rng, trial):

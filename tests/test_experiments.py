@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from omegals import analysis
+from omegals import io as oio
 from omegals.analysis import default_omega_grid, sweep_solutions
 from omegals.experiments import (
     FIGURE1_STAGES,
@@ -245,6 +246,37 @@ class TestRunFigure1:
         assert table.shape == (200, 530)
         assert np.array_equal(table[:, 0], sweep.omegas[sweep.ok])
         assert np.array_equal(table[:, 1:], sweep.solutions.T)
+
+    @pytest.mark.parametrize("cpus, count, block_columns", [
+        (2, 24, 1), (3, 25, 1), (3, 2, 1), (2, 0, 1), (2, 25, 4), (3, 25, 4)],
+        ids=["K divisible by C", "K not divisible by C", "K < C", "K = 0",
+             "ragged last block, C = 2", "ragged last block, C = 3"])
+    def test_forked_solutions_csv_is_savetxt_of_the_solutions(self, tmp_path, monkeypatch,
+                                                              use_cpus, cpus, count,
+                                                              block_columns):
+        # workers format whole blocks of the family's partition, so the file
+        # holds the bits of sweep.solutions
+        monkeypatch.setattr(analysis, "SOLUTION_BLOCK_BYTES", 8 * 25 * block_columns)
+        monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+        forks = use_cpus(cpus)
+        config = Figure1Config(out_prefix=str(tmp_path / "f_"), write_solutions=True,
+                               **dict(self.SMALL, count=count))
+        sweep = run_figure1(config).sweep
+        ref = tmp_path / "savetxt.csv"
+        np.savetxt(ref, np.column_stack([sweep.omegas[sweep.ok], sweep.solutions.T]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(["omega"] + [f"x_{k + 1}" for k in range(25)]))
+        assert (tmp_path / "f_solutions.csv").read_bytes() == ref.read_bytes()
+        blocks = -(-count // block_columns)
+        assert len(forks) == (min(cpus, blocks) if blocks > 1 else 0)
+
+    def test_complex_family_forks_no_worker(self, tmp_path, monkeypatch, use_cpus):
+        # one complex column per block, so a real family would fork
+        monkeypatch.setattr(analysis, "SOLUTION_BLOCK_BYTES", 16 * 12)
+        monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+        forks = use_cpus(2)
+        self.test_complex_family_writes_no_file(tmp_path, anchored=True)
+        assert forks == []
 
     @pytest.mark.parametrize("anchored", [False, True])
     def test_complex_family_writes_no_file(self, tmp_path, anchored):

@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -180,6 +183,97 @@ def test_csv_row_blocks_match_savetxt(tmp_path, rows, cuts):
     oio.write_csv(path, header, np.split(table, [c for c in cuts if c <= rows]))
     np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
     assert path.read_bytes() == ref.read_bytes()
+
+
+def _savetxt_bytes(tmp_path, header, table):
+    ref = tmp_path / "savetxt.csv"
+    np.savetxt(ref, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    return ref.read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("sizes", [(5, 5, 5, 5), (5, 5, 5, 2), (1, 1), (0, 4, 0, 7), (3,), ()])
+def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, cpus, sizes):
+    # whole blocks formatted in one forked worker per usable CPU (ragged,
+    # empty and fewer blocks than CPUs included) write the bytes np.savetxt
+    # writes for the whole table
+    monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+    forks = use_cpus(cpus)
+    table = np.random.default_rng(22).standard_normal((sum(sizes), 3))
+    table.flat[:4] = [0.0, -0.0, np.nan, 2.0**53][:table.size]
+    header = ["omega", "x_1", "x_2"]
+    path = tmp_path / "forked.csv"
+    oio.write_csv(path, header, iter(np.split(table, np.cumsum(sizes)[:-1])), list(sizes))
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, header, table)
+    assert len(forks) == (min(cpus, len(sizes)) if len(sizes) > 1 else 0)
+    _assert_no_child_left()
+
+
+def test_csv_below_the_cell_constant_stays_in_process(tmp_path, use_cpus):
+    forks = use_cpus(2)
+    header = ["a", "b", "c"]
+    for rows, workers in ((oio.FORK_MIN_CELLS // 3, 0), (oio.FORK_MIN_CELLS // 3 + 1, 2)):
+        table = np.arange(3.0 * rows).reshape(rows, 3) / 7
+        path = tmp_path / f"{rows}.csv"
+        oio.write_csv(path, header, np.split(table, [rows // 2]), [rows // 2, rows - rows // 2])
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, header, table)
+        assert len(forks) == workers
+
+
+@pytest.mark.parametrize("fallback", ["one CPU", "no os.fork"])
+def test_csv_falls_back_to_one_process(tmp_path, monkeypatch, use_cpus, fallback):
+    monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+    forks = use_cpus(1 if fallback == "one CPU" else 2)
+    if fallback == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    table = np.random.default_rng(23).standard_normal((20, 3))
+    path = tmp_path / "one.csv"
+    oio.write_csv(path, ["a", "b", "c"], np.split(table, 4), [5] * 4)
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, ["a", "b", "c"], table)
+    assert forks == []
+
+
+def test_csv_dead_worker_raises_a_runtime_error_naming_its_rows(tmp_path, monkeypatch,
+                                                               use_cpus):
+    text = oio._text
+
+    def die_at_row_10(row, ncol, blocks):
+        if blocks[0][0, 0] == 10:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return text(row, ncol, blocks)
+
+    monkeypatch.setattr(oio, "_text", die_at_row_10)
+    monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+    use_cpus(2)
+    table = np.column_stack([np.arange(20.0), np.ones((20, 2))])
+    with pytest.raises(RuntimeError, match=r"^CSV worker for rows 10\.\.19 \(pid \d+\) "
+                                           r"died without a result, exit code -9$"):
+        oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"], np.split(table, 4), [5] * 4)
+    _assert_no_child_left()
+
+
+def test_csv_parent_error_kills_and_reaps_every_worker(tmp_path, monkeypatch, use_cpus):
+    # the first worker would format for a minute; the error in building the
+    # second run kills it at once
+    monkeypatch.setattr(oio, "_text", lambda *args: time.sleep(60))
+    monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
+    forks = use_cpus(2)
+
+    def blocks():
+        yield np.zeros((5, 3))
+        yield np.zeros((5, 3))
+        raise ValueError("second run")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="second run"):
+        oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"], blocks(), [5] * 4)
+    assert len(forks) == 1 and time.perf_counter() - start < 30
+    _assert_no_child_left()
 
 
 def test_format_float_17_digits():
