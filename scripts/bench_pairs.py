@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload structure --seeds 951-960
+
+For each seed, runs ``python3 bench/run.py --workload W --seed S --seconds T
+--trace 0`` in both checkouts, alternating which side runs first, with T the
+``run_seconds`` of CHANGE's BENCHMARK.json. Around each run it records the
+load average (``os.getloadavg``) and the share of CPU time stolen by the
+hypervisor (the ``steal`` column of /proc/stat, read only), so a noisy
+neighbour shows next to the figures it disturbed. Prints one line per run,
+then per end-to-end metric each side's median [q1, q3] and the number of
+pairs in which CHANGE is lower.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def cpu_ticks() -> tuple[int, int]:
+    """(steal, total) jiffies of all CPUs since boot, from /proc/stat."""
+    with open("/proc/stat") as f:
+        fields = [int(v) for v in f.readline().split()[1:]]
+    # user nice system idle iowait irq softirq steal (guest time is inside user)
+    return fields[7], sum(fields[:8])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    load_before, (steal0, total0) = os.getloadavg()[0], cpu_ticks()
+    proc = subprocess.run([sys.executable, str(checkout / "bench" / "run.py"),
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    steal1, total1 = cpu_ticks()
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["load"] = (load_before, os.getloadavg()[0])
+    result["steal_pct"] = 100.0 * (steal1 - steal0) / max(1, total1 - total0)
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q2, q1, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
+    args = parser.parse_args(argv)
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            r = run_once(sides[side], args.workload, seed, seconds)
+            runs[side].append(r)
+            values = " ".join(f"{k}={m['value']:.4g}" for k, m in r["metrics"].items())
+            print(f"seed {seed} {side:6s} correct={r['correct']} failed={r['failed']}/"
+                  f"{r['attempted']} {values} load {r['load'][0]:.2f}->{r['load'][1]:.2f} "
+                  f"steal {r['steal_pct']:.1f}%", flush=True)
+
+    pairs = len(runs["parent"])
+    print(f"\n{args.workload}: {pairs} pairs, {seconds} s per run")
+    for metric in runs["parent"][0]["metrics"]:
+        before = [r["metrics"][metric]["value"] for r in runs["parent"]]
+        after = [r["metrics"][metric]["value"] for r in runs["change"]]
+        wins = sum(a < b for a, b in zip(after, before))
+        (m0, lo0, hi0), (m1, lo1, hi1) = quartiles(before), quartiles(after)
+        print(f"  {metric:12s} parent {m0:.4g} [{lo0:.4g}, {hi0:.4g}]  "
+              f"change {m1:.4g} [{lo1:.4g}, {hi1:.4g}]  change/parent {m1 / m0:.3f}  "
+              f"change lower in {wins}/{pairs}")
+    ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
+    print(f"  every run correct with 0 failed operations: {ok}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,11 +15,11 @@ from .linalg import (
     adjoint,
     default_rank_tol,
     extend_orthonormal,
-    hermitian_eig,
     hermitian_eigvals,
     hermitian_part,
     is_singular,
     numerical_rank,
+    operator_eig,
     orthonormalize,
     solve_hermitian,
 )
@@ -234,9 +234,10 @@ def estimate_span_dim(
 ) -> int:
     """Numerical dimension of the span of solution differences over random
     right-hand sides (SPAN_SAMPLES_PER_INDEX * q of them) and SPAN_PAIRS
-    sampled shift pairs; bounded by the index q. A is factored once, and all
-    sampled shifts and right-hand sides are one call of the batched
-    weighted-solve kernel.
+    sampled shift pairs; bounded by the index q. A is factored through
+    :func:`linalg.operator_eig`, so an instance built on the same array has
+    already paid for it, and all sampled shifts and right-hand sides are one
+    call of the batched weighted-solve kernel.
     """
     a = np.asarray(a)
     q = index_of_invariance(a, s)
@@ -256,7 +257,7 @@ def estimate_span_dim(
     # coordinates M(omega) bs of the solutions for every sampled shift; V has
     # orthonormal columns, so the differences keep their singular values in
     # these coordinates
-    coords = dict(zip(shifts, _solution_maps(hermitian_eig(a), a @ s.basis, shifts, bs)))
+    coords = dict(zip(shifts, _solution_maps(operator_eig(a), a @ s.basis, shifts, bs)))
     diffs = np.hstack([coords[omega] - coords[mu] for omega, mu in pairs])
     return _family_dim(np.linalg.svd(diffs, compute_uv=False))
 
@@ -277,15 +278,17 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
          K lies in range(P).
       3. Hence the kernel, {b : P b in K}, is A S (+) K.
 
-    One factorization A = U diag(lambda) U* gives the eigenspace blocks Q_i
-    (column slices of U). K's part in block i is Q_i times the left null
-    space of Q_i* V, read off the rows of U* V, from one dim_i x p SVD; the
-    rank cut is ``default_rank_tol`` of U* V against ||V||_2 = 1. A V is then
-    appended by :func:`extend_orthonormal` on the scale of ||A||_2, so a
-    round-off image of a null direction of A counts as zero.
+    The factorization A = U diag(lambda) U* of :func:`linalg.operator_eig`
+    (shared with an instance built on the same array) gives the eigenspace
+    blocks Q_i (column slices of U). K's part in block i is Q_i times the
+    left null space of Q_i* V, read off the rows of U* V, from one
+    dim_i x p SVD; the rank cut is ``default_rank_tol`` of U* V against
+    ||V||_2 = 1. A V is then appended by :func:`extend_orthonormal` on the
+    scale of ||A||_2, so a round-off image of a null direction of A counts
+    as zero.
     """
     a = np.asarray(a)
-    eig = hermitian_eig(a)
+    eig = operator_eig(a)
     op_norm = float(np.max(np.abs(eig.lambdas)))
     check_shift(omega, -float(eig.lambdas[-1]), op_norm)
     v = s.basis

@@ -25,10 +25,10 @@ from .linalg import (
     EigDecomposition,
     adjoint,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
     is_hermitian,
     numerical_rank,
+    operator_eigvals,
     solve_hermitian,
 )
 from .subspaces import Subspace, new_directions, orthogonal_complement
@@ -139,7 +139,9 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
 
     V' comes from :func:`subspaces.new_directions`, so q is the index of
     invariance and the result is a function of (A, S) alone; V'' is the
-    orthogonal complement of [V V']. Degenerate shapes (p = 0, q = 0,
+    orthogonal complement of [V V']. lambda_min and ||A||_2 are read from
+    :func:`linalg.operator_eigvals`: from the kept factorization when A has
+    one, else from one eigvalsh. Degenerate shapes (p = 0, q = 0,
     n = p + q) come out with 0-width blocks.
     """
     a = np.asarray(a)
@@ -147,7 +149,7 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
         raise ValueError("operator is not Hermitian within tolerance")
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    lam = hermitian_eigvals(a)
+    lam = operator_eigvals(a)
     v = s.basis
     av = a @ v
     vp = new_directions(a, s)

@@ -2,13 +2,16 @@
 
 Every routine works over R or C; the field is carried by the dtype
 (``complex128`` vs ``float64``) so conjugation degrades to a no-op for real
-input. All functions are pure and never mutate their arguments. Routines
-that only apply an operator with ``@`` also take a SciPy sparse matrix
-(:func:`as_operator`).
+input. No function mutates its arguments. All are pure except
+:func:`operator_eig` and :func:`operator_eigvals`, which keep and read the
+factorization of the last dense operator factored, for as long as that
+array lives unchanged. Routines that only apply an operator with ``@`` also
+take a SciPy sparse matrix (:func:`as_operator`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +138,64 @@ def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending, without the
     eigenvectors; same checks and symmetrization as :func:`hermitian_eig`."""
     return np.linalg.eigvalsh(_checked_hermitian(m))[::-1]
+
+
+# The last dense operator factored by operator_eig: (weak reference to the
+# array, digest of its dtype, shape and bytes, its EigDecomposition), or None.
+_operator_memo = None
+
+
+def _digest(a: np.ndarray) -> bytes:
+    import hashlib  # about 2.4 ms to import; only factored operators need it
+
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a))
+    return h.digest()
+
+
+def _forget(ref) -> None:
+    """Weak-reference callback: drop the memo entry of an array that died."""
+    global _operator_memo
+    if _operator_memo is not None and _operator_memo[0] is ref:
+        _operator_memo = None
+
+
+def _memoized(a) -> EigDecomposition | None:
+    """The memo's factorization when ``a`` is the memoized array itself and
+    its bytes still hash to the stored digest, else None."""
+    memo = _operator_memo
+    if memo is not None and memo[0]() is a and memo[1] == _digest(a):
+        return memo[2]
+    return None
+
+
+def operator_eig(a) -> EigDecomposition:
+    """:func:`hermitian_eig` of a caller's operator A, factored once per array.
+
+    The factorization of the last dense ``np.ndarray`` factored here is kept,
+    tied to the array by a weak reference, and returned (the same object)
+    while that array lives and its bytes hash to the same sha256 digest, so
+    an in-place change to A factors it again. Its ``u`` and ``lambdas`` are
+    read-only. A sparse operator, or any other input, is factored on every
+    call and not kept.
+    """
+    global _operator_memo
+    eig = _memoized(a)
+    if eig is None:
+        eig = hermitian_eig(a)
+        if isinstance(a, np.ndarray):
+            eig.u.flags.writeable = False
+            eig.lambdas.flags.writeable = False
+            _operator_memo = (weakref.ref(a, _forget), _digest(a), eig)
+    return eig
+
+
+def operator_eigvals(a) -> np.ndarray:
+    """Eigenvalues of a caller's operator A, descending: those of the kept
+    :func:`operator_eig` factorization when it is A's, else
+    :func:`hermitian_eigvals`, which keeps nothing."""
+    eig = _memoized(a)
+    return eig.lambdas if eig is not None else hermitian_eigvals(a)
 
 
 def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     is_singular,
+    operator_eig,
     solve_hermitian,
     stored_entries,
 )
@@ -166,7 +167,9 @@ class ProblemInstance:
     def create(cls, a, space, b: np.ndarray, eig=None) -> "ProblemInstance":
         """Check and assemble an instance. A given factorization ``eig`` (an
         object with ``lambdas`` and ``apply_uh``) replaces the eigendecomposition
-        of A, after a probe that it factors A; every other check runs on A."""
+        of A, after a probe that it factors A; every other check runs on A.
+        Without one, A is factored by :func:`linalg.operator_eig`, which
+        later calls on the same array reuse."""
         a = as_operator(a)
         b = np.asarray(b)
         if isinstance(space, Subspace):
@@ -182,7 +185,7 @@ class ProblemInstance:
         if b.shape[0] != a.shape[0] or space.ambient_dim != a.shape[0]:
             raise ValueError("shape mismatch between operator, constraint set, and b")
         if eig is None:
-            eig = hermitian_eig(a)
+            eig = operator_eig(a)
         else:
             _probe_factorization(a, eig)
         if is_singular(eig.lambdas):
@@ -261,21 +264,20 @@ def _solution_maps(eig: EigDecomposition, av: np.ndarray, omegas, rhs=None) -> n
 
 def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
     """The p x n coordinate solution map M(omega) with V M(omega) b the
-    weighted minimizer over the subspace S for every b.
-
-    Factors A once per call; callers that need several shifts factor A
-    themselves and reuse it shifted through the same kernel.
+    weighted minimizer over the subspace S for every b. A is factored
+    through :func:`linalg.operator_eig`, so once per operator array.
     """
     a = np.asarray(a)
-    return _solution_maps(hermitian_eig(a), a @ s.basis, [omega])[0]
+    return _solution_maps(operator_eig(a), a @ s.basis, [omega])[0]
 
 
 def solution_map_diff(a: np.ndarray, s: Subspace, omega: float, mu: float) -> np.ndarray:
     """The n x n difference V (M(omega) - M(mu)) of the solution operators;
     its image sits inside the q-dimensional difference subspace. A is
-    factored once, and both shifts are one kernel call."""
+    factored through :func:`linalg.operator_eig`, and both shifts are one
+    kernel call."""
     a = np.asarray(a)
-    maps = _solution_maps(hermitian_eig(a), a @ s.basis, [omega, mu])
+    maps = _solution_maps(operator_eig(a), a @ s.basis, [omega, mu])
     return s.basis @ (maps[0] - maps[1])
 
 

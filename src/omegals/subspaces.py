@@ -17,7 +17,7 @@ from .linalg import (
     EigDecomposition,
     as_operator,
     extend_orthonormal,
-    hermitian_eig,
+    operator_eig,
     orthonormalize,
 )
 
@@ -245,13 +245,13 @@ def eigenspace_split(a) -> EigenspaceSplit:
     """Group the spectrum of Hermitian A into distinct eigenvalues and return
     per-eigenvalue orthonormal bases spanning all of F^n.
 
-    ``a`` may be the matrix or its precomputed :class:`EigDecomposition`. The
-    blocks are consecutive column slices of the eigenvector matrix, in
-    descending eigenvalue order. Eigenvalues within
-    EIG_CLUSTER_TOL * max(1, ||A||_2) of each other merge into one block
-    (chained along the sorted spectrum).
+    ``a`` may be the matrix, factored by :func:`linalg.operator_eig`, or its
+    precomputed :class:`EigDecomposition`. The blocks are consecutive column
+    slices of the eigenvector matrix, in descending eigenvalue order.
+    Eigenvalues within EIG_CLUSTER_TOL * max(1, ||A||_2) of each other merge
+    into one block (chained along the sorted spectrum).
     """
-    eig = a if isinstance(a, EigDecomposition) else hermitian_eig(a)
+    eig = a if isinstance(a, EigDecomposition) else operator_eig(a)
     lam, u = eig.lambdas, eig.u
     n = lam.size
     scale = max(1.0, float(np.max(np.abs(lam))) if n else 1.0)

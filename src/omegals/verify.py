@@ -231,6 +231,9 @@ def _main_theorem_draw(rng, trial):
 
 def _main_theorem_check(result, trial, drawn):
     a, s, b, omega_offset, mu_offset = drawn
+    # the instance factors A first, so the decomposition reads its spectrum
+    # from that factorization instead of taking an eigvalsh of its own
+    inst = ProblemInstance.create(a, s, b)
     dec = tridiagonal_block_decomposition(a, s)
     q = index_of_invariance(a, s)
     result.check(dec.q == q, f"trial {trial}: decomposition q={dec.q} != index {q}")
@@ -241,7 +244,6 @@ def _main_theorem_check(result, trial, drawn):
     diff_space = difference_subspace(dec)
     result.check(diff_space.basis.dim == dec.q,
                  f"trial {trial}: difference subspace dim {diff_space.basis.dim} != q={dec.q}")
-    inst = ProblemInstance.create(a, s, b)
     x_omega = solve_weighted(inst, inst.omega_min + omega_offset)
     diff = x_omega - solve_weighted(inst, inst.omega_min + mu_offset)
     if dec.q == 0:

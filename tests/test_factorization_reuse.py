@@ -1,7 +1,9 @@
 """The structural checks factor A, the outer block E and H*H once each:
 counted as np.linalg.eigh calls by matrix order, or by the matrix itself.
-The constant kernel takes no SVD of order n and no solution map, and the
-condition report none of order q, no full SVD and no Subspace."""
+The whole pipeline on one operator array takes one eigh of A and no
+eigvalsh of A. The constant kernel takes no SVD of order n and no solution
+map, and the condition report none of order q, no full SVD and no
+Subspace."""
 
 from collections import Counter
 
@@ -17,9 +19,15 @@ from omegals.analysis import (
 )
 from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.linalg import adjoint
-from omegals.sampling import random_spd, random_subspace
-from omegals.solver import difference_via_blocks, limit_difference_via_blocks
-from omegals.subspaces import Subspace, index_of_invariance, krylov
+from omegals.sampling import gaussian_vector, random_spd, random_subspace
+from omegals.solver import (
+    ProblemInstance,
+    difference_via_blocks,
+    limit_difference_via_blocks,
+    solution_map,
+    solution_map_diff,
+)
+from omegals.subspaces import Subspace, eigenspace_split, index_of_invariance, krylov
 
 
 @pytest.fixture
@@ -34,6 +42,41 @@ def eigh_orders(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     return orders
+
+
+@pytest.fixture
+def eigvalsh_orders(monkeypatch):
+    """Counter of np.linalg.eigvalsh calls keyed by the order of the matrix
+    (of each matrix, for a stack)."""
+    orders = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        orders[np.shape(m)[-1]] += 1
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return orders
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+def test_pipeline_on_one_operator_factors_it_once(complex_field, eigh_orders, eigvalsh_orders):
+    rng = np.random.default_rng(55)
+    n = 12
+    a = random_spd(rng, n, complex_field)
+    s = random_subspace(rng, n, 2, complex_field)
+    inst = ProblemInstance.create(a, s, gaussian_vector(rng, n, complex_field))
+    dec = tridiagonal_block_decomposition(a, s)
+    # n differs from every block order (p, q, p + q, n - p - q)
+    assert (dec.p, dec.q) == (2, 2)
+    difference_subspace(dec)
+    assert estimate_span_dim(a, s, grid=np.logspace(-2, 2, 30), seed=3) == dec.q
+    constant_kernel(a, s, 0.5)
+    solution_map(a, s, 0.7)
+    solution_map_diff(a, s, 0.7, 40.0)
+    assert eigenspace_split(a).blocks[0][1].base is inst.eig.u
+    assert eigh_orders[n] == 1
+    assert eigvalsh_orders[n] == 0
 
 
 def test_block_route_and_condition_report_share_one_factorization_of_e(eigh_orders):

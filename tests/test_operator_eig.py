@@ -1,0 +1,120 @@
+"""operator_eig keeps the factorization of the last dense operator it
+factored: the same object while that array lives with the same bytes, a new
+one after an in-place change, nothing once the array is gone, and nothing
+for sparse operators or given factorizations. Derived blocks are factored
+per decomposition."""
+
+import gc
+from collections import Counter
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+from omegals import linalg
+from omegals.analysis import constant_kernel
+from omegals.decomposition import tridiagonal_block_decomposition
+from omegals.linalg import hermitian_eig, hermitian_eigvals, operator_eig, operator_eigvals
+from omegals.sampling import gaussian_vector, random_hermitian, random_spd, random_subspace
+from omegals.solver import ProblemInstance
+
+FIELDS = pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+
+
+@pytest.fixture(autouse=True)
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(linalg, "_operator_memo", None)
+
+
+def _instance_data(seed, complex_field, n=12, p=3):
+    rng = np.random.default_rng(seed)
+    a = random_spd(rng, n, complex_field)
+    return rng, a, random_subspace(rng, n, p, complex_field), gaussian_vector(rng, n, complex_field)
+
+
+@FIELDS
+def test_hit_is_the_same_object_and_bit_identical_to_a_fresh_factorization(complex_field):
+    _, a, s, b = _instance_data(60, complex_field)
+    inst = ProblemInstance.create(a, s, b)
+    assert operator_eig(a) is inst.eig
+    assert operator_eigvals(a) is inst.eig.lambdas
+    fresh = hermitian_eig(a.copy())
+    assert np.array_equal(inst.eig.u, fresh.u)
+    assert np.array_equal(inst.eig.lambdas, fresh.lambdas)
+
+
+@FIELDS
+def test_in_place_change_factors_again(complex_field):
+    rng, a, s, b = _instance_data(61, complex_field)
+    before = ProblemInstance.create(a, s, b).eig
+    dec_before = tridiagonal_block_decomposition(a, s)
+    a += 0.3 * random_hermitian(rng, a.shape[0], complex_field)
+    after = operator_eig(a)
+    assert after is not before
+    dec = tridiagonal_block_decomposition(a, s)
+    kernel = constant_kernel(a, s, 0.5)
+    assert dec.lambda_min != dec_before.lambda_min
+    copy = a.copy()
+    dec_copy = tridiagonal_block_decomposition(copy, s)
+    assert np.array_equal(dec.E, dec_copy.E)
+    # the copy's spectrum comes from eigvalsh, A's from the kept eigh
+    np.testing.assert_allclose([dec.lambda_min, dec.op_norm],
+                               [dec_copy.lambda_min, dec_copy.op_norm], rtol=1e-13)
+    assert np.array_equal(kernel.basis, constant_kernel(copy, s, 0.5).basis)
+
+
+def test_memo_does_not_outlive_its_array():
+    a = random_spd(np.random.default_rng(62), 8)
+    operator_eig(a)
+    assert linalg._operator_memo is not None
+    del a
+    gc.collect()
+    assert linalg._operator_memo is None
+
+
+@FIELDS
+def test_sparse_operators_and_given_factorizations_are_not_kept(complex_field):
+    _, a, s, b = _instance_data(63, complex_field)
+    sparse = scipy.sparse.csr_array(a)
+    first = operator_eig(sparse)
+    assert operator_eig(sparse) is not first
+    assert linalg._operator_memo is None
+    given = hermitian_eig(a)
+    assert ProblemInstance.create(a, s, b, eig=given).eig is given
+    assert linalg._operator_memo is None
+    # the spectrum-only path keeps nothing on a miss either
+    assert np.array_equal(operator_eigvals(a), hermitian_eigvals(a))
+    assert linalg._operator_memo is None
+
+
+@FIELDS
+def test_two_decompositions_of_one_operator_factor_e_twice(complex_field, monkeypatch):
+    _, a, s, b = _instance_data(64, complex_field)
+    ProblemInstance.create(a, s, b)
+    orders = Counter()
+    eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        orders[np.shape(m)[-1]] += 1
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    decs = [tridiagonal_block_decomposition(a, s) for _ in range(2)]
+    for dec in decs:
+        dec.E_eig
+        dec.E_eig
+    r = a.shape[0] - decs[0].p - decs[0].q
+    assert r not in (a.shape[0], decs[0].p, decs[0].q)
+    assert orders == Counter({r: 2})
+
+
+@FIELDS
+def test_shared_factorization_is_read_only(complex_field):
+    _, a, s, b = _instance_data(65, complex_field)
+    eig = ProblemInstance.create(a, s, b).eig
+    assert operator_eig(a) is eig
+    for array in (eig.u, eig.lambdas):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    shifted = eig.shifted(1.0)
+    np.testing.assert_array_equal(shifted.lambdas, eig.lambdas + 1.0)

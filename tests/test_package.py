@@ -34,6 +34,13 @@ def test_import_leaves_process_pools_unloaded():
     assert _fresh_interpreter(code) == "[]"
 
 
+def test_import_leaves_hashlib_unloaded():
+    # only linalg.operator_eig hashes an operator's bytes, so it imports
+    # hashlib on first use: the import costs about 2.4 ms
+    code = "import sys, omegals; print('hashlib' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
 def test_figure1_leaves_scipy_fft_unloaded():
     # the figure-1 sine transform runs on NumPy: importing scipy.fft alone
     # adds about 4 MB to the peak resident memory
