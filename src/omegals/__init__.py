@@ -65,7 +65,6 @@ from .solver import (
     limit_difference_via_blocks,
     solution_map,
     solve_limit,
-    solve_parametric,
     solve_weighted,
 )
 from .subspaces import (

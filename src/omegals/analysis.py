@@ -56,7 +56,12 @@ SOLUTION_BLOCK_BYTES = 2**20
 
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1))."""
+    """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1)); both
+    bounds must be positive and finite (lo > hi gives a descending grid)."""
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not 0 < bound < np.inf:
+            raise ValueError(f"grid bound {name} = {bound}: a log-spaced shift grid "
+                             f"needs positive, finite bounds")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -190,8 +195,9 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
     All admitted grid points are one call of the batched weighted-solve
     kernel, the one ``solve_weighted`` uses; omega = OMEGA_INF takes the
     limit weights 1 and gives the ``solve_limit`` solution. Grid points that
-    fail (shift below the guard, Gram breakdown, a rank-deficient U* A V) are
-    recorded in ``failures``, in grid order, and skipped.
+    fail (a shift below the guard or NaN, or every admitted shift when U* A V
+    is rank deficient) are recorded in ``failures``, in grid order, and
+    skipped.
     """
     omegas = np.asarray(omegas, dtype=float)
     threshold = guard_threshold(inst.omega_min, inst.op_norm)
@@ -205,21 +211,17 @@ def sweep_solutions(inst: ProblemInstance, omegas) -> SweepResult:
             failures.append((int(j), str(err)))
     admitted = np.flatnonzero(ok)
     bound = np.full(omegas.size, np.nan)
-    bound[admitted] = gram_cond_bound(inst.eig.lambdas, omegas[admitted], -1)
+    bound[admitted] = gram_cond_bound(inst.eig.lambdas, omegas[admitted])
     x0, v = inst.constraint.x0, inst.constraint.direction.basis
     y = np.zeros((inst.p, 0))
     if admitted.size:
         try:
             q, r, beta = inst._factors
         except np.linalg.LinAlgError as err:
-            failures += [(int(j), str(err)) for j in admitted]
+            failures = sorted(failures + [(int(j), str(err)) for j in admitted])
             ok[:] = False
         else:
-            y, singular = _weighted_solve(q, r, inst.eig.lambdas, omegas[admitted], -1, beta)
-            failures += [(int(admitted[k]), message) for k, message in singular]
-            ok[admitted[[k for k, _ in singular]]] = False
-            y = y[ok[admitted]].T
-    failures.sort()
+            y = _weighted_solve(q, r, inst.eig.lambdas, omegas[admitted], beta).T
     sigma, est, coords = _centered_spectrum(x0, v, y)
     return SweepResult(omegas=omegas, ok=ok, x0=x0, v=v, y=y, sigma=sigma, est_dim=est,
                        coords=coords, gram_cond_bound=bound, guard_margin=guard_margin,
@@ -237,15 +239,18 @@ def estimate_span_dim(
     sampled shift pairs; bounded by the index q. A is factored through
     :func:`linalg.operator_eig`, so an instance built on the same array has
     already paid for it, and all sampled shifts and right-hand sides are one
-    call of the batched weighted-solve kernel.
+    call of the batched weighted-solve kernel. The grid must hold at least
+    two distinct shifts, since each pair is drawn from it with unequal ones.
     """
     a = np.asarray(a)
+    grid = default_omega_grid() if grid is None else np.asarray(grid, dtype=float)
+    distinct = np.unique(grid).size
+    if distinct < 2:
+        raise ValueError(f"grid holds {distinct} distinct shift(s): the sampled shift "
+                         f"pairs need at least two")
     q = index_of_invariance(a, s)
     if q == 0:
         return 0
-    if grid is None:
-        grid = default_omega_grid()
-    grid = np.asarray(grid, dtype=float)
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < SPAN_PAIRS:

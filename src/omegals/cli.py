@@ -52,6 +52,7 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    grid = default_omega_grid(args.count, args.omega_min, args.omega_max)
     a = oio.read_matrix_market(args.matrix)
     s = _load_subspace(args.subspace)
     if args.b is not None:
@@ -59,7 +60,6 @@ def _cmd_sweep(args) -> int:
     else:
         b = gaussian_vector(np.random.default_rng(args.seed), a.shape[0], np.iscomplexobj(a))
     inst = ProblemInstance.create(a, s, b)
-    grid = default_omega_grid(args.count, args.omega_min, args.omega_max)
     sweep = sweep_solutions(inst, grid)
     metadata = {"matrix": args.matrix, "subspace": args.subspace,
                 "b": args.b, "seed": args.seed,

@@ -175,10 +175,6 @@ class NullspaceN:
     N1: np.ndarray
     N2: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.N.shape[1]
-
 
 def nullspace_of_hstar(dec: TridiagDecomp) -> NullspaceN:
     """Canonical (orthonormal) nullspace basis of the adjoint of H = [T; B].

@@ -163,33 +163,6 @@ def _complex_pairs(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def condition_report_to_json(report) -> dict:
-    """JSON object for a sufficient-condition report; sampled coupling
-    matrices are stored column-major as [re, im] pairs."""
-    return {
-        "t_invertible": bool(report.t_invertible),
-        "images_trivial_intersection": bool(report.images_trivial_intersection),
-        "samples": [
-            {
-                "omega": float(s.omega),
-                "mu": float(s.mu),
-                "invertible": bool(s.invertible),
-                "positive": bool(s.positive),
-                "l_matrix": {
-                    "rows": int(s.l_matrix.shape[0]),
-                    "cols": int(s.l_matrix.shape[1]),
-                    "entries": _complex_pairs(s.l_matrix),
-                },
-            }
-            for s in report.samples
-        ],
-    }
-
-
-def save_condition_report(path, report) -> None:
-    Path(path).write_text(json.dumps(condition_report_to_json(report), indent=2))
-
-
 def _lines(row: str, ncol: int, blocks):
     """The CSV text of each row of ``blocks``, formatted by ``row``."""
     for block in blocks:

@@ -4,13 +4,13 @@ route for solution differences.
 
 For Hermitian invertible A = U diag(lambda) U*, a constraint set x0 + S with
 semi-unitary basis V of S, and a shift omega above the spectral floor, the
-minimizer of || (A + omega I)^{s/2} (b - A x) || over the constraint set is
+minimizer of || (A + omega I)^{-1/2} (b - A x) || over the constraint set is
 
     x = x0 + V (P* W P)^{-1} P* W beta,  P = U* A V,  beta = U* (b - A x0),
 
-with W = diag((lambda + omega)^s), s = -1 for the weighted family and W = I
-for the plain residual minimizer (omega -> infinity). All of them share one
-kernel on the thin QR P = Q R, so the Gram matrix carries cond(W), not cond(P)^2.
+with W = diag(1/(lambda + omega)), and W = I for the plain residual
+minimizer (omega -> infinity). All of them share one kernel on the thin QR
+P = Q R, so the Gram matrix carries cond(W), not cond(P)^2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .decomposition import (
     shifted_blocks,
 )
 from .linalg import (
-    SINGULAR_MESSAGE,
     EigDecomposition,
     adjoint,
     as_operator,
@@ -66,44 +65,50 @@ def _qr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _limit_weights(omegas, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, power) with (lam + shift)^power the weights of each shift: at
-    OMEGA_INF the power is 0, so every weight is exactly 1."""
+def _limit_weights(omegas) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, power) with (lam + shift)^power the weights 1/(lam + omega)
+    of each shift: at OMEGA_INF the power is 0, so every weight is exactly 1."""
     omegas = np.asarray(omegas, dtype=float)
     inf = np.isinf(omegas)
-    return np.where(inf, 0.0, omegas), np.where(inf, 0.0, s)
+    return np.where(inf, 0.0, omegas), np.where(inf, 0.0, -1.0)
 
 
-def gram_cond_bound(lam: np.ndarray, omegas, s: float) -> np.ndarray:
-    """max w / min w for W = diag((lam + omega)^s) at each shift (1 at
-    OMEGA_INF): for Q with orthonormal columns and positive weights,
-    cond(Q* W Q) is at most this. The weights are monotone in lambda, so the
-    extreme eigenvalues carry the extreme weights."""
-    shift, power = _limit_weights(omegas, s)
+def gram_cond_bound(lam: np.ndarray, omegas) -> np.ndarray:
+    """max w / min w = (lam_max + omega) / (lam_min + omega) for
+    W = diag(1/(lam + omega)) at each shift (1 at OMEGA_INF): for Q with
+    orthonormal columns, cond(Q* W Q) is at most this."""
+    shift, power = _limit_weights(omegas)
     ends = (np.array([lam.min(), lam.max()])[:, None] + shift) ** power
     return ends.max(axis=0) / ends.min(axis=0)
 
 
-def _weighted_solve(q, r, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]:
+def _weighted_solve(q, r, lam, omegas, rhs) -> np.ndarray:
     """Y[k] = R^{-1} (Q* W_k Q)^{-1} Q* W_k rhs = (P* W_k P)^{-1} P* W_k rhs
-    for P = Q R, W_k = diag((lam + omegas[k])^s), W_k = I at OMEGA_INF, for
+    for P = Q R, W_k = diag(1/(lam + omegas[k])), W_k = I at OMEGA_INF, for
     all K shifts at once: the one place the weighted Gram matrix is formed;
     R^{-1} is one solve on the right-hand sides of all K shifts side by side.
+    Returns Y (K x p, or K x p x m for an n x m ``rhs``).
 
     With the rows of Q as an n x p^2 matrix M = (conj(q_ia) q_ib), ``W @ M``
     holds all K Gram matrices; M is formed in row chunks of about
     GRAM_CHUNK_BYTES, together with the right-hand sides expanded the same
-    way. One batched solve handles the K systems. Since
-    cond(Q* W Q) <= :func:`gram_cond_bound`, a shift whose bound clears the
-    singularity test of ``is_singular`` by the round-off of the n-term sums
-    is not singular; only the others take an eigvalsh. Returns Y (K x p,
-    or K x p x m for an n x m ``rhs``; NaN rows at singular shifts) and the
-    failures as (k, message), the message naming omega."""
+    way. One batched solve handles the K systems.
+
+    No shift needs a singularity test. Above the guard, lam_min + omega >=
+    OMEGA_GUARD max(1, ||A||) and lam_max - lam_min <= 2 ||A||, so
+    cond(Q* W Q) <= (lam_max + omega) / (lam_min + omega) <= 1 + 2e8
+    (:func:`gram_cond_bound`). The n-term sums move the Gram matrix by about
+    n eps max w, so its smallest eigenvalue stays above
+    min w - n eps max w, while ``is_singular`` cuts at 32 p eps times the
+    largest, at most max w. A Gram matrix could thus fail that test only if
+    min w / max w <= (n + 32 p) eps, that is n + 32 p >= 1 / (eps (1 + 2e8)),
+    about 2.2e7. Even the cruder a-priori test bound * 32 p max(n, p) eps >= 1
+    could fire only for p n >= 7e5."""
     omegas = np.asarray(omegas, dtype=float)
     (n, p), kk = q.shape, omegas.size
     cols = rhs.reshape(n, -1)
     m = cols.shape[1]
-    shift, power = (v[:, None] for v in _limit_weights(omegas, s))
+    shift, power = (v[:, None] for v in _limit_weights(omegas))
     gram = np.zeros((kk, p * p), dtype=q.dtype)
     proj = np.zeros((kk, p, m), dtype=np.result_type(q, cols))
     qbar = q.conj()
@@ -115,25 +120,11 @@ def _weighted_solve(q, r, lam, omegas, s: float, rhs) -> tuple[np.ndarray, list]
         gram += w @ (qbar_c[:, :, None] * q[rows, None, :]).reshape(-1, p * p)
         proj += (w @ (qbar_c[:, :, None] * cols[rows, None, :]).reshape(-1, p * m)).reshape(kk, p, m)
     gram = hermitian_part(gram.reshape(kk, p, p))
-    singular = np.zeros(kk, dtype=bool)
-    # round-off in the n-term sums moves the eigenvalues of Q* W Q by at most
-    # about p n eps max w, so a bound below 1 / (p * 32 n eps) keeps the
-    # smallest one above the cut of is_singular
-    suspect = gram_cond_bound(lam, omegas, s) * p * default_rank_tol((n, p)) >= 1.0
-    if suspect.any():
-        singular[suspect] = is_singular(np.linalg.eigvalsh(gram[suspect]))
-    z = np.linalg.solve(gram[~singular], proj[~singular]).transpose(1, 0, 2)  # p x K' x m
-    y = np.full((kk, p, m), np.nan, dtype=np.result_type(z, r))
-    y[~singular] = np.linalg.solve(r, z.reshape(p, -1)).reshape(z.shape).transpose(1, 0, 2)
-    failures = [(int(k), f"inner Gram matrix singular at omega = {float(omegas[k])}: "
-                 f"{SINGULAR_MESSAGE}") for k in np.flatnonzero(singular)]
-    return (y[:, :, 0] if rhs.ndim == 1 else y), failures
-
-
-def _first_failure(failures: list) -> None:
-    """Raise the first kernel failure as a LinAlgError."""
-    if failures:
-        raise np.linalg.LinAlgError(failures[0][1])
+    z = np.linalg.solve(gram, proj).transpose(1, 0, 2)  # p x K x m
+    # a C-order copy: the SVD of the sweep's coordinates rounds differently
+    # on a transposed layout
+    y = np.linalg.solve(r, z.reshape(p, -1)).reshape(z.shape).transpose(1, 0, 2).copy()
+    return y[:, :, 0] if rhs.ndim == 1 else y
 
 
 def _probe_factorization(a, eig) -> None:
@@ -220,32 +211,27 @@ class ProblemInstance:
         q, r = _qr(uh(self.a @ self.constraint.direction.basis))
         return q, r, uh(self.b - self.a @ self.constraint.x0)
 
-    def _solve(self, omega: float, s: float) -> np.ndarray:
+    def _solve(self, omega: float) -> np.ndarray:
         """x0 + V y with y from the weighted-solve kernel at one shift; no
         shift guard."""
         q, r, beta = self._factors
-        y, failures = _weighted_solve(q, r, self.eig.lambdas, [omega], s, beta)
-        _first_failure(failures)
+        y = _weighted_solve(q, r, self.eig.lambdas, [omega], beta)
         return self.constraint.x0 + self.constraint.direction.basis @ y[0]
 
 
-def solve_parametric(inst: ProblemInstance, omega: float, s: float) -> np.ndarray:
-    """Minimizer of ||(A + omega I)^{s/2} (b - A x)|| over the constraint set,
-    one kernel solve; the omega -> infinity endpoint is :func:`solve_limit`."""
+def solve_weighted(inst: ProblemInstance, omega: float) -> np.ndarray:
+    """Minimizer of ||(A + omega I)^{-1/2} (b - A x)|| over the constraint
+    set, one kernel solve; the omega -> infinity endpoint is
+    :func:`solve_limit`."""
     inst.check_omega(omega)
     if omega == OMEGA_INF:
         raise ValueError("use solve_limit for the omega -> infinity endpoint")
-    return inst._solve(omega, s)
-
-
-def solve_weighted(inst: ProblemInstance, omega: float) -> np.ndarray:
-    """The s = -1 member of the family (same code path as solve_parametric)."""
-    return solve_parametric(inst, omega, -1)
+    return inst._solve(omega)
 
 
 def solve_limit(inst: ProblemInstance) -> np.ndarray:
     """argmin ||b - A x|| over the constraint set (the omega -> inf limit)."""
-    return inst._solve(OMEGA_INF, 0)
+    return inst._solve(OMEGA_INF)
 
 
 def _solution_maps(eig: EigDecomposition, av: np.ndarray, omegas, rhs=None) -> np.ndarray:
@@ -256,10 +242,8 @@ def _solution_maps(eig: EigDecomposition, av: np.ndarray, omegas, rhs=None) -> n
     lam = eig.lambdas
     for omega in omegas:
         check_shift(omega, -float(lam[-1]), float(np.max(np.abs(lam))))
-    y, failures = _weighted_solve(*_qr(eig.apply_uh(av)), lam, omegas, -1,
-                                  adjoint(eig.u) if rhs is None else eig.apply_uh(rhs))
-    _first_failure(failures)
-    return y
+    return _weighted_solve(*_qr(eig.apply_uh(av)), lam, omegas,
+                           adjoint(eig.u) if rhs is None else eig.apply_uh(rhs))
 
 
 def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:

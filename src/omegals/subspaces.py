@@ -49,12 +49,9 @@ class Subspace:
                 raise ValueError("basis columns are not orthonormal")
 
     @classmethod
-    def from_vectors(cls, vectors, n: int | None = None) -> "Subspace":
+    def from_vectors(cls, vectors) -> "Subspace":
         """Subspace spanned by arbitrary vectors (orthonormalized, in order)."""
-        basis = orthonormalize(vectors)
-        if basis.shape[0] == 0 and n is not None:
-            basis = np.zeros((n, 0))
-        return cls(basis)
+        return cls(orthonormalize(vectors))
 
     @classmethod
     def zero(cls, n: int, complex_field: bool = False) -> "Subspace":
@@ -217,9 +214,6 @@ class AffineSubspace:
     @property
     def dim(self) -> int:
         return self.direction.dim
-
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
-        return self.direction.contains(x - self.x0, tol)
 
 
 def normal_representation(x0_raw: np.ndarray, direction: Subspace) -> AffineSubspace:

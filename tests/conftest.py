@@ -29,3 +29,14 @@ def use_cpus(monkeypatch):
         return forks
 
     return use
+
+
+@pytest.fixture
+def assert_no_child_left():
+    """``assert_no_child_left()`` asserts that this process has no child
+    left, reaped or not, at the point where a test calls it."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check

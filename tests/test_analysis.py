@@ -332,9 +332,30 @@ class TestSweep:
         assert est_b <= est_x <= q <= s.dim
 
 
+class TestDefaultOmegaGrid:
+    @pytest.mark.parametrize("lo, hi, name", [
+        (0.0, 1e3, "lo"), (-1.0, 1e3, "lo"), (np.nan, 1e3, "lo"), (np.inf, 1e3, "lo"),
+        (1e-3, 0.0, "hi"), (1e-3, np.inf, "hi"), (1e-3, np.nan, "hi")])
+    def test_rejects_a_bound_by_name(self, lo, hi, name):
+        with pytest.raises(ValueError, match=rf"^grid bound {name} = .*positive, finite"):
+            default_omega_grid(5, lo, hi)
+
+    def test_descending_grid(self):
+        grid = default_omega_grid(5, 1e3, 1e-3)
+        np.testing.assert_allclose(grid, [1e3, 1e1 ** 1.5, 1.0, 1e1 ** -1.5, 1e-3])
+
+
 class TestEstimateSpanDim:
     def test_invariant_returns_zero(self):
         assert estimate_span_dim(np.diag([1.0, 2.0]), Subspace(np.eye(2)[:, :1])) == 0
+
+    @pytest.mark.parametrize("grid", [[1.0], [2.0, 2.0]])
+    def test_rejects_a_grid_without_two_distinct_shifts(self, grid):
+        rng = np.random.default_rng(8)
+        a = random_spd(rng, 8)
+        s = random_subspace(rng, 8, 3, False)
+        with pytest.raises(ValueError, match=r"^grid holds 1 distinct shift\(s\)"):
+            estimate_span_dim(a, s, grid=grid)
 
     def test_krylov_index_one(self):
         rng = np.random.default_rng(8)

@@ -85,6 +85,16 @@ def test_sweep_generates_b_from_seed(workspace, capsys):
     assert meta["seed"] == 7 and meta["b"] is None
 
 
+@pytest.mark.parametrize("option, value", [("--omega-min", "0"), ("--omega-max", "inf")])
+def test_sweep_rejects_a_grid_bound_that_is_not_positive_and_finite(workspace, option, value):
+    tmp_path, a_path, s_path = workspace
+    prefix = tmp_path / "bad_"
+    with pytest.raises(ValueError, match=r"grid bound (lo = 0\.0|hi = inf)"):
+        main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
+              option, value, "--count", "5", "--out-prefix", str(prefix)])
+    assert not list(tmp_path.glob("bad_*"))
+
+
 def test_sweep_orthonormalizes_the_loaded_basis(tmp_path, capsys):
     # a file basis a little off orthonormal (||V*V - I|| = 1.7e-8, inside the
     # Subspace check) once moved sigma by 3e-9 relative: the sweep reads its

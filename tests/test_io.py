@@ -114,26 +114,6 @@ def test_decomposition_json_payloads():
         np.testing.assert_array_equal(blocks[name], getattr(dec, name))
 
 
-def test_condition_report_json(tmp_path):
-    from omegals.analysis import condition_report
-    from omegals.sampling import random_spd, random_subspace
-
-    rng = np.random.default_rng(3)
-    a = random_spd(rng, 6)
-    s = random_subspace(rng, 6, 2, False)
-    dec = tridiagonal_block_decomposition(a, s)
-    report = condition_report(dec, [(0.5, 2.0)])
-    path = tmp_path / "report.json"
-    oio.save_condition_report(path, report)
-    obj = json.loads(path.read_text())
-    assert obj["t_invertible"] is True
-    sample = obj["samples"][0]
-    assert sample["omega"] == 0.5 and sample["positive"] is True
-    q = dec.q
-    assert sample["l_matrix"]["rows"] == q
-    assert len(sample["l_matrix"]["entries"]) == q * q
-
-
 def test_csv_float_formatting(tmp_path):
     path = tmp_path / "t.csv"
     oio.write_csv(path, ["a", "b"], [[(1, 1 / 3)]])
@@ -191,14 +171,10 @@ def _savetxt_bytes(tmp_path, header, table):
     return ref.read_bytes()
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("sizes", [(5, 5, 5, 5), (5, 5, 5, 2), (1, 1), (0, 4, 0, 7), (3,), ()])
-def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, cpus, sizes):
+def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, assert_no_child_left,
+                                       cpus, sizes):
     # whole blocks formatted in one forked worker per usable CPU (ragged,
     # empty and fewer blocks than CPUs included) write the bytes np.savetxt
     # writes for the whole table
@@ -211,7 +187,7 @@ def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, cpus, si
     oio.write_csv(path, header, iter(np.split(table, np.cumsum(sizes)[:-1])), list(sizes))
     assert path.read_bytes() == _savetxt_bytes(tmp_path, header, table)
     assert len(forks) == (min(cpus, len(sizes)) if len(sizes) > 1 else 0)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_csv_below_the_cell_constant_stays_in_process(tmp_path, use_cpus):
@@ -239,7 +215,7 @@ def test_csv_falls_back_to_one_process(tmp_path, monkeypatch, use_cpus, fallback
 
 
 def test_csv_dead_worker_raises_a_runtime_error_naming_its_rows(tmp_path, monkeypatch,
-                                                               use_cpus):
+                                                               use_cpus, assert_no_child_left):
     text = oio._text
 
     def die_at_row_10(row, ncol, blocks):
@@ -254,10 +230,11 @@ def test_csv_dead_worker_raises_a_runtime_error_naming_its_rows(tmp_path, monkey
     with pytest.raises(RuntimeError, match=r"^CSV worker for rows 10\.\.19 \(pid \d+\) "
                                            r"died without a result, exit code -9$"):
         oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"], np.split(table, 4), [5] * 4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_csv_parent_error_kills_and_reaps_every_worker(tmp_path, monkeypatch, use_cpus):
+def test_csv_parent_error_kills_and_reaps_every_worker(tmp_path, monkeypatch, use_cpus,
+                                                       assert_no_child_left):
     # the first worker would format for a minute; the error in building the
     # second run kills it at once
     monkeypatch.setattr(oio, "_text", lambda *args: time.sleep(60))
@@ -273,7 +250,7 @@ def test_csv_parent_error_kills_and_reaps_every_worker(tmp_path, monkeypatch, us
     with pytest.raises(ValueError, match="second run"):
         oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"], blocks(), [5] * 4)
     assert len(forks) == 1 and time.perf_counter() - start < 30
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_format_float_17_digits():

@@ -107,19 +107,6 @@ def test_summary_format():
 # -- the chunked runner ---------------------------------------------------
 
 
-def _use_cpus(monkeypatch, count):
-    """Make ``count`` CPUs usable, and record every fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _chunked(name, seed, trials):
     """A suite's draw and check steps through the chunked runner."""
     steps = f"_{name.replace('-', '_')}"
@@ -130,49 +117,49 @@ def _chunked(name, seed, trials):
 @pytest.mark.parametrize("name, seed, trials", [
     ("index", 3, 45), ("main-theorem", 27, 30), ("convexity", 5, 24),
     ("nullspace", 6, 30), ("manifolds", 7, 45)])
-def test_chunked_run_matches_one_process(monkeypatch, name, seed, trials):
-    assert _use_cpus(monkeypatch, 1) == []
+def test_chunked_run_matches_one_process(use_cpus, assert_no_child_left, name, seed, trials):
+    assert use_cpus(1) == []
     one = SUITES[name](seed=seed, trials=trials)
-    forks = _use_cpus(monkeypatch, 3)
+    forks = use_cpus(3)
     chunked = _chunked(name, seed, trials)
     assert len(forks) == 2
     assert (chunked.trials, chunked.checks, chunked.failures) == (one.trials, one.checks,
                                                                   one.failures)
-    _assert_no_child_left()
+    assert_no_child_left()
     if name == "main-theorem":
         # the one failing trial of seed 27 lies in the second chunk
         assert chunked.failures == ["trial 14: membership residual 1.472e-10 > 1e-10"]
 
 
 @pytest.mark.parametrize("name", list(SUITES))
-def test_every_chunk_draws_the_instances_of_one_process(monkeypatch, name):
+def test_every_chunk_draws_the_instances_of_one_process(monkeypatch, use_cpus, name):
     # each trial reports a digest of its draws as a failure, so the merged
     # failures list every instance in trial order
     def report(result, trial, drawn):
         result.check(False, f"{trial} {hashlib.sha256(pickle.dumps(drawn)).hexdigest()}")
 
     monkeypatch.setattr(verify, f"_{name.replace('-', '_')}_check", report)
-    _use_cpus(monkeypatch, 1)
+    use_cpus(1)
     one = SUITES[name](seed=11, trials=24)
-    forks = _use_cpus(monkeypatch, 3)
+    forks = use_cpus(3)
     chunked = _chunked(name, seed=11, trials=24)
     assert len(forks) == 2 and len(set(one.failures)) == 24
     assert chunked.failures == one.failures
 
 
-def test_every_suite_but_main_theorem_forks(monkeypatch):
+def test_every_suite_but_main_theorem_forks(use_cpus, assert_no_child_left):
     # main-theorem's n = 40 instances run threaded BLAS kernels, which
     # contend across processes
-    forks = _use_cpus(monkeypatch, 3)
+    forks = use_cpus(3)
     for name, suite in SUITES.items():
         del forks[:]
         assert suite(seed=1, trials=24).trials == 24
         assert len(forks) == (0 if name == "main-theorem" else 2), name
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_one_cpu_runs_in_process(monkeypatch):
-    forks = _use_cpus(monkeypatch, 1)
+def test_one_cpu_runs_in_process(use_cpus):
+    forks = use_cpus(1)
     res = run_index_suite(seed=3, trials=40)
     assert forks == []
     assert res.passed and res.checks == 9 * 40
@@ -185,8 +172,8 @@ def test_without_fork_runs_in_process(monkeypatch):
     assert res.trials == 30 and res.passed
 
 
-def test_too_few_trials_run_in_process(monkeypatch):
-    forks = _use_cpus(monkeypatch, 2)
+def test_too_few_trials_run_in_process(use_cpus):
+    forks = use_cpus(2)
     run_index_suite(seed=3, trials=2 * MIN_CHUNK_TRIALS - 1)
     assert forks == []
     run_index_suite(seed=3, trials=2 * MIN_CHUNK_TRIALS)
@@ -205,42 +192,44 @@ def _before_index_check(monkeypatch, before):
 
 
 @pytest.mark.parametrize("trial", [5, 25], ids=["in-process chunk", "worker chunk"])
-def test_exception_reraises_with_type_and_message(monkeypatch, trial):
+def test_exception_reraises_with_type_and_message(monkeypatch, use_cpus, assert_no_child_left,
+                                                  trial):
     def fail(t):
         if t == trial:
             raise np.linalg.LinAlgError(f"trial {t} broke")
 
     _before_index_check(monkeypatch, fail)
-    _use_cpus(monkeypatch, 1)
+    use_cpus(1)
     with pytest.raises(np.linalg.LinAlgError) as one:
         run_index_suite(seed=1, trials=40)
-    forks = _use_cpus(monkeypatch, 2)
+    forks = use_cpus(2)
     with pytest.raises(np.linalg.LinAlgError) as chunked:
         run_index_suite(seed=1, trials=40)
     assert len(forks) == 1
     assert str(chunked.value) == str(one.value) == f"trial {trial} broke"
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_first_exception_in_trial_order_wins(monkeypatch):
+def test_first_exception_in_trial_order_wins(monkeypatch, use_cpus, assert_no_child_left):
     def fail(t):
         if t in (12, 30):
             raise ValueError(f"trial {t}")
 
     _before_index_check(monkeypatch, fail)
-    _use_cpus(monkeypatch, 3)
+    use_cpus(3)
     with pytest.raises(ValueError, match="^trial 12$"):
         run_index_suite(seed=1, trials=36)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
-def test_dead_worker_raises_a_runtime_error_naming_it(monkeypatch):
+def test_dead_worker_raises_a_runtime_error_naming_it(monkeypatch, use_cpus,
+                                                      assert_no_child_left):
     def die(t):
         if t == 25:
             os.kill(os.getpid(), signal.SIGKILL)
 
     _before_index_check(monkeypatch, die)
-    _use_cpus(monkeypatch, 2)
+    use_cpus(2)
     with pytest.raises(RuntimeError, match=r"index worker for trials 20\.\.39 .* exit code -9"):
         run_index_suite(seed=1, trials=40)
-    _assert_no_child_left()
+    assert_no_child_left()
