@@ -13,6 +13,7 @@ import numpy as np
 from .decomposition import TridiagDecomp, check_omega, check_shift, guard_threshold
 from .linalg import (
     adjoint,
+    as_operator,
     default_rank_tol,
     extend_orthonormal,
     hermitian_eigvals,
@@ -242,7 +243,7 @@ def estimate_span_dim(
     call of the batched weighted-solve kernel. The grid must hold at least
     two distinct shifts, since each pair is drawn from it with unequal ones.
     """
-    a = np.asarray(a)
+    a = as_operator(a)
     grid = default_omega_grid() if grid is None else np.asarray(grid, dtype=float)
     distinct = np.unique(grid).size
     if distinct < 2:
@@ -292,7 +293,7 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     scale of ||A||_2, so a round-off image of a null direction of A counts
     as zero.
     """
-    a = np.asarray(a)
+    a = as_operator(a)
     eig = operator_eig(a)
     op_norm = float(np.max(np.abs(eig.lambdas)))
     check_shift(omega, -float(eig.lambdas[-1]), op_norm)
@@ -338,7 +339,8 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
     at the scale ||A||_2. T is invertible iff rank T = p; Img T + Img B* is
     the column space of H* = [T B*], so the images meet only in 0 iff
     rank T + rank B* = rank H*. Each (omega, mu) gives L = C - B T^{-1} B*
-    - D* K D, K = U diag(k) U* for E = U diag(xi) U*, with k formed as
+    - D* K D, K = U diag(k) U* for E = U diag(xi) U*, so D* K D is
+    (U* D)* diag(k) U* D from ``dec.E_coupling``, with k formed as
     (xi + omega + mu) / ((xi + omega)(xi + mu)): (mu/(xi+omega) -
     omega/(xi+mu)) / (mu - omega) without its cancellation at close shifts.
     One spectrum of L decides its invertibility and positivity."""
@@ -352,8 +354,7 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
         raise ValueError("T is singular: L(omega, mu) is not defined")
     if len(omega_mu_samples):
         base = dec.C - dec.B @ solve_hermitian(dec.T, adjoint(dec.B))
-        xi = dec.E_eig.lambdas
-        ud = adjoint(dec.E_eig.u) @ dec.D
+        xi, _, ud = dec.E_coupling
     for omega, mu in omega_mu_samples:
         for name, shift in (("omega", omega), ("mu", mu)):
             check_omega(dec, shift)

@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import (
     EigDecomposition,
     adjoint,
+    as_operator,
     hermitian_eig,
     hermitian_part,
     is_hermitian,
@@ -55,6 +56,14 @@ def check_shift(omega: float, omega_min: float, op_norm: float) -> None:
         )
 
 
+def shift_weights(spectrum: np.ndarray, omegas) -> np.ndarray:
+    """The K x n weights 1/(lambda + omega) of a spectrum at each of K
+    shifts, rows of exactly 1 at omega = inf: the one place a shifted weight
+    (the spectrum of (X + omega I)^{-1}) is formed."""
+    omegas = np.asarray(omegas, dtype=float)[:, None]
+    return np.where(omegas == math.inf, 1.0, 1.0 / (spectrum + omegas))
+
+
 def block_tridiagonal(t, b, c, d, e) -> np.ndarray:
     """The layout of W* A W, [[T, B*, 0], [B, C, D*], [0, D, E]], from its
     blocks T (p x p), B (q x p), C (q x q), D (r x q) and E (r x r)."""
@@ -66,9 +75,11 @@ def block_tridiagonal(t, b, c, d, e) -> np.ndarray:
 class TridiagDecomp:
     """Adapted-basis blocks of one Hermitian operator and one subspace.
 
-    ``E_eig``, the eigendecomposition of E, is computed on first use and
-    kept; every shifted solve with E + omega I (``shifted_blocks``, the
-    block-route differences, ``condition_report``) reuses it shifted.
+    ``E_coupling`` = (xi, U_E, U_E* D), from the eigendecomposition
+    E = U_E diag(xi) U_E*, is computed on first use and kept: every product
+    D* (E + omega I)^{-1} (``shifted_blocks``, the block-route differences)
+    and D* K(omega, mu) D (``condition_report``) is U_E* D weighted by a
+    function of xi, so no shift factors or solves with E again.
     ``HH_eig``, that of H*H, is kept the same way for every solve with H*H
     (the limit block route), and so is ``HH_inv_Bstar`` = (H*H)^{-1} B*:
     V times it spans the difference subspace, and it maps the block route's
@@ -103,8 +114,9 @@ class TridiagDecomp:
         return -self.lambda_min
 
     @cached_property
-    def E_eig(self) -> EigDecomposition:
-        return hermitian_eig(self.E)
+    def E_coupling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        eig = hermitian_eig(self.E)
+        return eig.lambdas, eig.u, adjoint(eig.u) @ self.D
 
     @cached_property
     def HH_eig(self) -> EigDecomposition:
@@ -144,7 +156,7 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
     one, else from one eigvalsh. Degenerate shapes (p = 0, q = 0,
     n = p + q) come out with 0-width blocks.
     """
-    a = np.asarray(a)
+    a = as_operator(a)
     if not is_hermitian(a):
         raise ValueError("operator is not Hermitian within tolerance")
     if a.shape[0] != s.ambient_dim:
@@ -205,19 +217,31 @@ def check_omega(dec: TridiagDecomp, omega: float) -> None:
     check_shift(omega, dec.omega_min, dec.op_norm)
 
 
-def _coupled_solve(dec: TridiagDecomp, sigma: float, x: np.ndarray) -> np.ndarray:
-    """D* (E + sigma I)^{-1} x through ``dec.E_eig`` shifted by sigma, so no
-    shift factors E again; zero (q rows) when n = p + q."""
-    return adjoint(dec.D) @ solve_hermitian(dec.E_eig.shifted(sigma), x)
+def _coupled_solve(dec: TridiagDecomp, sigma: float, y: np.ndarray) -> np.ndarray:
+    """D* (E + sigma I)^{-1} x = (U_E* D)* diag(1/(xi + sigma)) y for x given
+    in E's eigenbasis as y = U_E* x (a vector or columns): weights from
+    :func:`shift_weights` and one product, no solve; zero (q rows) when
+    n = p + q.
+
+    No shift needs a singularity test. By Cauchy interlacing xi lies in
+    [lambda_min, lambda_max] of A, and above the guard
+    lambda_min + sigma >= OMEGA_GUARD max(1, ||A||), so
+    min(xi + sigma) / max(xi + sigma) >= 1e-8 / (2 + 1e-8). ``is_singular``
+    could cut only at 32 (n - p - q) eps times the largest, so it would fire
+    only for n - p - q >= about 7.0e5."""
+    xi, _, ud = dec.E_coupling
+    w = shift_weights(xi, [sigma])[0]
+    return adjoint(ud) @ (w * y if y.ndim == 1 else w[:, None] * y)
 
 
 def shifted_blocks(dec: TridiagDecomp, omega: float) -> ShiftedBlocks:
     """Blocks F_omega = D* (E + omega I)^{-1} D and G_omega for a finite shift
-    above the guard."""
+    above the guard; F_omega is (U_E* D)* diag(1/(xi + omega)) U_E* D from
+    ``dec.E_coupling``."""
     check_omega(dec, omega)
     if omega == math.inf:
         raise ValueError("shifted blocks need a finite omega: G_omega grows without bound")
-    f_omega = hermitian_part(_coupled_solve(dec, omega, dec.D))
+    f_omega = hermitian_part(_coupled_solve(dec, omega, dec.E_coupling[2]))
     bottom = np.hstack([dec.B, dec.C - f_omega])
     g_omega = np.vstack([adjoint(dec.H), bottom]) + omega * np.eye(dec.p + dec.q, dtype=dec.T.dtype)
     return ShiftedBlocks(omega=omega, F_omega=f_omega, G_omega=hermitian_part(g_omega))

@@ -71,18 +71,14 @@ def default_rank_tol(shape: tuple[int, int]) -> float:
 SINGULAR_MESSAGE = "matrix is singular to working precision"
 
 
-def is_singular(lambdas: np.ndarray):
+def is_singular(lambdas: np.ndarray) -> bool:
     """Whether the Hermitian matrix with spectrum ``lambdas`` is singular to
     working precision: min |lambda| <= ``default_rank_tol`` of its order
-    times max |lambda|. An empty spectrum (the 0 x 0 matrix) is not. A stack
-    of spectra (..., n) gives one boolean per spectrum."""
+    times max |lambda|. An empty spectrum (the 0 x 0 matrix) is not."""
     mags = np.abs(np.asarray(lambdas))
-    order = mags.shape[-1]
-    if order == 0:
-        singular = np.zeros(mags.shape[:-1], dtype=bool)
-    else:
-        singular = mags.min(axis=-1) <= default_rank_tol((order, order)) * mags.max(axis=-1)
-    return bool(singular) if mags.ndim == 1 else singular
+    if mags.size == 0:
+        return False
+    return bool(mags.min() <= default_rank_tol((mags.size, mags.size)) * mags.max())
 
 
 @dataclass(frozen=True)
@@ -96,20 +92,9 @@ class EigDecomposition:
     u: np.ndarray
     lambdas: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
     def apply_uh(self, x: np.ndarray) -> np.ndarray:
         """U* x for a vector or a matrix of columns."""
         return adjoint(self.u) @ x
-
-    def shifted(self, omega: float) -> "EigDecomposition":
-        """Eigendecomposition of M + omega*I (same eigenvectors)."""
-        return EigDecomposition(self.u, self.lambdas + omega)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.lambdas) @ self.u.conj().T
 
 
 def _checked_hermitian(m) -> np.ndarray:
@@ -269,26 +254,6 @@ def numerical_rank(m: np.ndarray, scale: float | None = None) -> int:
     if s.size == 0 or reference == 0.0:
         return 0
     return int(np.count_nonzero(s > default_rank_tol(m.shape) * reference))
-
-
-def matrix_power_pos(m: np.ndarray, s: float) -> np.ndarray:
-    """Real power M^s of a positive-definite Hermitian matrix.
-
-    Computed through the spectral decomposition U diag(lambda^s) U*. Raises
-    ValueError when a non-positive eigenvalue is detected. s = 0 returns the
-    identity exactly and s = 1 returns (the Hermitian part of) M itself.
-    """
-    m = np.asarray(m)
-    eig = hermitian_eig(m)
-    lam_max = float(np.max(np.abs(eig.lambdas))) if eig.lambdas.size else 0.0
-    if eig.lambdas.size and eig.lambdas[-1] <= eig.dim * EPS * lam_max:
-        raise ValueError("matrix is not positive definite (non-positive eigenvalue)")
-    if s == 0:
-        return np.eye(m.shape[0], dtype=m.dtype)
-    if s == 1:
-        return hermitian_part(m)
-    powered = (eig.u * eig.lambdas**s) @ eig.u.conj().T
-    return hermitian_part(powered)
 
 
 def solve_hermitian(m, rhs: np.ndarray) -> np.ndarray:

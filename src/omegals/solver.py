@@ -27,6 +27,7 @@ from .decomposition import (
     _oblique_projection,
     check_shift,
     nullspace_of_hstar,
+    shift_weights,
     shifted_blocks,
 )
 from .linalg import (
@@ -65,21 +66,12 @@ def _qr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _limit_weights(omegas) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, power) with (lam + shift)^power the weights 1/(lam + omega)
-    of each shift: at OMEGA_INF the power is 0, so every weight is exactly 1."""
-    omegas = np.asarray(omegas, dtype=float)
-    inf = np.isinf(omegas)
-    return np.where(inf, 0.0, omegas), np.where(inf, 0.0, -1.0)
-
-
 def gram_cond_bound(lam: np.ndarray, omegas) -> np.ndarray:
     """max w / min w = (lam_max + omega) / (lam_min + omega) for
     W = diag(1/(lam + omega)) at each shift (1 at OMEGA_INF): for Q with
     orthonormal columns, cond(Q* W Q) is at most this."""
-    shift, power = _limit_weights(omegas)
-    ends = (np.array([lam.min(), lam.max()])[:, None] + shift) ** power
-    return ends.max(axis=0) / ends.min(axis=0)
+    ends = shift_weights(np.array([lam.min(), lam.max()]), omegas)
+    return ends.max(axis=1) / ends.min(axis=1)
 
 
 def _weighted_solve(q, r, lam, omegas, rhs) -> np.ndarray:
@@ -92,7 +84,9 @@ def _weighted_solve(q, r, lam, omegas, rhs) -> np.ndarray:
     With the rows of Q as an n x p^2 matrix M = (conj(q_ia) q_ib), ``W @ M``
     holds all K Gram matrices; M is formed in row chunks of about
     GRAM_CHUNK_BYTES, together with the right-hand sides expanded the same
-    way. One batched solve handles the K systems.
+    way, and each chunk's K columns of W come from
+    :func:`decomposition.shift_weights`. One batched solve handles the K
+    systems.
 
     No shift needs a singularity test. Above the guard, lam_min + omega >=
     OMEGA_GUARD max(1, ||A||) and lam_max - lam_min <= 2 ||A||, so
@@ -108,14 +102,13 @@ def _weighted_solve(q, r, lam, omegas, rhs) -> np.ndarray:
     (n, p), kk = q.shape, omegas.size
     cols = rhs.reshape(n, -1)
     m = cols.shape[1]
-    shift, power = (v[:, None] for v in _limit_weights(omegas))
     gram = np.zeros((kk, p * p), dtype=q.dtype)
     proj = np.zeros((kk, p, m), dtype=np.result_type(q, cols))
     qbar = q.conj()
     step = max(1, GRAM_CHUNK_BYTES // (q.itemsize * p * (p + m)))
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        w = (lam[rows] + shift) ** power    # K x chunk
+        w = shift_weights(lam[rows], omegas)    # K x chunk
         qbar_c = qbar[rows]
         gram += w @ (qbar_c[:, :, None] * q[rows, None, :]).reshape(-1, p * p)
         proj += (w @ (qbar_c[:, :, None] * cols[rows, None, :]).reshape(-1, p * m)).reshape(kk, p, m)
@@ -251,7 +244,7 @@ def solution_map(a: np.ndarray, s: Subspace, omega: float) -> np.ndarray:
     weighted minimizer over the subspace S for every b. A is factored
     through :func:`linalg.operator_eig`, so once per operator array.
     """
-    a = np.asarray(a)
+    a = as_operator(a)
     return _solution_maps(operator_eig(a), a @ s.basis, [omega])[0]
 
 
@@ -260,7 +253,7 @@ def solution_map_diff(a: np.ndarray, s: Subspace, omega: float, mu: float) -> np
     its image sits inside the q-dimensional difference subspace. A is
     factored through :func:`linalg.operator_eig`, and both shifts are one
     kernel call."""
-    a = np.asarray(a)
+    a = as_operator(a)
     maps = _solution_maps(operator_eig(a), a @ s.basis, [omega, mu])
     return s.basis @ (maps[0] - maps[1])
 
@@ -297,10 +290,10 @@ def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
                           mu: float) -> SystemSolution:
     """Coordinate difference d between the weighted solutions at omega and mu,
     computed from the block system instead of the explicit formula; at
-    mu = OMEGA_INF the second solution is the plain residual minimizer. Every
-    solve with E + omega I or E + mu I goes through ``dec.E_eig`` shifted
-    (f(sigma) = D* (E + sigma I)^{-1} c''), and G_omega and G_mu are each
-    factored once.
+    mu = OMEGA_INF the second solution is the plain residual minimizer. c''
+    is rotated into E's eigenbasis once, so f(sigma) = D* (E + sigma I)^{-1} c''
+    at both shifts, like F_omega and F_mu, is a weighting of
+    ``dec.E_coupling``, and G_omega and G_mu are each factored once.
 
     Requires q >= 1 and a finite omega. The two equations are
 
@@ -319,6 +312,7 @@ def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
         raise ValueError("q = 0: solution differences vanish identically")
     ns = nullspace_of_hstar(dec)
     c, cp, cpp = dec.coefficients(b)
+    cpp_e = adjoint(dec.E_coupling[1]) @ cpp   # U_E* c''
     g_omega = hermitian_eig(shifted_blocks(dec, omega).G_omega)
     h = dec.H
 
@@ -329,7 +323,7 @@ def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
         rhs2 = h @ solve_hermitian(dec.HH_eig, adjoint(h) @ w) - w
     else:
         sb_mu = shifted_blocks(dec, mu)
-        scale, f_mu = mu, _coupled_solve(dec, mu, cpp)
+        scale, f_mu = mu, _coupled_solve(dec, mu, cpp_e)
         coupling = np.hstack([dec.B, dec.C - sb_mu.F_omega])
         w = np.concatenate([c, cp - f_mu])
         rhs2 = _oblique_projection(hermitian_eig(sb_mu.G_omega), h, w)
@@ -338,7 +332,7 @@ def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
     res2 = float(np.linalg.norm(nt - rhs2))
 
     # First equation: H* G_omega^{-1} H d = -H* G_omega^{-1} g, positive.
-    z_t = _coupled_solve(dec, omega, cpp) - f_mu + coupling @ nt
+    z_t = _coupled_solve(dec, omega, cpp_e) - f_mu + coupling @ nt
     g_vec = scale * nt + np.concatenate([np.zeros(dec.p, dtype=z_t.dtype), z_t])
     ginv_h = solve_hermitian(g_omega, h)
     a1 = hermitian_part(adjoint(h) @ ginv_h)

@@ -690,11 +690,22 @@ class TestConditionReport:
             dec = tridiagonal_block_decomposition(a, random_subspace(rng, 9, 3, complex_field))
             floor = guard_threshold(dec.omega_min, dec.op_norm)
             pairs = [(floor + x, floor + y) for x, y in [(0.1, 2.0), (1.0, 0.3), (5.0, 40.0)]]
+            guard = floor + 1e-8 * max(1.0, dec.op_norm)
+            pairs += [(guard, 1e3), (1e3, guard)]
             report = condition_report(dec, pairs)
             assert report.t_invertible and dec.q >= 1
-            for sample in report.samples:
+            eye = np.eye(dec.E.shape[0])
+            base = dec.C - dec.B @ np.linalg.solve(dec.T, adjoint(dec.B))
+            for (omega, mu), sample in zip(pairs, report.samples):
                 assert sample.invertible == (numerical_rank(sample.l_matrix) == dec.q)
                 assert sample.positive == (np.linalg.eigvalsh(sample.l_matrix).min() > 0)
+                # D* K(omega, mu) D from dense solves with E + omega I, E + mu I
+                k_d = (np.linalg.solve(dec.E + omega * eye, mu * dec.D)
+                       - np.linalg.solve(dec.E + mu * eye, omega * dec.D)) / (mu - omega)
+                k_term = adjoint(dec.D) @ k_d
+                scale = np.linalg.norm(base) + np.linalg.norm(k_term)
+                assert (np.linalg.norm(sample.l_matrix - (base - k_term))
+                        <= 16 * dec.n * np.finfo(float).eps * scale)
 
     def test_invariant_subspace_has_an_empty_l(self):
         rng = np.random.default_rng(21)

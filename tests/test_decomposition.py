@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from omegals.analysis import difference_subspace
 from omegals.decomposition import (
+    _coupled_solve,
     guard_threshold,
     j_matrix,
     nullspace_of_hstar,
@@ -21,6 +22,7 @@ from omegals.linalg import (
 )
 from omegals.manifolds import swap_witness
 from omegals.sampling import (
+    gaussian_matrix,
     random_hermitian,
     random_hermitian_invertible,
     random_spd,
@@ -28,6 +30,30 @@ from omegals.sampling import (
     random_unitary,
 )
 from omegals.subspaces import Subspace, index_of_invariance, subspaces_equal
+
+
+def coupling_shifts(dec, *shifts):
+    """The given shifts plus 1e-8 max(1, ||A||) above the guard and 1e3."""
+    near = guard_threshold(dec.omega_min, dec.op_norm) + 1e-8 * max(1.0, dec.op_norm)
+    return (*shifts, near, 1e3)
+
+
+def assert_coupling_matches_dense(dec, shifts, complex_field):
+    """F_sigma and f(sigma) = D* (E + sigma I)^{-1} x, read from the cached
+    coupling of E, against dense solves with E + sigma I, within
+    16 r eps cond(E + sigma I) relative."""
+    rng = np.random.default_rng(0)
+    r = dec.E.shape[0]
+    x = gaussian_matrix(rng, r, 2, complex_field)
+    u_e = dec.E_coupling[1]
+    for sigma in shifts:
+        e_sigma = dec.E + sigma * np.eye(r)
+        tol = 16 * r * np.finfo(float).eps * (np.linalg.cond(e_sigma) if r else 1.0)
+        for got, want in ((shifted_blocks(dec, sigma).F_omega, dec.D),
+                          (_coupled_solve(dec, sigma, adjoint(u_e) @ x), x)):
+            want = adjoint(dec.D) @ np.linalg.solve(e_sigma, want)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), sigma
 
 
 def hermitian(seed, n, complex_field=False):
@@ -56,6 +82,8 @@ class TestTridiagonalDecomposition:
         # block-diagonal: the compression splits into T and E
         np.testing.assert_allclose(dec.T, np.diag([1.0, 2.0]), atol=1e-14)
         np.testing.assert_allclose(dec.E, np.diag([3.0, 4.0]), atol=1e-14)
+        # D is 2 x 0: F_omega is 0 x 0 and f(sigma) has no rows
+        assert_coupling_matches_dense(dec, coupling_shifts(dec, 0.5), False)
 
     def test_swap_witness_block_pattern(self):
         # n=4, p=2, q=1: the witness swaps v1 <-> v3, fixes v2 and v4
@@ -257,6 +285,7 @@ class TestShiftedBlocks:
         if r:
             assert np.linalg.eigvalsh(e_omega)[0] > 0
             assert np.linalg.eigvalsh(sb.F_omega)[0] >= -1e-12
+        assert_coupling_matches_dense(dec, coupling_shifts(dec, omega), complex_field)
 
     def test_zero_shift_row_identity_for_positive_operator(self):
         rng = np.random.default_rng(18)
@@ -275,6 +304,7 @@ class TestShiftedBlocks:
         assert sb.F_omega.shape == (1, 1)
         np.testing.assert_allclose(sb.F_omega, 0.0)
         assert dec.E.shape == (0, 0)
+        assert_coupling_matches_dense(dec, coupling_shifts(dec, 0.5), False)
         # with no E to factor, an infinite shift would give an inf/NaN G_omega
         with pytest.raises(ValueError, match="finite"):
             shifted_blocks(dec, np.inf)

@@ -12,11 +12,13 @@ import pytest
 import scipy.sparse
 
 from omegals import linalg
-from omegals.analysis import constant_kernel
+from omegals.analysis import constant_kernel, estimate_span_dim
 from omegals.decomposition import tridiagonal_block_decomposition
-from omegals.linalg import hermitian_eig, hermitian_eigvals, operator_eig, operator_eigvals
+from omegals.experiments import poisson_2d, poisson_2d_factored
+from omegals.linalg import adjoint, hermitian_eig, hermitian_eigvals, operator_eig, operator_eigvals
 from omegals.sampling import gaussian_vector, random_hermitian, random_spd, random_subspace
-from omegals.solver import ProblemInstance
+from omegals.solver import ProblemInstance, solution_map, solution_map_diff, solve_weighted
+from omegals.subspaces import krylov, subspaces_equal
 
 FIELDS = pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
 
@@ -101,8 +103,8 @@ def test_two_decompositions_of_one_operator_factor_e_twice(complex_field, monkey
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     decs = [tridiagonal_block_decomposition(a, s) for _ in range(2)]
     for dec in decs:
-        dec.E_eig
-        dec.E_eig
+        dec.E_coupling
+        dec.E_coupling
     r = a.shape[0] - decs[0].p - decs[0].q
     assert r not in (a.shape[0], decs[0].p, decs[0].q)
     assert orders == Counter({r: 2})
@@ -116,5 +118,26 @@ def test_shared_factorization_is_read_only(complex_field):
     for array in (eig.u, eig.lambdas):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    shifted = eig.shifted(1.0)
-    np.testing.assert_array_equal(shifted.lambdas, eig.lambdas + 1.0)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_structure_routines_take_the_figure1_operator_in_either_form(form):
+    # the CSR operator of run_figure1 used to be wrapped by np.asarray in a
+    # 0-d object array, and each routine failed with an error naming
+    # another cause
+    m = 5
+    dense = poisson_2d(m)
+    a = poisson_2d_factored(m)[0] if form == "sparse" else dense
+    s = krylov(a, np.ones(m * m), 3)
+    dec = tridiagonal_block_decomposition(a, s)
+    np.testing.assert_allclose(dec.compressed(), adjoint(dec.W) @ dense @ dec.W, atol=1e-14)
+    assert (dec.p, dec.q) == (3, 1)
+    assert estimate_span_dim(a, s, seed=4) == dec.q
+    kernel = constant_kernel(a, s, 1.0)
+    assert subspaces_equal(kernel, constant_kernel(dense, s, 1.0))
+    b = np.random.default_rng(7).standard_normal(m * m)
+    inst = ProblemInstance.create(dense, s, b)
+    x_one, x_nine = solve_weighted(inst, 1.0), solve_weighted(inst, 9.0)
+    np.testing.assert_allclose(s.basis @ (solution_map(a, s, 1.0) @ b), x_one, atol=1e-14)
+    np.testing.assert_allclose(solution_map_diff(a, s, 1.0, 9.0) @ b, x_one - x_nine,
+                               atol=1e-14)

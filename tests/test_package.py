@@ -74,11 +74,50 @@ def test_star_import_exports_no_submodule():
     assert "solve_weighted" in namespace and "svd" not in namespace
 
 
+# Identities of the paper, tested in their modules; nothing outside the
+# tests calls them.
+PAPER_IDENTITIES = ("decomposition.j_matrix", "solver.solution_map_diff",
+                    "analysis.injectivity_scan", "subspaces.invariant_closure",
+                    "subspaces.strongly_orthogonal")
+
+# Public functions that need no caller outside the tests, with the reason.
+UNCALLED_BY_DESIGN = {
+    **{name: "an identity of the paper" for name in PAPER_IDENTITIES},
+    "solver.solution_map": "the exported coordinate map M(omega); the bench traces it by name",
+    "io.save_subspace": "writes the subspace file format the CLI reads",
+    "io.decomposition_blocks_from_json": "reads the decomposition files the CLI writes",
+}
+
+
 def test_paper_identities_stay_out_of_the_exports():
-    # tested in their modules; nothing outside the tests calls them
-    for name in ("j_matrix", "solution_map_diff", "injectivity_scan", "invariant_closure",
-                 "strongly_orthogonal", "matrix_power_pos"):
-        assert name not in omegals.__all__, name
+    for name in PAPER_IDENTITIES:
+        assert name.split(".")[1] not in omegals.__all__, name
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a caller is a Name or Attribute reference anywhere in src/, scripts/
+    # or bench/ except the package's re-exports, so a function only the
+    # tests call is dead code unless it is exempt by name
+    package = Path(omegals.__file__).resolve().parent
+    root = package.parent.parent
+    referenced = set()
+    for path in [*root.glob("src/**/*.py"), *root.glob("scripts/**/*.py"),
+                 *root.glob("bench/**/*.py")]:
+        if path == package / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    public = {f"{path.stem}.{node.name}": node.name
+              for path in sorted(package.glob("*.py"))
+              for node in ast.parse(path.read_text(), filename=str(path)).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert set(UNCALLED_BY_DESIGN) <= set(public), set(UNCALLED_BY_DESIGN) - set(public)
+    uncalled = [name for name, bare in public.items()
+                if bare not in referenced and name not in UNCALLED_BY_DESIGN]
+    assert not uncalled, uncalled
 
 
 def test_modules_use_every_module_level_import():

@@ -10,6 +10,7 @@ from omegals.decomposition import (
     check_omega,
     guard_threshold,
     nullspace_of_hstar,
+    shift_weights,
     shifted_blocks,
     tridiagonal_block_decomposition,
 )
@@ -410,9 +411,12 @@ class TestWeightedSolveKernel:
             q = inst._factors[0]
             omegas = inst.omega_min + np.array([1e-6, 0.1, 3.0, 1e4])
             bounds = gram_cond_bound(inst.eig.lambdas, omegas)
-            for omega, bound in zip(omegas, bounds):
+            weights = shift_weights(inst.eig.lambdas, [*omegas, OMEGA_INF])
+            for omega, bound, row in zip(omegas, bounds, weights):
                 w = 1.0 / (inst.eig.lambdas + omega)
+                np.testing.assert_array_equal(row, w)
                 assert np.linalg.cond(adjoint(q) @ (w[:, None] * q)) <= bound * (1 + 1e-6)
+            assert (weights[-1] == 1.0).all()
         assert gram_cond_bound(np.array([3.0, -1.0]), [OMEGA_INF]).tolist() == [1.0]
 
     def test_a_shift_at_s_minus_one_takes_no_eigvalsh(self, eigvalsh_calls):
@@ -548,26 +552,34 @@ class TestDifferenceViaBlocks:
             assert max(sol.residuals.values()) <= 1e-9
 
     def test_positive_zero_shift_reduction(self):
-        # for positive operators the mu = 0 case collapses to one equation
-        rng = np.random.default_rng(34)
-        a = random_spd(rng, 9)
-        s = random_subspace(rng, 9, 3, False)
-        dec = tridiagonal_block_decomposition(a, s)
-        assert dec.q >= 1
-        b = rng.standard_normal(9)
-        omega = 1.7
-        sol = difference_via_blocks(dec, b, omega, 0.0)
-        c, cp, cpp = dec.coefficients(b)
-        sb = shifted_blocks(dec, omega)
-        e_omega = dec.E + omega * np.eye(dec.E.shape[0])
-        z = (adjoint(dec.D) @ np.linalg.solve(e_omega, cpp)
-             + dec.B @ np.linalg.solve(dec.T, c) - cp)
-        h = dec.H
-        g_inv_h = np.linalg.solve(sb.G_omega, h)
-        lhs = hermitian_part(adjoint(h) @ g_inv_h)
-        rhs = -adjoint(g_inv_h) @ np.concatenate([np.zeros(dec.p), z])
-        d_oracle = np.linalg.solve(lhs, rhs)
-        np.testing.assert_allclose(sol.d, d_oracle, atol=1e-10)
+        # for positive operators the mu = 0 case collapses to one equation;
+        # its oracle takes f(omega) from a dense solve with E + omega I, over
+        # R and C, 1e-8 max(1, ||A||) above the guard and at 1e3 as well
+        for complex_field in (False, True):
+            rng = np.random.default_rng(34)
+            a = random_spd(rng, 9, complex_field)
+            s = random_subspace(rng, 9, 3, complex_field)
+            dec = tridiagonal_block_decomposition(a, s)
+            assert dec.q >= 1
+            b = gaussian_vector(rng, 9, complex_field)
+            guard = guard_threshold(dec.omega_min, dec.op_norm) + 1e-8 * max(1.0, dec.op_norm)
+            for omega in (1.7, guard, 1e3):
+                sol = difference_via_blocks(dec, b, omega, 0.0)
+                c, cp, cpp = dec.coefficients(b)
+                sb = shifted_blocks(dec, omega)
+                e_omega = dec.E + omega * np.eye(dec.E.shape[0])
+                z = (adjoint(dec.D) @ np.linalg.solve(e_omega, cpp)
+                     + dec.B @ np.linalg.solve(dec.T, c) - cp)
+                h = dec.H
+                g_inv_h = np.linalg.solve(sb.G_omega, h)
+                lhs = hermitian_part(adjoint(h) @ g_inv_h)
+                rhs = -adjoint(g_inv_h) @ np.concatenate([np.zeros(dec.p), z])
+                d_oracle = np.linalg.solve(lhs, rhs)
+                # both routes solve with G_omega, whose condition number
+                # (about 4e7 next to the guard) bounds their agreement there
+                scale = 16 * (dec.p + dec.q) * np.finfo(float).eps * np.linalg.cond(sb.G_omega)
+                np.testing.assert_allclose(sol.d, d_oracle,
+                                           atol=max(1e-10, scale * np.linalg.norm(d_oracle)))
 
     def test_equal_shifts_give_zero(self):
         rng = np.random.default_rng(35)
@@ -580,23 +592,35 @@ class TestDifferenceViaBlocks:
         assert np.linalg.norm(sol.d) <= 1e-11
 
     def test_u_matches_zprime_route(self):
-        rng = np.random.default_rng(36)
-        a = random_hermitian_invertible(rng, 8, False)
-        s = random_subspace(rng, 8, 3, False)
-        dec = tridiagonal_block_decomposition(a, s)
-        ns = nullspace_of_hstar(dec)
-        b = rng.standard_normal(8)
-        omega, mu = dec.omega_min + 1.1, dec.omega_min + 5.5
-        sol = difference_via_blocks(dec, b, omega, mu)
-        sb_omega = shifted_blocks(dec, omega)
-        sb_mu = shifted_blocks(dec, mu)
-        c, cp, cpp = dec.coefficients(b)
-        eye = np.eye(dec.E.shape[0])
-        z_t = (adjoint(dec.D) @ (np.linalg.solve(dec.E + omega * eye, cpp)
-                                 - np.linalg.solve(dec.E + mu * eye, cpp))
-               + np.hstack([dec.B, dec.C - sb_mu.F_omega]) @ (ns.N @ sol.t))
-        z_prime = np.hstack([dec.B, dec.C - sb_omega.F_omega]) @ (ns.N @ sol.t_prime) - z_t
-        np.testing.assert_allclose(sol.u, z_prime, atol=1e-9)
+        # z' takes f(omega) and f(mu) from dense solves with E + sigma I, over
+        # R and C, at close shifts and at 1e-8 max(1, ||A||) above the guard
+        # against 1e3 either way round
+        for complex_field in (False, True):
+            rng = np.random.default_rng(36)
+            a = random_hermitian_invertible(rng, 8, complex_field)
+            s = random_subspace(rng, 8, 3, complex_field)
+            dec = tridiagonal_block_decomposition(a, s)
+            ns = nullspace_of_hstar(dec)
+            b = gaussian_vector(rng, 8, complex_field)
+            guard = guard_threshold(dec.omega_min, dec.op_norm) + 1e-8 * max(1.0, dec.op_norm)
+            for omega, mu in [(dec.omega_min + 1.1, dec.omega_min + 5.5),
+                              (guard, 1e3), (1e3, guard)]:
+                sol = difference_via_blocks(dec, b, omega, mu)
+                sb_omega = shifted_blocks(dec, omega)
+                sb_mu = shifted_blocks(dec, mu)
+                c, cp, cpp = dec.coefficients(b)
+                eye = np.eye(dec.E.shape[0])
+                z_t = (adjoint(dec.D) @ (np.linalg.solve(dec.E + omega * eye, cpp)
+                                         - np.linalg.solve(dec.E + mu * eye, cpp))
+                       + np.hstack([dec.B, dec.C - sb_mu.F_omega]) @ (ns.N @ sol.t))
+                z_prime = (np.hstack([dec.B, dec.C - sb_omega.F_omega]) @ (ns.N @ sol.t_prime)
+                           - z_t)
+                # t and t' come from solves with G_omega and G_mu: their
+                # condition number bounds the agreement next to the guard
+                cond = max(np.linalg.cond(sb.G_omega) for sb in (sb_omega, sb_mu))
+                scale = 16 * (dec.p + dec.q) * np.finfo(float).eps * cond
+                np.testing.assert_allclose(sol.u, z_prime,
+                                           atol=max(1e-9, scale * np.linalg.norm(z_prime)))
 
     def test_q_zero_raises(self):
         dec = tridiagonal_block_decomposition(np.diag([1.0, 2.0]),
