@@ -9,8 +9,9 @@ For each seed, runs ``python3 bench/run.py --workload W --seed S --seconds T
 load average (``os.getloadavg``) and the share of CPU time stolen by the
 hypervisor (the ``steal`` column of /proc/stat, read only), so a noisy
 neighbour shows next to the figures it disturbed. Prints one line per run,
-then per end-to-end metric each side's median [q1, q3] and the number of
-pairs in which CHANGE is lower.
+then per end-to-end metric each side's median [q1, q3], the number of pairs
+in which CHANGE is lower, and a verdict (:func:`verdict`) under the metric's
+``better`` and relative ``bound`` from CHANGE's BENCHMARK.json.
 """
 
 import argparse
@@ -57,6 +58,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from paired runs: ``before[i]``
+    (parent) and ``after[i]`` (change) come from pair i, ``better`` is
+    "lower" or "higher" and ``bound`` the relative worsening allowed.
+
+    - "gain": the change is better in at least 9 of 10 pairs (ties count for
+      neither), and the medians differ by more than the parent's
+      interquartile range;
+    - "worse": the change's median is worse than the parent's by more than
+      the bound;
+    - "unresolved": the parent's interquartile range is wider than the bound,
+      unless every change run beats every parent run;
+    - "within bound": anything else.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    (m0, q1, q3), (m1, _, _) = quartiles(before), quartiles(after)
+    margin = sign * (m0 - m1)  # positive when the change's median is better
+    wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+    if wins >= 0.9 * len(before) and margin > q3 - q1:
+        return "gain"
+    if -margin > bound * abs(m0):
+        return "worse"
+    every_run_better = max(sign * a for a in after) < min(sign * b for b in before)
+    if q3 - q1 > bound * abs(m0) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -64,7 +93,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
     args = parser.parse_args(argv)
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {"parent": [], "change": []}
@@ -85,9 +116,11 @@ def main(argv=None) -> int:
         after = [r["metrics"][metric]["value"] for r in runs["change"]]
         wins = sum(a < b for a, b in zip(after, before))
         (m0, lo0, hi0), (m1, lo1, hi1) = quartiles(before), quartiles(after)
+        spec = end_to_end.get(metric)
+        judged = f"  {verdict(before, after, spec['better'], spec['bound'])}" if spec else ""
         print(f"  {metric:12s} parent {m0:.4g} [{lo0:.4g}, {hi0:.4g}]  "
               f"change {m1:.4g} [{lo1:.4g}, {hi1:.4g}]  change/parent {m1 / m0:.3f}  "
-              f"change lower in {wins}/{pairs}")
+              f"change lower in {wins}/{pairs}{judged}")
     ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
     print(f"  every run correct with 0 failed operations: {ok}")
     return 0

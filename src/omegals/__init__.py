@@ -69,7 +69,6 @@ from .solver import (
 )
 from .subspaces import (
     AffineSubspace,
-    EigenspaceSplit,
     Subspace,
     eigenspace_split,
     index_of_invariance,

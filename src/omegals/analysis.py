@@ -16,7 +16,7 @@ from .linalg import (
     as_operator,
     default_rank_tol,
     extend_orthonormal,
-    hermitian_eigvals,
+    hermitian_eig,
     hermitian_part,
     is_singular,
     numerical_rank,
@@ -57,8 +57,11 @@ SOLUTION_BLOCK_BYTES = 2**20
 
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
-    """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1)); both
-    bounds must be positive and finite (lo > hi gives a descending grid)."""
+    """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1)); the
+    count must be at least 1 and both bounds positive and finite (lo > hi
+    gives a descending grid)."""
+    if count < 1:
+        raise ValueError(f"grid count = {count}: a shift grid needs at least one shift")
     for name, bound in (("lo", lo), ("hi", hi)):
         if not 0 < bound < np.inf:
             raise ValueError(f"grid bound {name} = {bound}: a log-spaced shift grid "
@@ -302,7 +305,7 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     tol = default_rank_tol(ut_v.shape)
     parts = []
     start = 0
-    for _, q_block in eigenspace_split(eig).blocks:
+    for _, q_block in eigenspace_split(eig):
         stop = start + q_block.shape[1]
         left, sv, _ = np.linalg.svd(ut_v[start:stop], full_matrices=True)
         parts.append(q_block @ left[:, np.count_nonzero(sv > tol):])
@@ -364,7 +367,7 @@ def condition_report(dec: TridiagDecomp, omega_mu_samples=()) -> ConditionReport
             raise ValueError("L(omega, mu) requires omega != mu")
         k_diag = (xi + omega + mu) / ((xi + omega) * (xi + mu))
         l_matrix = hermitian_part(base - adjoint(ud) @ (k_diag[:, None] * ud))
-        lam = hermitian_eigvals(l_matrix)
+        lam = hermitian_eig(l_matrix).lambdas
         invertible = not is_singular(lam)
         positive = bool(dec.q == 0 or lam[-1] > 0)
         samples.append(LSample(float(omega), float(mu), l_matrix, invertible, positive))

@@ -29,7 +29,7 @@ from .linalg import (
     hermitian_part,
     is_hermitian,
     numerical_rank,
-    operator_eigvals,
+    operator_eig,
     solve_hermitian,
 )
 from .subspaces import Subspace, new_directions, orthogonal_complement
@@ -152,16 +152,17 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
     V' comes from :func:`subspaces.new_directions`, so q is the index of
     invariance and the result is a function of (A, S) alone; V'' is the
     orthogonal complement of [V V']. lambda_min and ||A||_2 are read from
-    :func:`linalg.operator_eigvals`: from the kept factorization when A has
-    one, else from one eigvalsh. Degenerate shapes (p = 0, q = 0,
-    n = p + q) come out with 0-width blocks.
+    the spectrum of :func:`linalg.operator_eig`, so a dense A is factored
+    once for the decomposition and every routine that reads the same array
+    (an instance, the span estimate, the constant kernel), in any order.
+    Degenerate shapes (p = 0, q = 0, n = p + q) come out with 0-width blocks.
     """
     a = as_operator(a)
     if not is_hermitian(a):
         raise ValueError("operator is not Hermitian within tolerance")
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    lam = operator_eigvals(a)
+    lam = operator_eig(a).lambdas
     v = s.basis
     av = a @ v
     vp = new_directions(a, s)

@@ -3,10 +3,11 @@
 Every routine works over R or C; the field is carried by the dtype
 (``complex128`` vs ``float64``) so conjugation degrades to a no-op for real
 input. No function mutates its arguments. All are pure except
-:func:`operator_eig` and :func:`operator_eigvals`, which keep and read the
-factorization of the last dense operator factored, for as long as that
-array lives unchanged. Routines that only apply an operator with ``@`` also
-take a SciPy sparse matrix (:func:`as_operator`).
+:func:`operator_eig`, which keeps and reads the factorization of the last
+dense operator factored, for as long as that array lives unchanged. A
+spectrum is reached two ways only: :func:`hermitian_eig` of a matrix and
+:func:`operator_eig` of a caller's operator. Routines that only apply an
+operator with ``@`` also take a SciPy sparse matrix (:func:`as_operator`).
 """
 
 from __future__ import annotations
@@ -97,32 +98,23 @@ class EigDecomposition:
         return adjoint(self.u) @ x
 
 
-def _checked_hermitian(m) -> np.ndarray:
+def hermitian_eig(m: np.ndarray) -> EigDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+
+    Raises ValueError for non-square input or when the Hermitian check fails
+    beyond ``HERMITIAN_TOL`` (relative Frobenius). A sparse matrix is
+    factored densely. The input is symmetrized before the factorization so
+    that round-off drift cannot leak into the eigenvectors. U is stored
+    C-contiguous: the reversed view has a negative column stride, which every
+    later product with U would copy first.
+    """
     m = m.toarray() if _is_sparse(m) else np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return hermitian_part(m)
-
-
-def hermitian_eig(m: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
-
-    Raises ValueError for non-square input or when the Hermitian check fails
-    beyond ``HERMITIAN_TOL`` (relative Frobenius). The input is symmetrized
-    before the factorization so that round-off drift cannot leak into the
-    eigenvectors. U is stored C-contiguous: the reversed view has a negative
-    column stride, which every later product with U would copy first.
-    """
-    lam, u = np.linalg.eigh(_checked_hermitian(m))
+    lam, u = np.linalg.eigh(hermitian_part(m))
     return EigDecomposition(np.ascontiguousarray(u[:, ::-1]), lam[::-1])
-
-
-def hermitian_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending, without the
-    eigenvectors; same checks and symmetrization as :func:`hermitian_eig`."""
-    return np.linalg.eigvalsh(_checked_hermitian(m))[::-1]
 
 
 # The last dense operator factored by operator_eig: (weak reference to the
@@ -145,15 +137,6 @@ def _forget(ref) -> None:
         _operator_memo = None
 
 
-def _memoized(a) -> EigDecomposition | None:
-    """The memo's factorization when ``a`` is the memoized array itself and
-    its bytes still hash to the stored digest, else None."""
-    memo = _operator_memo
-    if memo is not None and memo[0]() is a and memo[1] == _digest(a):
-        return memo[2]
-    return None
-
-
 def operator_eig(a) -> EigDecomposition:
     """:func:`hermitian_eig` of a caller's operator A, factored once per array.
 
@@ -165,22 +148,15 @@ def operator_eig(a) -> EigDecomposition:
     call and not kept.
     """
     global _operator_memo
-    eig = _memoized(a)
-    if eig is None:
-        eig = hermitian_eig(a)
-        if isinstance(a, np.ndarray):
-            eig.u.flags.writeable = False
-            eig.lambdas.flags.writeable = False
-            _operator_memo = (weakref.ref(a, _forget), _digest(a), eig)
+    memo = _operator_memo
+    if memo is not None and memo[0]() is a and memo[1] == _digest(a):
+        return memo[2]
+    eig = hermitian_eig(a)
+    if isinstance(a, np.ndarray):
+        eig.u.flags.writeable = False
+        eig.lambdas.flags.writeable = False
+        _operator_memo = (weakref.ref(a, _forget), _digest(a), eig)
     return eig
-
-
-def operator_eigvals(a) -> np.ndarray:
-    """Eigenvalues of a caller's operator A, descending: those of the kept
-    :func:`operator_eig` factorization when it is A's, else
-    :func:`hermitian_eigvals`, which keeps nothing."""
-    eig = _memoized(a)
-    return eig.lambdas if eig is not None else hermitian_eigvals(a)
 
 
 def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .linalg import (
     adjoint,
     extend_orthonormal,
-    hermitian_eigvals,
+    hermitian_eig,
     is_hermitian,
     numerical_rank,
 )
@@ -79,7 +79,7 @@ def membership(
         return False
     if cls in _SYM_CLASSES and not is_hermitian(a):
         return False
-    if cls is ManifoldClass.M_POS and hermitian_eigvals(a)[-1] <= 0:
+    if cls is ManifoldClass.M_POS and hermitian_eig(a).lambdas[-1] <= 0:
         return False
     if cls is ManifoldClass.M_SYMT and not compression_invertible(a, s):
         return False
@@ -126,7 +126,7 @@ def construct_positive_member(s: Subspace, s_prime: Subspace) -> np.ndarray:
     1 + |lambda_min| lands in the positive class; the shift is skipped when
     the witness is already positive (q = 0)."""
     a0 = swap_witness(s, s_prime)
-    lam_min = float(hermitian_eigvals(a0)[-1])
+    lam_min = float(hermitian_eig(a0).lambdas[-1])
     shift = 0.0 if lam_min > 0 else 1.0 + abs(lam_min)
     return a0 + shift * np.eye(a0.shape[0], dtype=a0.dtype)
 
@@ -148,20 +148,17 @@ def manifold_dimension(n: int, p: int, q: int, cls: ManifoldClass, field: str = 
     return alpha * (n * (n - 1) // 2 - p * (n - p - q)) + n
 
 
-def default_epsilon_schedule(a: np.ndarray):
+def _epsilon_schedule(a: np.ndarray):
     """Geometric perturbation schedule: 20 steps of ratio 10 starting at
     1e-12 * max(1, ||A||_2)."""
     eps0 = 1e-12 * max(1.0, float(np.linalg.norm(np.asarray(a), 2)))
     return [eps0 * 10.0**k for k in range(20)]
 
 
-def perturb_to_invertible(
-    a: np.ndarray,
-    epsilon_schedule=None,
-    subspace: Subspace | None = None,
-) -> np.ndarray:
-    """First A + eps*I along the schedule that is invertible (and, when a
-    subspace is supplied, has an invertible compression V* (A + eps I) V).
+def perturb_to_invertible(a: np.ndarray, subspace: Subspace | None = None) -> np.ndarray:
+    """First A + eps*I along a geometric schedule (20 steps of ratio 10 from
+    1e-12 * max(1, ||A||_2)) that is invertible (and, when a subspace is
+    supplied, has an invertible compression V* (A + eps I) V).
 
     eps = 0 is tried first, so an already-valid A comes back unchanged.
     Diagonal shifts leave S + A S untouched, so class membership of the kind
@@ -170,9 +167,7 @@ def perturb_to_invertible(
     """
     a = np.asarray(a)
     n = a.shape[0]
-    if epsilon_schedule is None:
-        epsilon_schedule = default_epsilon_schedule(a)
-    for eps in [0.0, *epsilon_schedule]:
+    for eps in [0.0, *_epsilon_schedule(a)]:
         candidate = a if eps == 0.0 else a + eps * np.eye(n, dtype=a.dtype)
         if numerical_rank(candidate) < n:
             continue

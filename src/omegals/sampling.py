@@ -16,6 +16,10 @@ from .subspaces import Subspace
 # Smallest |eigenvalue| allowed when sampling Hermitian invertible operators.
 SPECTRAL_FLOOR = 0.3
 
+# Bounds of the log-uniform distance of a sampled shift above omega_min.
+SHIFT_OFFSET_LO = 0.2
+SHIFT_OFFSET_HI = 50.0
+
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, complex_field: bool) -> np.ndarray:
     m = rng.standard_normal((rows, cols))
@@ -69,7 +73,8 @@ def random_nested_subspaces(
     return Subspace(big[:, :p]), Subspace(big)
 
 
-def random_shift_offset(rng: np.random.Generator, lo: float = 0.2, hi: float = 50.0) -> float:
+def random_shift_offset(rng: np.random.Generator) -> float:
     """Distance of a shift above the guard omega_min, log-uniform in
-    [lo, hi]; omega_min plus it stays clear of the guard."""
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    [SHIFT_OFFSET_LO, SHIFT_OFFSET_HI]; omega_min plus it stays clear of the
+    guard."""
+    return float(np.exp(rng.uniform(np.log(SHIFT_OFFSET_LO), np.log(SHIFT_OFFSET_HI))))

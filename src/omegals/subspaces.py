@@ -9,17 +9,11 @@ values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    EigDecomposition,
-    as_operator,
-    extend_orthonormal,
-    operator_eig,
-    orthonormalize,
-)
+from .linalg import EigDecomposition, as_operator, extend_orthonormal, orthonormalize
 
 # Eigenvalues closer than this (relative to max(1, ||A||_2)) collapse into
 # one eigenspace block.
@@ -71,12 +65,6 @@ class Subspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.conj().T @ x)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return True
-        return np.linalg.norm(x - self.project(x)) <= tol * nrm
 
 
 def _check_ambient(*spaces: Subspace) -> int:
@@ -223,29 +211,16 @@ def normal_representation(x0_raw: np.ndarray, direction: Subspace) -> AffineSubs
     return AffineSubspace(x0, direction)
 
 
-@dataclass(frozen=True)
-class EigenspaceSplit:
-    """Orthogonal decomposition of F^n into eigenspaces of a Hermitian
-    operator, one block per distinct eigenvalue, eigenvalues decreasing."""
+def eigenspace_split(eig: EigDecomposition) -> tuple:
+    """The eigenspaces of a factored Hermitian A as a tuple of (eigenvalue,
+    orthonormal basis) blocks, one per distinct eigenvalue, spanning all of
+    F^n.
 
-    blocks: tuple = field(default_factory=tuple)  # of (eigenvalue, basis)
-
-    @property
-    def eigenvalues(self) -> list[float]:
-        return [lam for lam, _ in self.blocks]
-
-
-def eigenspace_split(a) -> EigenspaceSplit:
-    """Group the spectrum of Hermitian A into distinct eigenvalues and return
-    per-eigenvalue orthonormal bases spanning all of F^n.
-
-    ``a`` may be the matrix, factored by :func:`linalg.operator_eig`, or its
-    precomputed :class:`EigDecomposition`. The blocks are consecutive column
-    slices of the eigenvector matrix, in descending eigenvalue order.
-    Eigenvalues within EIG_CLUSTER_TOL * max(1, ||A||_2) of each other merge
-    into one block (chained along the sorted spectrum).
+    The blocks are consecutive column slices of ``eig.u``, in descending
+    eigenvalue order. Eigenvalues within EIG_CLUSTER_TOL * max(1, ||A||_2)
+    of each other merge into one block (chained along the sorted spectrum),
+    whose eigenvalue is their mean.
     """
-    eig = a if isinstance(a, EigDecomposition) else operator_eig(a)
     lam, u = eig.lambdas, eig.u
     n = lam.size
     scale = max(1.0, float(np.max(np.abs(lam))) if n else 1.0)
@@ -255,18 +230,17 @@ def eigenspace_split(a) -> EigenspaceSplit:
         if i == n or (lam[i - 1] - lam[i]) > EIG_CLUSTER_TOL * scale:
             blocks.append((float(np.mean(lam[start:i])), u[:, start:i]))
             start = i
-    return EigenspaceSplit(tuple(blocks))
+    return tuple(blocks)
 
 
-def strongly_orthogonal(
-    u: np.ndarray, v: np.ndarray, split: EigenspaceSplit, tol: float = 1e-10
-) -> bool:
-    """Whether the projections of u and v onto every eigenspace block are
-    mutually orthogonal (strictly stronger than plain orthogonality)."""
+def strongly_orthogonal(u: np.ndarray, v: np.ndarray, blocks: tuple, tol: float = 1e-10) -> bool:
+    """Whether the projections of u and v onto every eigenspace block of
+    :func:`eigenspace_split` are mutually orthogonal (strictly stronger than
+    plain orthogonality)."""
     scale = np.linalg.norm(u) * np.linalg.norm(v)
     if scale == 0.0:
         return True
-    for _, q in split.blocks:
+    for _, q in blocks:
         inner = np.vdot(q.conj().T @ u, q.conj().T @ v)
         if np.abs(inner) > tol * scale:
             return False

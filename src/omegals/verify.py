@@ -231,8 +231,8 @@ def _main_theorem_draw(rng, trial):
 
 def _main_theorem_check(result, trial, drawn):
     a, s, b, omega_offset, mu_offset = drawn
-    # the instance factors A first, so the decomposition reads its spectrum
-    # from that factorization instead of taking an eigvalsh of its own
+    # the instance and the decomposition read one factorization of A, the
+    # one linalg.operator_eig keeps for this array
     inst = ProblemInstance.create(a, s, b)
     dec = tridiagonal_block_decomposition(a, s)
     q = index_of_invariance(a, s)

@@ -85,13 +85,14 @@ def test_sweep_generates_b_from_seed(workspace, capsys):
     assert meta["seed"] == 7 and meta["b"] is None
 
 
-@pytest.mark.parametrize("option, value", [("--omega-min", "0"), ("--omega-max", "inf")])
+@pytest.mark.parametrize("option, value", [("--omega-min", "0"), ("--omega-max", "inf"),
+                                           ("--count", "0")])
 def test_sweep_rejects_a_grid_bound_that_is_not_positive_and_finite(workspace, option, value):
     tmp_path, a_path, s_path = workspace
     prefix = tmp_path / "bad_"
-    with pytest.raises(ValueError, match=r"grid bound (lo = 0\.0|hi = inf)"):
+    with pytest.raises(ValueError, match=r"grid (bound lo = 0\.0|bound hi = inf|count = 0)"):
         main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
-              option, value, "--count", "5", "--out-prefix", str(prefix)])
+              "--count", "5", option, value, "--out-prefix", str(prefix)])
     assert not list(tmp_path.glob("bad_*"))
 
 

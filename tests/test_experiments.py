@@ -248,8 +248,8 @@ class TestRunFigure1:
         assert np.array_equal(table[:, 1:], sweep.solutions.T)
 
     @pytest.mark.parametrize("cpus, count, block_columns", [
-        (2, 24, 1), (3, 25, 1), (3, 2, 1), (2, 0, 1), (2, 25, 4), (3, 25, 4)],
-        ids=["K divisible by C", "K not divisible by C", "K < C", "K = 0",
+        (2, 24, 1), (3, 25, 1), (3, 2, 1), (2, 25, 4), (3, 25, 4)],
+        ids=["K divisible by C", "K not divisible by C", "K < C",
              "ragged last block, C = 2", "ragged last block, C = 3"])
     def test_forked_solutions_csv_is_savetxt_of_the_solutions(self, tmp_path, monkeypatch,
                                                               use_cpus, cpus, count,

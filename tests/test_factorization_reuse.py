@@ -27,7 +27,7 @@ from omegals.solver import (
     solution_map,
     solution_map_diff,
 )
-from omegals.subspaces import Subspace, eigenspace_split, index_of_invariance, krylov
+from omegals.subspaces import Subspace, index_of_invariance, krylov
 
 
 @pytest.fixture
@@ -61,22 +61,29 @@ def eigvalsh_orders(monkeypatch):
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
 def test_pipeline_on_one_operator_factors_it_once(complex_field, eigh_orders, eigvalsh_orders):
-    rng = np.random.default_rng(55)
+    # once with an instance built first, once with no instance: then the
+    # decomposition factors A itself and every later routine reads that
+    # factorization. Each pass gets a new array, which the kept factorization
+    # of the previous one cannot serve.
     n = 12
-    a = random_spd(rng, n, complex_field)
-    s = random_subspace(rng, n, 2, complex_field)
-    inst = ProblemInstance.create(a, s, gaussian_vector(rng, n, complex_field))
-    dec = tridiagonal_block_decomposition(a, s)
-    # n differs from every block order (p, q, p + q, n - p - q)
-    assert (dec.p, dec.q) == (2, 2)
-    difference_subspace(dec)
-    assert estimate_span_dim(a, s, grid=np.logspace(-2, 2, 30), seed=3) == dec.q
-    constant_kernel(a, s, 0.5)
-    solution_map(a, s, 0.7)
-    solution_map_diff(a, s, 0.7, 40.0)
-    assert eigenspace_split(a).blocks[0][1].base is inst.eig.u
-    assert eigh_orders[n] == 1
-    assert eigvalsh_orders[n] == 0
+    for with_instance in (True, False):
+        rng = np.random.default_rng(55)
+        a = random_spd(rng, n, complex_field)
+        s = random_subspace(rng, n, 2, complex_field)
+        b = gaussian_vector(rng, n, complex_field)
+        eigh_orders.clear()
+        if with_instance:
+            ProblemInstance.create(a, s, b)
+        dec = tridiagonal_block_decomposition(a, s)
+        # n differs from every block order (p, q, p + q, n - p - q)
+        assert (dec.p, dec.q) == (2, 2)
+        difference_subspace(dec)
+        assert estimate_span_dim(a, s, grid=np.logspace(-2, 2, 30), seed=3) == dec.q
+        constant_kernel(a, s, 0.5)
+        solution_map(a, s, 0.7)
+        solution_map_diff(a, s, 0.7, 40.0)
+        assert eigh_orders[n] == 1, with_instance
+        assert eigvalsh_orders[n] == 0, with_instance
 
 
 def test_block_route_and_condition_report_share_one_factorization_of_e(eigh_orders):
@@ -94,7 +101,8 @@ def test_block_route_and_condition_report_share_one_factorization_of_e(eigh_orde
     limit_difference_via_blocks(dec, b, 1.5)
     condition_report(dec, [(0.1, 2.0), (0.5, 7.0)])
     assert eigh_orders[r] == 1
-    assert eigh_orders[n] == 0
+    # the decomposition's own factorization of A, for lambda_min and ||A||_2
+    assert eigh_orders[n] == 1
 
 
 def test_span_estimate_and_constant_kernel_factor_a_once(eigh_orders):

@@ -9,7 +9,6 @@ from omegals.linalg import (
     default_rank_tol,
     extend_orthonormal,
     hermitian_eig,
-    hermitian_eigvals,
     hermitian_part,
     is_singular,
     numerical_rank,
@@ -70,19 +69,6 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @pytest.mark.parametrize("complex_field", [False, True])
-    def test_eigenvalues_alone_match(self, complex_field):
-        m = random_hermitian(8, 30, complex_field)
-        lam = hermitian_eigvals(m)
-        np.testing.assert_allclose(lam, hermitian_eig(m).lambdas, atol=1e-12)
-        assert np.all(np.diff(lam) <= 0)
-
-    def test_eigenvalues_alone_reject_bad_input(self):
-        with pytest.raises(ValueError):
-            hermitian_eigvals(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            hermitian_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestOrthonormalize:

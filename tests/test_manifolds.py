@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from omegals import manifolds
 from omegals.decomposition import tridiagonal_block_decomposition
 from omegals.linalg import numerical_rank
 from omegals.manifolds import (
@@ -150,9 +151,10 @@ class TestPerturbToInvertible:
         assert membership(nudged, s, s_prime, ManifoldClass.M_SYM)
         assert membership(nudged, s, s_prime, ManifoldClass.M_SYMT)
 
-    def test_schedule_exhaustion(self):
+    def test_schedule_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(manifolds, "_epsilon_schedule", lambda a: [-1.0])
         with pytest.raises(ValueError):
-            perturb_to_invertible(np.diag([0.0, 1.0]), epsilon_schedule=[-1.0])
+            perturb_to_invertible(np.diag([0.0, 1.0]))
 
 
 class TestCompressionInvertible:

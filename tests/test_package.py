@@ -83,7 +83,7 @@ PAPER_IDENTITIES = ("decomposition.j_matrix", "solver.solution_map_diff",
 # Public functions that need no caller outside the tests, with the reason.
 UNCALLED_BY_DESIGN = {
     **{name: "an identity of the paper" for name in PAPER_IDENTITIES},
-    "solver.solution_map": "the exported coordinate map M(omega); the bench traces it by name",
+    "solver.solution_map": "the paper's exported coordinate map M(omega)",
     "io.save_subspace": "writes the subspace file format the CLI reads",
     "io.decomposition_blocks_from_json": "reads the decomposition files the CLI writes",
 }
@@ -96,8 +96,8 @@ def test_paper_identities_stay_out_of_the_exports():
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a caller is a Name or Attribute reference anywhere in src/, scripts/
-    # or bench/ except the package's re-exports, so a function only the
-    # tests call is dead code unless it is exempt by name
+    # or bench/ except the package's re-exports, so a function, method or
+    # property only the tests call is dead code unless it is exempt by name
     package = Path(omegals.__file__).resolve().parent
     root = package.parent.parent
     referenced = set()
@@ -110,10 +110,15 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    public = {f"{path.stem}.{node.name}": node.name
-              for path in sorted(package.glob("*.py"))
-              for node in ast.parse(path.read_text(), filename=str(path)).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    public = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            members = [(f"{path.stem}.", node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{path.stem}.{node.name}.", member) for member in node.body]
+            public.update({prefix + member.name: member.name for prefix, member in members
+                           if isinstance(member, ast.FunctionDef)
+                           and not member.name.startswith("_")})
     assert set(UNCALLED_BY_DESIGN) <= set(public), set(UNCALLED_BY_DESIGN) - set(public)
     uncalled = [name for name, bare in public.items()
                 if bare not in referenced and name not in UNCALLED_BY_DESIGN]
