@@ -11,7 +11,9 @@ hypervisor (the ``steal`` column of /proc/stat, read only), so a noisy
 neighbour shows next to the figures it disturbed. Prints one line per run,
 then per end-to-end metric each side's median [q1, q3], the number of pairs
 in which CHANGE is lower, and a verdict (:func:`verdict`) under the metric's
-``better`` and relative ``bound`` from CHANGE's BENCHMARK.json.
+``better`` and relative ``bound`` from CHANGE's BENCHMARK.json. With
+``--out PATH`` it also writes every run record and that summary as JSON
+(:func:`summarize`).
 """
 
 import argparse
@@ -86,12 +88,34 @@ def verdict(before: list[float], after: list[float], better: str, bound: float) 
     return "within bound"
 
 
+def summarize(runs: dict, end_to_end: dict) -> dict:
+    """Per metric of the runs, each side's median and quartiles, the pairs in
+    which the change is lower and, for an end-to-end metric of
+    ``end_to_end`` (name -> BENCHMARK.json entry), the verdict."""
+    pairs = len(runs["parent"])
+    metrics = {}
+    for metric in runs["parent"][0]["metrics"]:
+        before = [r["metrics"][metric]["value"] for r in runs["parent"]]
+        after = [r["metrics"][metric]["value"] for r in runs["change"]]
+        summary = {"pairs": pairs, "change_lower_in": sum(a < b for a, b in zip(after, before))}
+        for side, values in (("parent", before), ("change", after)):
+            median, q1, q3 = quartiles(values)
+            summary[side] = {"median": median, "q1": q1, "q3": q3}
+        spec = end_to_end.get(metric)
+        if spec:
+            summary["verdict"] = verdict(before, after, spec["better"], spec["bound"])
+        metrics[metric] = summary
+    ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
+    return {"pairs": pairs, "metrics": metrics, "every_run_correct": ok}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
+    parser.add_argument("--out", type=Path, help="write the runs and the summary as JSON here")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -99,30 +123,32 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {"parent": [], "change": []}
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    seeds = parse_seeds(args.seeds)
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             r = run_once(sides[side], args.workload, seed, seconds)
+            r["seed"] = seed
             runs[side].append(r)
             values = " ".join(f"{k}={m['value']:.4g}" for k, m in r["metrics"].items())
             print(f"seed {seed} {side:6s} correct={r['correct']} failed={r['failed']}/"
                   f"{r['attempted']} {values} load {r['load'][0]:.2f}->{r['load'][1]:.2f} "
                   f"steal {r['steal_pct']:.1f}%", flush=True)
 
-    pairs = len(runs["parent"])
-    print(f"\n{args.workload}: {pairs} pairs, {seconds} s per run")
-    for metric in runs["parent"][0]["metrics"]:
-        before = [r["metrics"][metric]["value"] for r in runs["parent"]]
-        after = [r["metrics"][metric]["value"] for r in runs["change"]]
-        wins = sum(a < b for a, b in zip(after, before))
-        (m0, lo0, hi0), (m1, lo1, hi1) = quartiles(before), quartiles(after)
-        spec = end_to_end.get(metric)
-        judged = f"  {verdict(before, after, spec['better'], spec['bound'])}" if spec else ""
-        print(f"  {metric:12s} parent {m0:.4g} [{lo0:.4g}, {hi0:.4g}]  "
-              f"change {m1:.4g} [{lo1:.4g}, {hi1:.4g}]  change/parent {m1 / m0:.3f}  "
-              f"change lower in {wins}/{pairs}{judged}")
-    ok = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
-    print(f"  every run correct with 0 failed operations: {ok}")
+    summary = summarize(runs, end_to_end)
+    print(f"\n{args.workload}: {summary['pairs']} pairs, {seconds} s per run")
+    for metric, m in summary["metrics"].items():
+        before, after = m["parent"], m["change"]
+        judged = f"  {m['verdict']}" if "verdict" in m else ""
+        print(f"  {metric:12s} parent {before['median']:.4g} [{before['q1']:.4g}, "
+              f"{before['q3']:.4g}]  change {after['median']:.4g} [{after['q1']:.4g}, "
+              f"{after['q3']:.4g}]  change/parent {after['median'] / before['median']:.3f}  "
+              f"change lower in {m['change_lower_in']}/{m['pairs']}{judged}")
+    print(f"  every run correct with 0 failed operations: {summary['every_run_correct']}")
+    if args.out:
+        record = {"workload": args.workload, "seeds": seeds, "run_seconds": seconds,
+                  "runs": runs, **summary}
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -58,15 +58,22 @@ SOLUTION_BLOCK_BYTES = 2**20
 
 def default_omega_grid(count: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
     """Log-spaced shift grid, omega_j = lo * (hi/lo)^((j-1)/(count-1)); the
-    count must be at least 1 and both bounds positive and finite (lo > hi
-    gives a descending grid)."""
+    count must be at least 1, both bounds positive and finite (lo > hi
+    gives a descending grid), and the grid must hold at least two distinct
+    shifts, since a sweep estimates the family's dimension from how its
+    solutions move between shifts."""
     if count < 1:
         raise ValueError(f"grid count = {count}: a shift grid needs at least one shift")
     for name, bound in (("lo", lo), ("hi", hi)):
         if not 0 < bound < np.inf:
             raise ValueError(f"grid bound {name} = {bound}: a log-spaced shift grid "
                              f"needs positive, finite bounds")
-    return np.logspace(np.log10(lo), np.log10(hi), count)
+    grid = np.logspace(np.log10(lo), np.log10(hi), count)
+    distinct = np.unique(grid).size
+    if distinct < 2:
+        raise ValueError(f"grid count = {count}, lo = {lo}, hi = {hi}: the grid holds "
+                         f"{distinct} distinct shift(s), and a sweep needs at least two")
+    return grid
 
 
 @dataclass(frozen=True)

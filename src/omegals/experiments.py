@@ -226,8 +226,11 @@ def run_figure1(config: Figure1Config = Figure1Config()) -> Figure1Result:
     factorization, so no dense N x N matrix is formed. A single master seed
     fans out to named substreams for the subspace seeds and the right-hand
     side, so identical configurations give bit-identical outputs. The
-    seconds of each of FIGURE1_STAGES go into ``stages``."""
+    seconds of each of FIGURE1_STAGES go into ``stages``. The shift grid is
+    built first, so a grid that :func:`default_omega_grid` rejects fails
+    before any work is done or any file is written."""
     import scipy.sparse  # noqa: F401  loaded before the clock: no stage times the import
+    grid = default_omega_grid(config.count, config.omega_lo, config.omega_hi)
     marks = [time.perf_counter()]
     a, factorization = poisson_2d_factored(config.m)
     marks.append(time.perf_counter())
@@ -239,7 +242,6 @@ def run_figure1(config: Figure1Config = Figure1Config()) -> Figure1Result:
     inst = ProblemInstance.create(a, built.subspace, b, eig=factorization)
     inst._factors  # made here so that the sweep stage times the shifts alone
     marks.append(time.perf_counter())
-    grid = default_omega_grid(config.count, config.omega_lo, config.omega_hi)
     sweep = sweep_solutions(inst, grid)
     marks.append(time.perf_counter())
     stages = {name: end - begin for name, begin, end in zip(FIGURE1_STAGES, marks, marks[1:])}

@@ -22,11 +22,21 @@ from .workers import Workers, usable_cpus
 MM_PRECISION = 17
 
 # Fewest cells of a table that write_csv formats in forked workers: about
-# 40 ms of formatting, against about 3 ms to fork and reap a worker.
-FORK_MIN_CELLS = 2**16
+# 40 ms of formatting, against about 2 ms to fork and reap a worker and the
+# 10-15 ms more that a worker's first chunks and its pipe take.
+FORK_MIN_CELLS = 2**18
 
 # Largest read of a worker's pipe that write_csv copies into the file.
 COPY_BYTES = 2**20
+
+# Cells that write_csv formats at once. A chunk's temporaries, a few dozen
+# arrays of up to _FIELD_BYTES per cell, stay near 2 MB.
+CSV_CHUNK_CELLS = 2**12
+
+# Fewest cells of a chunk that go through the vectorized kernel. Its fixed
+# cost is about 0.1 ms a chunk; format_float's is about 0.7 us a cell, and
+# the two break even near 128 cells.
+KERNEL_MIN_CELLS = 2**7
 
 
 def format_float(x: float) -> str:
@@ -163,16 +173,165 @@ def _complex_pairs(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _lines(row: str, ncol: int, blocks):
-    """The CSV text of each row of ``blocks``, formatted by ``row``."""
+# The vectorized "%.17g" kernel of write_csv. A finite x with
+# 10^e <= |x| < 10^(e+1) prints the 17 digits of the integer
+# N = round-half-even(|x| * 10^(16 - e)) < 10^17, in the layout of %g:
+# fixed point for -4 <= e < 17, else d.dddde-XX, trailing zeros cut. The kernel
+# forms |x| * 10^k, k = 16 - e, as an exact sum hi + lo of two doubles
+# (Dekker's two-product), so N = hi + rint(lo) needs no bignum. Every cell
+# it does not decide exactly goes to format_float.
+
+# Largest k the kernel decides; 10^k is exact in float64 up to 10^22, and
+# beyond that it is the double-double 10^k ~ _POW10 + _POW10_TAIL.
+_KMAX = 40
+_POW10 = np.array([float(10**k) for k in range(_KMAX + 1)])
+_POW10_TAIL = np.array([float(10**k - int(float(10**k))) for k in range(_KMAX + 1)])
+
+
+def _split(v):
+    """Dekker's split of float64 ``v`` into hi + lo == v, each of at most 26
+    significant bits, so that their products are exact."""
+    t = v * 134217729.0  # 2^27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# Where 10^k is a double-double, |x| * 10^k is known to about 1e-14 only:
+# a scaled value within this margin of a tie or of 10^16 is left undecided.
+_MARGIN = (np.arange(_KMAX + 1) > 22) * 1e-9
+
+# The ASCII digits of 0..9999, four to a little-endian word, and the
+# trailing zeros of each: a word less "0000" is below 2^24 if its last digit
+# is 0, below 2^16 if its last two are, and so on.
+_DIGIT = np.arange(10, dtype=np.uint32)
+_DIGITS4 = (0x30303030 + _DIGIT[:, None, None, None] + (_DIGIT[:, None, None] << 8)
+            + (_DIGIT[:, None] << 16) + (_DIGIT << 24)).reshape(-1)
+_TRAILING4 = sum((_DIGITS4 ^ 0x30303030) < 1 << s for s in (0, 8, 16, 24))
+
+# A cell is laid out in a field of _FIELD_BYTES bytes: "0000", "000" and the
+# 17 digits of N (the first at column _LEAD), then "0" padding. The decimal
+# point goes in at column p, moving the digits from p on one column right:
+# row p of _BEFORE/_AFTER keeps the columns before/after p and of _POINT
+# holds the point. Row s * _FIELD_BYTES + t of _SPAN marks columns s..t.
+_FIELD_BYTES = 32
+_LEAD = 7
+_COLS = np.arange(_FIELD_BYTES)
+_ROWS = np.arange(_FIELD_BYTES)[:, None]
+_BEFORE = np.where(_COLS < _ROWS, 0xFF, 0).astype(np.uint8).view(np.uint64)
+_AFTER = np.where(_COLS > _ROWS, 0xFF, 0).astype(np.uint8).view(np.uint64)
+_POINT = np.where(_COLS == _ROWS, ord("."), 0).astype(np.uint8).view(np.uint64)
+_SPAN = ((_COLS >= _ROWS[:, :, None]) & (_COLS <= _ROWS[None])).view(np.uint64)
+_SPAN = _SPAN.reshape(_FIELD_BYTES**2, -1)
+# "e-24" .. "e-05", the exponents of the scientific layouts the kernel decides.
+_EXPONENTS = np.array([list(f"e{e:03d}".encode()) for e in range(16 - _KMAX, -4)], np.uint8)
+
+
+def _decimal(x: np.ndarray):
+    """(decided, n, e) per cell of ``x``: where ``decided``, the 17 digits of
+    ``x`` to "%.17g" are those of ``n``, 10^16 <= n < 10^17, and its
+    decimal exponent is ``e``. Zeros, non-finite values and |x| outside
+    about [1e-24, 1e17) are left undecided, as is a cell whose exponent
+    the float log10 misjudged or, where 10^k is inexact, whose scaled value
+    lies within _MARGIN of a tie or of 10^16."""
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # undecided cells compute garbage
+        k = 16.0 - np.floor(np.log10(a))
+        decided = (k >= 0) & (k <= _KMAX)
+        k = np.where(decided, k, 0).astype(np.intp)
+        hi = a * _POW10.take(k)
+        a_hi, a_lo = _split(a)
+        p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+        lo += a * _POW10_TAIL.take(k)
+        # hi >= 2^53 is an even integer, so round-half-even of hi + lo is
+        # hi + rint(lo), exact in int64
+        lo_int = np.rint(lo)
+        n = hi.astype(np.int64) + lo_int.astype(np.int64)
+        margin = _MARGIN.take(k)
+        # log10 can misjudge e next to a power of ten: 1e-7 is
+        # 9.9999999999999995e-08, but log10 gives -7 and hi + lo < 10^16
+        decided &= ((hi - 1e16) + lo >= margin) & (n < 10**17)
+        decided &= np.abs(np.abs(lo - lo_int) - 0.5) >= margin
+    n[~decided] = 10**16
+    return decided, n, 16 - k
+
+
+def _kernel_fields(x: np.ndarray):
+    """The fields of ``x`` (flat, _FIELD_BYTES bytes per cell), the column
+    where each cell's text starts and the one after it ends, and which cells
+    were decided; the fields of undecided cells hold no text."""
+    m = x.size
+    decided, n, e = _decimal(x)
+    top = n // 10**16
+    rest = n - top * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    groups = [top, high // 10**4, high % 10**4, low // 10**4, low % 10**4]
+    # one word before the first field, read as the column before column 0
+    words = np.empty(m * _FIELD_BYTES // 4 + 1, np.uint32)
+    fields = words[1:].reshape(m, -1)
+    fields[:, [0, 6, 7]] = _DIGITS4[0]
+    for col, group in enumerate(groups, 1):
+        fields[:, col] = _DIGITS4.take(group)
+    last = 16 - (_TRAILING4.take(groups[4]) + (groups[4] == 0) * (
+        _TRAILING4.take(groups[3]) + (groups[3] == 0) * (
+            _TRAILING4.take(groups[2]) + (groups[2] == 0) * _TRAILING4.take(groups[1]))))
+    scientific = e < -4
+    fixed_e = np.where(scientific, 0, e)  # the point follows digit fixed_e of N (a 0 if < 0)
+    point = fixed_e + _LEAD + 1
+    text = words.view(np.uint8)
+    out = (text[4:] & _BEFORE.take(point, axis=0).view(np.uint8).reshape(-1)
+           | text[3:-1] & _AFTER.take(point, axis=0).view(np.uint8).reshape(-1)
+           | _POINT.take(point, axis=0).view(np.uint8).reshape(-1))
+    # cut trailing zeros of the fraction, and the point if nothing follows
+    end = np.where(last > fixed_e, last + _LEAD + 2, point)
+    negative = np.signbit(x)
+    start = _LEAD + np.minimum(fixed_e, 0) - negative
+    rows = np.arange(0, m * _FIELD_BYTES, _FIELD_BYTES)
+    sci = np.flatnonzero(scientific & decided)
+    for col, chars in enumerate(_EXPONENTS.take(e[sci] - (16 - _KMAX), axis=0).T):
+        out[rows[sci] + end[sci] + col] = chars
+    end[sci] += 4
+    signed = np.flatnonzero(negative & decided)
+    out[rows[signed] + start[signed]] = ord("-")
+    return out, start, end, decided
+
+
+def _csv_chunk(x: np.ndarray, ncol: int, first: int) -> bytes:
+    """CSV text of the cells ``x`` (flat, row-major, of a table with ``ncol``
+    columns), the first of which is cell ``first`` of its rows."""
+    m = x.size
+    if m >= KERNEL_MIN_CELLS:
+        out, start, end, decided = _kernel_fields(x)
+    else:
+        out = np.empty(m * _FIELD_BYTES, np.uint8)
+        start, end, decided = np.zeros(m, np.intp), np.zeros(m, np.intp), np.zeros(m, bool)
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        texts = list(map(format_float, x[undecided].tolist()))
+        padded = "".join(t.ljust(_FIELD_BYTES) for t in texts).encode()
+        out.reshape(m, -1)[undecided] = np.frombuffer(padded, np.uint8).reshape(-1, _FIELD_BYTES)
+        start[undecided] = 0
+        end[undecided] = list(map(len, texts))
+    sep = np.arange(0, m * _FIELD_BYTES, _FIELD_BYTES) + end
+    out[sep] = ord(",")
+    out[sep[(ncol - 1 - first) % ncol::ncol]] = ord("\n")
+    return out[_SPAN.take(start * _FIELD_BYTES + end, axis=0).view(bool).reshape(-1)].tobytes()
+
+
+def _csv_chunks(ncol: int, blocks):
+    """The CSV text of ``blocks``, CSV_CHUNK_CELLS cells at a time."""
     for block in blocks:
         block = block() if callable(block) else block
-        for cells in np.asarray(block, dtype=float).reshape(-1, ncol):
-            yield row % tuple(cells.tolist())
+        cells = np.asarray(block, dtype=float).reshape(-1, ncol).reshape(-1)
+        for first in range(0, cells.size, CSV_CHUNK_CELLS):
+            yield _csv_chunk(cells[first:first + CSV_CHUNK_CELLS], ncol, first)
 
 
-def _text(row: str, ncol: int, blocks) -> bytes:
-    return "".join(_lines(row, ncol, blocks)).encode()
+def _text(ncol: int, blocks) -> bytes:
+    """The CSV text of ``blocks`` in one piece: a CSV worker's work."""
+    return b"".join(_csv_chunks(ncol, blocks))
 
 
 def _runs(block_rows, ncol: int) -> list[tuple[int, int, int]]:
@@ -196,6 +355,12 @@ def write_csv(path, header: list[str], blocks, block_rows=None) -> None:
     those of ``np.savetxt(fmt="%.17g", delimiter=",", header=...,
     comments="")`` on the stacked blocks.
 
+    Each block is formatted CSV_CHUNK_CELLS cells at a time by one NumPy
+    kernel that writes the bytes of ``"%.17g"`` for every finite cell of
+    magnitude about 1e-24 to 1e17 (see :func:`_decimal`); the kernel sends
+    each cell it does not decide exactly, and every cell of a chunk smaller
+    than KERNEL_MIN_CELLS, through :func:`format_float`.
+
     ``block_rows``, the row count of each block when known in advance, lets
     a table of at least FORK_MIN_CELLS cells be formatted across the usable
     CPUs. The blocks are split into contiguous runs of whole blocks, one per
@@ -203,26 +368,26 @@ def write_csv(path, header: list[str], blocks, block_rows=None) -> None:
     worker that formats it is forked; a callable block is called in the
     worker. The workers' text is then copied into the file in row order,
     COPY_BYTES at a time. Smaller tables, tables without ``block_rows`` and
-    a single usable CPU are formatted in-process, one block at a time."""
+    a single usable CPU are formatted in-process, one chunk at a time."""
     ncol = len(header)
-    row = ",".join(["%.17g"] * ncol) + "\n"
     runs = _runs(block_rows, ncol)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if not runs:
-            for line in _lines(row, ncol, blocks):
-                fh.write(line.encode())
+            for text in _csv_chunks(ncol, blocks):
+                fh.write(text)
             return
         blocks = iter(blocks)
         with Workers() as workers:
             for lo, hi, count in runs:
                 # A run's blocks are drawn here, before its worker is forked,
                 # so a block that needs BLAS (the x0 + V Y of solutions.csv)
-                # is computed here. Workers computing their own blocks wrote
-                # the N = 3600 solutions.csv in 0.33-0.40 s, against 0.27 s
-                # in one process and 0.19-0.21 s this way (2 CPUs): the
-                # OpenBLAS threads of every process spin for the cores.
-                workers.fork(f"CSV worker for rows {lo}..{hi - 1}", _text, row, ncol,
+                # is computed here. With the per-cell formatter, workers
+                # computing their own blocks wrote the N = 3600 solutions.csv
+                # in 0.33-0.40 s, against 0.27 s in one process and
+                # 0.19-0.21 s this way (2 CPUs): the OpenBLAS threads of
+                # every process spin for the cores.
+                workers.fork(f"CSV worker for rows {lo}..{hi - 1}", _text, ncol,
                              list(islice(blocks, count)))
             for pipe in workers.pipes():
                 while data := pipe.read(COPY_BYTES):

@@ -345,6 +345,12 @@ class TestDefaultOmegaGrid:
         with pytest.raises(ValueError, match=rf"^grid count = {count}: .*at least one shift"):
             default_omega_grid(count)
 
+    @pytest.mark.parametrize("count, lo, hi", [(1, 1e-3, 1e3), (1, 1.0, 1.0), (5, 1.0, 1.0)])
+    def test_rejects_a_grid_without_two_distinct_shifts_by_name(self, count, lo, hi):
+        with pytest.raises(ValueError, match=rf"^grid count = {count}, lo = .*: the grid "
+                                             rf"holds 1 distinct shift\(s\)"):
+            default_omega_grid(count, lo, hi)
+
     def test_descending_grid(self):
         grid = default_omega_grid(5, 1e3, 1e-3)
         np.testing.assert_allclose(grid, [1e3, 1e1 ** 1.5, 1.0, 1e1 ** -1.5, 1e-3])

@@ -2,6 +2,7 @@
 verdict. The script is loaded by path: scripts/ is not a package."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,35 @@ PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
         "within bound"])
 def test_verdict(before, after, better, expected):
     assert bench_pairs.verdict(before, after, better, 0.25) == expected
+
+
+def test_out_writes_the_runs_and_the_summary(tmp_path, monkeypatch, capsys):
+    # parent runs take 1.00..1.09 s, change runs 0.2 s less; peak RSS is equal
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20, "end_to_end": [
+        {"name": "iter_s.p50", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+
+    def run_once(checkout, workload, seed, seconds):
+        value = PARENT[seed - 1] - (0.2 if checkout == change.resolve() else 0.0)
+        return {"correct": True, "attempted": 3, "failed": 0, "load": (0.5, 0.5),
+                "steal_pct": 0.0, "metrics": {"iter_s.p50": {"value": value, "unit": "s"},
+                                              "peak_rss_mb": {"value": 70.0, "unit": "MB"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(change), "--workload", "large-grid",
+                             "--seeds", "1-10", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["workload"] == "large-grid" and record["seeds"] == list(range(1, 11))
+    assert record["run_seconds"] == 20 and record["pairs"] == 10
+    assert [r["seed"] for r in record["runs"]["change"]] == list(range(1, 11))
+    assert [r["metrics"]["iter_s.p50"]["value"] for r in record["runs"]["parent"]] == PARENT
+    time = record["metrics"]["iter_s.p50"]
+    assert time["verdict"] == "gain" and time["change_lower_in"] == 10
+    assert time["parent"]["median"] == pytest.approx(1.045)
+    assert time["change"]["median"] == pytest.approx(0.845)
+    assert record["metrics"]["peak_rss_mb"]["verdict"] == "within bound"
+    assert record["every_run_correct"] is True
+    assert "iter_s.p50" in capsys.readouterr().out

@@ -96,6 +96,17 @@ def test_sweep_rejects_a_grid_bound_that_is_not_positive_and_finite(workspace, o
     assert not list(tmp_path.glob("bad_*"))
 
 
+@pytest.mark.parametrize("options", [["--count", "1"], ["--omega-min", "1", "--omega-max", "1"]])
+def test_sweep_rejects_a_grid_without_two_distinct_shifts(workspace, options):
+    # one shift gives no movement to estimate a family dimension from
+    tmp_path, a_path, s_path = workspace
+    prefix = tmp_path / "single_"
+    with pytest.raises(ValueError, match=r"holds 1 distinct shift\(s\)"):
+        main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
+              "--count", "5", *options, "--out-prefix", str(prefix)])
+    assert not list(tmp_path.glob("single_*"))
+
+
 def test_sweep_orthonormalizes_the_loaded_basis(tmp_path, capsys):
     # a file basis a little off orthonormal (||V*V - I|| = 1.7e-8, inside the
     # Subspace check) once moved sigma by 3e-9 relative: the sweep reads its

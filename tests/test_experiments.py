@@ -213,6 +213,14 @@ class TestRunFigure1:
         assert meta["est_dim"] == 2
         assert meta["subspace_dim"] == 5
 
+    @pytest.mark.parametrize("grid", [dict(count=1), dict(omega_lo=1.0, omega_hi=1.0)])
+    def test_a_grid_without_two_distinct_shifts_fails_before_any_file(self, tmp_path, grid):
+        config = Figure1Config(out_prefix=str(tmp_path / "single_"), write_solutions=True,
+                               **{**self.SMALL, **grid})
+        with pytest.raises(ValueError, match=r"holds 1 distinct shift\(s\)"):
+            run_figure1(config)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bit_identical_reruns(self, tmp_path):
         cfg1 = Figure1Config(out_prefix=str(tmp_path / "a_"), **self.SMALL)
         cfg2 = Figure1Config(out_prefix=str(tmp_path / "b_"), **self.SMALL)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegals import io as oio
 from omegals.decomposition import tridiagonal_block_decomposition
@@ -147,6 +149,114 @@ def test_csv_matches_the_per_cell_formatter(tmp_path):
     assert empty.read_bytes() == b"omega\n"
 
 
+def _kernel_csv(cells, ncol: int = 1) -> bytes:
+    """write_csv's text of ``cells`` in rows of ``ncol``, every chunk through
+    the vectorized kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oio, "KERNEL_MIN_CELLS", 0)
+        return oio._text(ncol, [np.asarray(cells, dtype=float)])
+
+
+def _format_float_csv(cells, ncol: int = 1) -> bytes:
+    rows = np.asarray(cells, dtype=float).reshape(-1, ncol).tolist()
+    return "".join(",".join(map(oio.format_float, row)) + "\n" for row in rows).encode()
+
+
+def _ties():
+    """Doubles halfway between two 17-digit decimals: for q odd, x = q / 2^(k+1)
+    times 10^k is q * 5^k / 2, so in [10^(16-k), 10^(17-k)) its 18th digit
+    is a 5 followed by nothing."""
+    rng = np.random.default_rng(24)
+    ties = []
+    for k in range(1, 23):
+        # odd q = 2r + 1 in [10^(16-k) 2^(k+1), min(10^(17-k) 2^(k+1), 2^53))
+        r_lo = -(-2**k * 10**16 // 10**k)
+        r_hi = min(2**k * 10**17 // 10**k, 2**52) - 1
+        for r in [r_lo, r_hi, *rng.integers(r_lo, r_hi, 20).tolist()]:
+            ties.append((2 * r + 1) / 2**(k + 1))
+    return ties
+
+
+def _near_ties():
+    """Doubles x = m 2^E whose x 10^k, k = 23..29, lies within 64 / 2^s of a
+    tie, s = -(E + k): m 5^k = 2^(s-1) + t (mod 2^s) for |t| <= 64. There
+    10^k is inexact, and the kernel must hand them to format_float."""
+    cells = []
+    for k in range(23, 30):
+        for exponent in range(-120, -60):
+            s = -(exponent + k)
+            inverse = pow(5**k, -1, 2**s)
+            for t in range(-64, 65):
+                m = (2**(s - 1) + t) * inverse % 2**s
+                x = m * 2.0**exponent
+                if 2**52 <= m < 2**53 and 10.0**(16 - k) <= x < 10.0**(17 - k):
+                    cells.append(x)
+    return cells
+
+
+def _adversarial_cells() -> np.ndarray:
+    """Cells where a fast %.17g goes wrong first, with their negatives."""
+    cells = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             2.0**-25, 1e-7, 1e-14, 0.1, 1 / 3, 2.0**52, 2.0**53, 2.0**53 + 2]
+    # 10^j and its neighbours hold the layout's switch points (1e-5, 1e-4,
+    # 1e16, 1e17) and the doubles whose exponent log10 misjudges
+    for j in range(-30, 31):
+        below = above = 10.0**j
+        cells.append(below)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            cells += [below, above]
+    # 17 nines round up to the next power of ten
+    cells += [float(f"9.99999999999999999{d}e{j}") for j in range(-26, 18) for d in (0, 5, 9)]
+    cells += _ties() + _near_ties()
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells])
+
+
+@pytest.mark.parametrize("ncol, chunk", [(1, oio.CSV_CHUNK_CELLS), (7, 1000)])
+def test_kernel_matches_format_float_on_adversarial_cells(monkeypatch, ncol, chunk):
+    # rows of 7 cells across chunks of 1000 mix decided and undecided cells
+    # in a row and split rows between chunks
+    monkeypatch.setattr(oio, "CSV_CHUNK_CELLS", chunk)
+    cells = _adversarial_cells()
+    cells = cells[:cells.size // ncol * ncol]
+    assert np.signbit(cells[np.isnan(cells)]).any()
+    assert _kernel_csv(cells, ncol) == _format_float_csv(cells, ncol)
+
+
+def test_kernel_decides_ordinary_cells_and_ties():
+    # the kernel, not format_float, writes these: exact ties and the range a
+    # solution family covers (but not the ties next to a power of ten, whose
+    # exponent log10 may misjudge)
+    rng = np.random.default_rng(25)
+    ties = np.array(_ties())
+    ties = ties[~np.isclose(ties, 10.0 ** np.round(np.log10(ties)), rtol=1e-12, atol=0)]
+    cells = np.concatenate([ties, rng.standard_normal(4000) * 10.0 ** rng.uniform(-20, 16, 4000)])
+    decided, _, _ = oio._decimal(cells)
+    assert decided.all()
+    assert _kernel_csv(cells) == _format_float_csv(cells)
+
+
+def _bits_to_floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_format_float_on_raw_bit_patterns(bits):
+    cells = _bits_to_floats(bits)
+    assert _kernel_csv(cells) == _format_float_csv(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(1023 - 90, 1023 + 60),
+                          st.integers(0, 2**52 - 1)), min_size=1, max_size=64))
+def test_kernel_matches_format_float_on_its_own_range(fields):
+    # sign, biased exponent and mantissa of doubles from about 1e-27 to 1e18
+    cells = _bits_to_floats([sign << 63 | exponent << 52 | mantissa
+                             for sign, exponent, mantissa in fields])
+    assert _kernel_csv(cells) == _format_float_csv(cells)
+
 
 @pytest.mark.parametrize("rows", [0, 1, 17])
 @pytest.mark.parametrize("cuts", [(), (0,), (1,), (0, 1, 1, 5), (6, 12)])
@@ -218,10 +328,10 @@ def test_csv_dead_worker_raises_a_runtime_error_naming_its_rows(tmp_path, monkey
                                                                use_cpus, assert_no_child_left):
     text = oio._text
 
-    def die_at_row_10(row, ncol, blocks):
+    def die_at_row_10(ncol, blocks):
         if blocks[0][0, 0] == 10:
             os.kill(os.getpid(), signal.SIGKILL)
-        return text(row, ncol, blocks)
+        return text(ncol, blocks)
 
     monkeypatch.setattr(oio, "_text", die_at_row_10)
     monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
