@@ -298,10 +298,11 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     (shared with an instance built on the same array) gives the eigenspace
     blocks Q_i (column slices of U). K's part in block i is Q_i times the
     left null space of Q_i* V, read off the rows of U* V, from one
-    dim_i x p SVD; the rank cut is ``default_rank_tol`` of U* V against
-    ||V||_2 = 1. A V is then appended by :func:`extend_orthonormal` on the
-    scale of ||A||_2, so a round-off image of a null direction of A counts
-    as zero.
+    dim_i x p SVD (one batched SVD per block size); the rank cut is
+    ``default_rank_tol`` of U* V against ||V||_2 = 1. Only blocks with a
+    nonempty left null space contribute columns. A V is then appended by
+    :func:`extend_orthonormal` on the scale of ||A||_2, so a round-off image
+    of a null direction of A counts as zero.
     """
     a = as_operator(a)
     eig = operator_eig(a)
@@ -310,14 +311,18 @@ def constant_kernel(a: np.ndarray, s: Subspace, omega: float) -> Subspace:
     v = s.basis
     ut_v = eig.apply_uh(v)
     tol = default_rank_tol(ut_v.shape)
-    parts = []
-    start = 0
-    for _, q_block in eigenspace_split(eig):
-        stop = start + q_block.shape[1]
-        left, sv, _ = np.linalg.svd(ut_v[start:stop], full_matrices=True)
-        parts.append(q_block @ left[:, np.count_nonzero(sv > tol):])
-        start = stop
-    k = np.hstack(parts)
+    blocks = eigenspace_split(eig)
+    sizes = np.array([q_block.shape[1] for _, q_block in blocks])
+    starts = np.cumsum(sizes) - sizes
+    null = {}
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        left, sv, _ = np.linalg.svd(ut_v[starts[which, None] + np.arange(size)], full_matrices=True)
+        for i, u_i, rank in zip(which, left, np.count_nonzero(sv > tol, axis=1)):
+            if rank < size:
+                null[i] = u_i[:, rank:]
+    k = np.hstack([np.zeros((v.shape[0], 0), dtype=ut_v.dtype)]
+                  + [blocks[i][1] @ null[i] for i in sorted(null)])
     return Subspace(np.hstack([k, extend_orthonormal(k, a @ v, scale=op_norm)]))
 
 

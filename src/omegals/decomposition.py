@@ -11,6 +11,15 @@ W = [V V' V''] (V spans S, [V V'] spans S + AS) compresses A to
 
 with T, C, E Hermitian and B of full rank q. The stacked block H = [T; B]
 has full column rank p whenever A is invertible.
+
+V'', D and E come from the Householder QR Z = Q R of Z = [V V'] (k = p + q
+columns) in the compact WY form Q = I - Y T Y* (Schreiber & Van Loan, 1989),
+with T^{-1} = diag(1/tau) + striu(Y* Y) (Joffrain et al., 2006): V'' =
+Q[:, k:], and E, the trailing block of Q* A Q, is A_22 less rank-k terms in
+Y, A Y and T Y_k*. That costs O(n^2 k), where a full SVD of Z for V'' and the
+products V''* A V'' cost O(n^3). It stays in NumPy: the same reflectors
+applied by SciPy's LAPACK (``dormqr``) load SciPy's own OpenBLAS, whose
+threads compete with NumPy's for the CPUs and made the decomposition slower.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .linalg import (
     EigDecomposition,
     adjoint,
     as_operator,
+    dense,
     hermitian_eig,
     hermitian_part,
     is_hermitian,
@@ -32,7 +42,7 @@ from .linalg import (
     operator_eig,
     solve_hermitian,
 )
-from .subspaces import Subspace, new_directions, orthogonal_complement
+from .subspaces import Subspace, new_directions
 
 # Shifts must clear the spectral floor by this relative margin.
 OMEGA_GUARD = 1e-8
@@ -75,6 +85,12 @@ def block_tridiagonal(t, b, c, d, e) -> np.ndarray:
 class TridiagDecomp:
     """Adapted-basis blocks of one Hermitian operator and one subspace.
 
+    V'' = Q[:, p+q:] for the Householder QR [V V'] = Q R, and E and D are
+    formed from its reflectors (see the module docstring), so V'' is one
+    orthonormal basis of the complement of S + AS: another basis would
+    change D and E by a unitary similarity, and nothing that depends only on
+    the subspaces (q, F_omega, the differences, the difference subspace).
+
     ``E_coupling`` = (xi, U_E, U_E* D), from the eigendecomposition
     E = U_E diag(xi) U_E*, is computed on first use and kept: every product
     D* (E + omega I)^{-1} (``shifted_blocks``, the block-route differences)
@@ -83,12 +99,13 @@ class TridiagDecomp:
     ``HH_eig``, that of H*H, is kept the same way for every solve with H*H
     (the limit block route), and so is ``HH_inv_Bstar`` = (H*H)^{-1} B*:
     V times it spans the difference subspace, and it maps the block route's
-    certificate u to d.
+    certificate u to d. ``Hstar_nullspace``, the :func:`nullspace_of_hstar`
+    basis read by the block route and the nullspace suite, is kept too.
     """
 
     V: np.ndarray    # n x p, spans S
     Vp: np.ndarray   # n x q, spans the complement of S inside S + AS
-    Vpp: np.ndarray  # n x (n-p-q)
+    Vpp: np.ndarray  # n x (n-p-q), Q[:, p+q:] of the Householder QR of [V V']
     T: np.ndarray    # p x p Hermitian, V* A V
     B: np.ndarray    # q x p full rank, V'* A V
     C: np.ndarray    # q x q Hermitian, V'* A V'
@@ -119,6 +136,10 @@ class TridiagDecomp:
         return eig.lambdas, eig.u, adjoint(eig.u) @ self.D
 
     @cached_property
+    def Hstar_nullspace(self) -> NullspaceN:
+        return nullspace_of_hstar(self)
+
+    @cached_property
     def HH_eig(self) -> EigDecomposition:
         h = self.H
         return hermitian_eig(adjoint(h) @ h)
@@ -146,12 +167,43 @@ class TridiagDecomp:
         return adjoint(self.V) @ b, adjoint(self.Vp) @ b, adjoint(self.Vpp) @ b
 
 
+def _householder_complement(a, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V'', E) for the n x k matrix Z = [V V'] with orthonormal columns:
+    V'' = Q[:, k:] = I[:, k:] - Y P and E = V''* A V'', for the Householder
+    QR Z = Q R with Q = I - Y T Y* (Y unit lower trapezoidal, Y_k its rows
+    k:) and P = T Y_k*, from one solve with T^{-1}.
+
+    With B = A Y, E = A_22 - B_k P - P* B_k* + P* (Y* B) P, so
+    E = A_22 - X - X* for X = (B_k - P* (Y* B) / 2) P: one product of order
+    (n - k)^2 k. A reflector with tau = 0 is the identity and its vector is
+    e_j (j < k), zero in rows k:. Row j of T^{-1} is then diagonal, so row j
+    of P is 0 whatever the diagonal entry, and 1/tau is taken as 1 there.
+    The triangles of Y and T^{-1} are cut with index masks, which cost less
+    than np.tril and np.triu at the n <= 14 of the verify suites.
+    """
+    n, k = z.shape
+    h, tau = np.linalg.qr(z, mode="raw")  # h is LAPACK's n x k output, transposed
+    i = np.arange(n)
+    y = h.T * (i[:, None] > i[:k])
+    y[i[:k], i[:k]] = 1.0
+    t_inv = (adjoint(y) @ y) * (i[:k, None] < i[:k])
+    t_inv[i[:k], i[:k]] = 1.0 / np.where(tau == 0, 1.0, tau)
+    y_k = y[k:]
+    p = np.linalg.solve(t_inv, adjoint(y_k))
+    vpp = np.eye(n, n - k, -k) - y @ p
+    ay = a @ y
+    x = (ay[k:] - 0.5 * (adjoint(p) @ (adjoint(y) @ ay))) @ p
+    return vpp, hermitian_part(dense(a[k:, k:]) - 2.0 * x)
+
+
 def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp:
     """Compute the adapted-basis block decomposition of Hermitian A for S.
 
     V' comes from :func:`subspaces.new_directions`, so q is the index of
-    invariance and the result is a function of (A, S) alone; V'' is the
-    orthogonal complement of [V V']. lambda_min and ||A||_2 are read from
+    invariance and the result is a function of (A, S) alone; V'' and E come
+    from the Householder reflectors of [V V'] (:func:`_householder_complement`),
+    and D = V''* (A V') with A V' shared with C. One Gram product checks
+    that W = [V V' V''] is unitary. lambda_min and ||A||_2 are read from
     the spectrum of :func:`linalg.operator_eig`, so a dense A is factored
     once for the decomposition and every routine that reads the same array
     (an instance, the span estimate, the constant kernel), in any order.
@@ -166,14 +218,17 @@ def tridiagonal_block_decomposition(a: np.ndarray, s: Subspace) -> TridiagDecomp
     v = s.basis
     av = a @ v
     vp = new_directions(a, s)
-    vpp = orthogonal_complement(Subspace(np.hstack([v, vp]))).basis
-    t = hermitian_part(adjoint(v) @ av)
-    b = adjoint(vp) @ av
-    c = hermitian_part(adjoint(vp) @ (a @ vp))
-    d = adjoint(vpp) @ (a @ vp)
-    e = hermitian_part(adjoint(vpp) @ (a @ vpp))
+    avp = a @ vp
+    z = np.hstack([v, vp])
+    vpp, e = _householder_complement(a, z)
+    Subspace(np.hstack([z, vpp]))  # raises unless W*W = I within its tolerance
     return TridiagDecomp(
-        V=v, Vp=vp, Vpp=vpp, T=t, B=b, C=c, D=d, E=e,
+        V=v, Vp=vp, Vpp=vpp,
+        T=hermitian_part(adjoint(v) @ av),
+        B=adjoint(vp) @ av,
+        C=hermitian_part(adjoint(vp) @ avp),
+        D=adjoint(vpp) @ avp,
+        E=e,
         lambda_min=float(lam[-1]) if lam.size else 0.0,
         op_norm=float(np.max(np.abs(lam))) if lam.size else 0.0,
     )

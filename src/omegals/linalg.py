@@ -45,6 +45,11 @@ def as_operator(a):
     return a if _is_sparse(a) else np.asarray(a)
 
 
+def dense(a) -> np.ndarray:
+    """A sparse operator as a dense array, or ``np.asarray(a)``."""
+    return a.toarray() if _is_sparse(a) else np.asarray(a)
+
+
 def stored_entries(a) -> np.ndarray:
     """The entries a sparse operator stores (``a.data``), or the dense array
     itself; Frobenius norms and finiteness read the same from either."""
@@ -108,7 +113,7 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     C-contiguous: the reversed view has a negative column stride, which every
     later product with U would copy first.
     """
-    m = m.toarray() if _is_sparse(m) else np.asarray(m)
+    m = dense(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):

@@ -26,7 +26,6 @@ from .decomposition import (
     _coupled_solve,
     _oblique_projection,
     check_shift,
-    nullspace_of_hstar,
     shift_weights,
     shifted_blocks,
 )
@@ -310,7 +309,7 @@ def difference_via_blocks(dec: TridiagDecomp, b: np.ndarray, omega: float,
     """
     if dec.q == 0:
         raise ValueError("q = 0: solution differences vanish identically")
-    ns = nullspace_of_hstar(dec)
+    ns = dec.Hstar_nullspace
     c, cp, cpp = dec.coefficients(b)
     cpp_e = adjoint(dec.E_coupling[1]) @ cpp   # U_E* c''
     g_omega = hermitian_eig(shifted_blocks(dec, omega).G_omega)

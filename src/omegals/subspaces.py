@@ -219,18 +219,18 @@ def eigenspace_split(eig: EigDecomposition) -> tuple:
     The blocks are consecutive column slices of ``eig.u``, in descending
     eigenvalue order. Eigenvalues within EIG_CLUSTER_TOL * max(1, ||A||_2)
     of each other merge into one block (chained along the sorted spectrum),
-    whose eigenvalue is their mean.
+    whose eigenvalue is their mean. One vectorized gap test finds the
+    blocks and ``np.add.reduceat`` sums them, in another order than
+    ``np.mean``: a mean may differ from np.mean's in its last bits.
     """
     lam, u = eig.lambdas, eig.u
-    n = lam.size
-    scale = max(1.0, float(np.max(np.abs(lam))) if n else 1.0)
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or (lam[i - 1] - lam[i]) > EIG_CLUSTER_TOL * scale:
-            blocks.append((float(np.mean(lam[start:i])), u[:, start:i]))
-            start = i
-    return tuple(blocks)
+    if lam.size == 0:
+        return ()
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    starts = np.flatnonzero(np.concatenate([[True], lam[:-1] - lam[1:] > EIG_CLUSTER_TOL * scale]))
+    stops = np.append(starts[1:], lam.size)
+    means = np.add.reduceat(lam, starts) / (stops - starts)
+    return tuple((float(m), u[:, i:j]) for m, i, j in zip(means, starts.tolist(), stops.tolist()))
 
 
 def strongly_orthogonal(u: np.ndarray, v: np.ndarray, blocks: tuple, tol: float = 1e-10) -> bool:

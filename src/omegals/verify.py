@@ -27,7 +27,6 @@ from .analysis import (
 from .decomposition import (
     NullspaceN,
     block_tridiagonal,
-    nullspace_of_hstar,
     tridiagonal_block_decomposition,
 )
 from .linalg import adjoint, hermitian_part, numerical_rank, orthonormalize, solve_hermitian
@@ -334,7 +333,7 @@ def run_convexity_suite(seed: int = 0, trials: int = 50) -> SuiteResult:
 
 def _nullspace_identities(result: SuiteResult, dec, label: str) -> NullspaceN:
     """Check the nullspace identities of H*; returns the nullspace checked."""
-    ns = nullspace_of_hstar(dec)
+    ns = dec.Hstar_nullspace
     hstar = adjoint(dec.H)
     scale = max(1.0, float(np.linalg.norm(hstar)))
     result.check(np.linalg.norm(hstar @ ns.N) <= RESIDUAL_TOL * scale,

@@ -25,10 +25,12 @@ from omegals.decomposition import (
 from omegals.experiments import KrylovSumSpec, krylov_sum_subspace, poisson_2d
 from omegals.linalg import (
     adjoint,
+    default_rank_tol,
     extend_orthonormal,
     hermitian_eig,
     hermitian_part,
     numerical_rank,
+    operator_eig,
     orthonormalize,
     solve_hermitian,
 )
@@ -475,6 +477,33 @@ class TestConstantKernel:
         assert shape == (2, 6)
         assert 1 <= kernel.dim < 6
         assert subspaces_equal(kernel, expected)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_batched_svds_match_a_per_block_loop(self, complex_field):
+        # one batched SVD per block size makes the LAPACK calls of one SVD
+        # per eigenspace block, so the basis is bit-identical to that loop's;
+        # the blocks of poisson_2d(8) have sizes 1, 2 and 8, and only some
+        # have a nonempty left null space
+        a = poisson_2d(8)
+        n = a.shape[0]
+        rng = np.random.default_rng(31)
+        s = Subspace.zero(n, complex_field)
+        for order in (5, 3):
+            s = subspace_sum(s, krylov(a, gaussian_vector(rng, n, complex_field), order))
+        eig = operator_eig(a)
+        ut_v = eig.apply_uh(s.basis)
+        tol = default_rank_tol(ut_v.shape)
+        parts, start = [], 0
+        for _, q_block in eigenspace_split(eig):
+            stop = start + q_block.shape[1]
+            left, sv, _ = np.linalg.svd(ut_v[start:stop], full_matrices=True)
+            parts.append(q_block @ left[:, np.count_nonzero(sv > tol):])
+            start = stop
+        k = np.hstack(parts)
+        expected = np.hstack([k, extend_orthonormal(k, a @ s.basis,
+                                                    scale=float(np.abs(eig.lambdas).max()))])
+        assert 0 < k.shape[1] < n
+        np.testing.assert_array_equal(constant_kernel(a, s, 1.0).basis, expected)
 
     @pytest.mark.parametrize("case", ["multiplicity>p", "generic", "index-0"])
     @pytest.mark.parametrize("complex_field", [False, True])

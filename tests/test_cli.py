@@ -5,6 +5,7 @@ import pytest
 
 from omegals import io as oio
 from omegals.cli import main
+from omegals.decomposition import block_tridiagonal
 from omegals.experiments import poisson_2d
 from omegals.sampling import (
     random_hermitian_invertible,
@@ -53,6 +54,22 @@ def test_decompose_subcommand(workspace, capsys):
     # 17-significant-digit float in the summary line
     out = capsys.readouterr().out
     assert "lambda_min=" in out
+
+
+def test_decompose_exports_a_unitary_w_and_its_compression(workspace):
+    # pinned on properties that hold for every basis V'' of the complement
+    # of [V V'], not on the exported V'', D and E values themselves
+    tmp_path, a_path, s_path = workspace
+    out_path = tmp_path / "dec.json"
+    assert main(["decompose", "--matrix", str(a_path), "--subspace", str(s_path),
+                 "--out", str(out_path)]) == 0
+    blocks = oio.decomposition_blocks_from_json(json.loads(out_path.read_text()))
+    a = oio.read_matrix_market(a_path)
+    w = np.hstack([blocks["V"], blocks["Vp"], blocks["Vpp"]])
+    assert w.shape == (9, 9)
+    assert np.linalg.norm(w.conj().T @ w - np.eye(9)) <= 1e-12
+    layout = block_tridiagonal(*(blocks[name] for name in ("T", "B", "C", "D", "E")))
+    assert np.linalg.norm(w.conj().T @ a @ w - layout) <= 1e-12
 
 
 def test_sweep_subcommand(workspace, capsys):

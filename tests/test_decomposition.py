@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,50 @@ class TestAdaptedBasisEdgeShapes:
         q = index_of_invariance(a, s)
         assert dec.q == q == q_expected <= min(dec.p, n - dec.p)
         assert np.linalg.norm(w @ dec.compressed() @ adjoint(w) - a) <= 1e-12 * np.linalg.norm(a)
+
+
+def complement_instance(shape, complex_field):
+    """(A, S, q) on F^11: a generic S of dimension 4 (q = 4), p = 0, q = 0
+    (S spanned by 3 rotated eigenvectors of A), n = p + q (p = 6), and S
+    spanned by e_1 and a generic vector, whose first reflector has tau = 0."""
+    rng = np.random.default_rng(23)
+    n = 11
+    a = random_hermitian(rng, n, complex_field)
+    if shape == "p=0":
+        return a, Subspace.zero(n, complex_field), 0
+    if shape == "q=0":
+        u = np.linalg.eigh(a)[1]
+        return a, Subspace(u[:, [0, 4, 7]] @ random_unitary(rng, 3, complex_field)), 0
+    if shape == "tau=0":
+        x = gaussian_matrix(rng, n, 1, complex_field)
+        x[0] = 0.0
+        basis = np.hstack([np.eye(n)[:, :1], x / np.linalg.norm(x)])
+        return a, Subspace(basis.astype(x.dtype)), 2
+    p = 6 if shape == "n=p+q" else 4
+    return a, random_subspace(rng, n, p, complex_field), n - p if shape == "n=p+q" else p
+
+
+class TestHouseholderComplement:
+    """V'', D and E built from the Householder reflectors of [V V']."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", ["generic", "p=0", "q=0", "n=p+q", "tau=0"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_blocks_are_the_compression_by_a_unitary_w(self, shape, sparse, complex_field):
+        a, s, q = complement_instance(shape, complex_field)
+        n = a.shape[0]
+        dec = tridiagonal_block_decomposition(sp.csr_matrix(a) if sparse else a, s)
+        assert (dec.p, dec.q) == (s.dim, q)
+        assert dec.Vpp.shape == (n, n - dec.p - dec.q)
+        w = dec.W
+        assert np.linalg.norm(adjoint(w) @ w - np.eye(n)) <= 1e-13
+        d_dense = adjoint(dec.Vpp) @ a @ dec.Vp
+        e_dense = adjoint(dec.Vpp) @ a @ dec.Vpp
+        assert np.linalg.norm(dec.D - d_dense) <= 1e-13 * np.linalg.norm(d_dense)
+        assert np.linalg.norm(dec.E - e_dense) <= 1e-13 * np.linalg.norm(e_dense)
+        assert_coupling_matches_dense(dec, coupling_shifts(dec, dec.omega_min + 1.0),
+                                      complex_field)
 
 
 class TestNullspace:

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegals.analysis import membership_residual
-from omegals.linalg import hermitian_eig, hermitian_part, is_hermitian
+from omegals.linalg import EigDecomposition, hermitian_eig, hermitian_part, is_hermitian
 from omegals.sampling import random_unitary
 from omegals.subspaces import (
+    EIG_CLUSTER_TOL,
     AffineSubspace,
     Subspace,
     eigenspace_split,
@@ -318,6 +319,35 @@ class TestEigenspaceSplit:
         assert all(x > y for x, y in zip(lams, lams[1:]))
         stacked = np.hstack([q for _, q in blocks])
         np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye(7), atol=1e-12)
+
+
+    @pytest.mark.parametrize("gap, blocks", [(0.5, 1), (2.0, 6)])
+    def test_gap_test_chains_along_the_spectrum(self, gap, blocks):
+        # six eigenvalues gap * tol apart (||A|| < 1, so the scale is 1): at
+        # half the tolerance they chain into one block although the ends are
+        # 2.5 tol apart; at twice the tolerance every one stands alone
+        lam = 0.5 - gap * EIG_CLUSTER_TOL * np.arange(6)
+        split = eigenspace_split(EigDecomposition(np.eye(6), lam))
+        assert [q.shape[1] for _, q in split] == [6 // blocks] * blocks
+
+    def test_empty_spectrum(self):
+        assert eigenspace_split(EigDecomposition(np.zeros((0, 0)), np.zeros(0))) == ()
+
+    def test_block_value_is_the_mean_of_its_slice(self):
+        # clusters of 1 to 40 eigenvalues spread below the tolerance; the
+        # blocks' sums run in another order than np.mean's, so they agree
+        # within the summation bound len * eps * max |lambda| of the slice
+        rng = np.random.default_rng(4)
+        centres = np.repeat([7.25, 3.0, 1.0 / 3.0, 0.0, -2.5], [40, 1, 17, 8, 3])
+        lam = np.sort(centres + 1e-10 * rng.standard_normal(centres.size))[::-1]
+        split = eigenspace_split(EigDecomposition(np.eye(lam.size), lam))
+        assert [q.shape[1] for _, q in split] == [40, 1, 17, 8, 3]
+        start = 0
+        for value, q in split:
+            block = lam[start:start + q.shape[1]]
+            bound = block.size * np.finfo(float).eps * np.abs(block).max()
+            assert abs(value - np.mean(block)) <= bound
+            start += q.shape[1]
 
 
 class TestStrongOrthogonality:
