@@ -107,8 +107,9 @@ class SweepResult:
     point (columns align with ``omegas[ok]``) is x0 + V y_k: the anchor
     ``x0`` (n), ``v`` the constraint basis V itself (n x p, orthonormal
     columns) and the coordinates ``y`` (p x K), so no n x K matrix is stored.
+    ``solution_block`` forms the solutions of a column slice, and
     ``solution_blocks`` yields the family in column blocks of about
-    SOLUTION_BLOCK_BYTES, and ``solutions``, the dense n x K matrix, is
+    SOLUTION_BLOCK_BYTES. ``solutions``, the dense n x K matrix, is
     assembled from those blocks on first read (then kept), so it agrees bit
     for bit with every consumer of the blocks, such as solutions.csv.
 
@@ -150,11 +151,16 @@ class SweepResult:
         step = max(1, SOLUTION_BLOCK_BYTES // (n * self.dtype.itemsize))
         return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
+    def solution_block(self, cols: slice) -> np.ndarray:
+        """The solutions of the columns ``cols``, x0 + V y[:, cols], by one
+        GEMM."""
+        return self.x0[:, None] + self.v @ self.y[:, cols]
+
     def solution_blocks(self):
-        """Yield (cols, x0 + V y[:, cols]) for each slice of
-        ``solution_columns``, one GEMM per block."""
+        """Yield (cols, ``solution_block(cols)``) for each slice of
+        ``solution_columns``."""
         for cols in self.solution_columns():
-            yield cols, self.x0[:, None] + self.v @ self.y[:, cols]
+            yield cols, self.solution_block(cols)
 
     @cached_property
     def solutions(self) -> np.ndarray:

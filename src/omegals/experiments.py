@@ -163,19 +163,19 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     projection onto the leading est_dim principal directions), optionally
     solutions.csv (omega, x_1..x_n), and a metadata sidecar with the largest
     Gram condition bound and the smallest guard margin of the solved shifts.
-    solutions.csv is written from ``sweep.solution_blocks()``, one row
-    block per column block of the family, so no n x K matrix is formed;
-    given the block sizes, ``write_csv`` formats a large family in whole
-    blocks across the usable CPUs, and the file holds the bits of
-    ``sweep.solutions``. A family with a nonzero imaginary part raises a
-    ValueError before any file is written. Returns the written paths keyed
-    by kind."""
+    solutions.csv is written one row block per column block of the family,
+    each block ``sweep.solution_block(cols)`` stacked with its omegas where
+    ``write_csv`` formats it, so no n x K matrix is formed and a process
+    holds one block at a time; given the block sizes, ``write_csv`` formats
+    a large family in whole blocks across the usable CPUs, and the file
+    holds the bits of ``sweep.solutions``. A family with a nonzero
+    imaginary part raises a ValueError before any file is written. Returns
+    the written paths keyed by kind."""
     if (write_solutions and sweep.dtype.kind == "c"
             and any(np.abs(x.imag).max() > 0 for _, x in sweep.solution_blocks())):
         raise ValueError("solutions CSV supports real solutions only")
-    prefix_path = Path(prefix)
-    if prefix_path.parent != Path("."):
-        prefix_path.parent.mkdir(parents=True, exist_ok=True)
+    # the directory the files go into; a prefix "out/" names the directory out
+    Path(f"{prefix}sigma.csv").parent.mkdir(parents=True, exist_ok=True)
     files = {}
 
     sigma = sweep.sigma
@@ -194,11 +194,14 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
 
     if write_solutions:
         sol_path = f"{prefix}solutions.csv"
+
+        def rows(cols):  # called where write_csv formats the block
+            return np.column_stack([omegas_ok[cols], np.real(sweep.solution_block(cols)).T])
+
+        columns = sweep.solution_columns()
         write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(sweep.x0.size)],
-                  # stacked with its omegas where it is formatted (in a worker)
-                  (partial(np.column_stack, [omegas_ok[cols], np.real(x).T])
-                   for cols, x in sweep.solution_blocks()),
-                  [cols.stop - cols.start for cols in sweep.solution_columns()])
+                  [partial(rows, cols) for cols in columns],
+                  [cols.stop - cols.start for cols in columns])
         files["solutions"] = sol_path
 
     meta = {"est_dim": sweep.est_dim, "est_dim_sigma_ratio": EST_DIM_RATIO,

@@ -16,15 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .workers import Workers, usable_cpus
+from .workers import Workers, pins_blas_threads, usable_cpus
 
 # %.17e gives 18 significant digits: enough to round-trip any float64.
 MM_PRECISION = 17
 
-# Fewest cells of a table that write_csv formats in forked workers: about
-# 40 ms of formatting, against about 2 ms to fork and reap a worker and the
-# 10-15 ms more that a worker's first chunks and its pipe take.
-FORK_MIN_CELLS = 2**18
+# Fewest cells of a table that write_csv splits between this process and
+# forked workers: about 20 ms of formatting. With 2 CPUs and a 60 MB caller,
+# the split ties with one process at 2^16 cells and is 8-18 % faster at
+# 2^17 and about 23 % at 2^18; a worker's fork, first chunks and pipe cost
+# about 10 ms.
+FORK_MIN_CELLS = 2**17
 
 # Largest read of a worker's pipe that write_csv copies into the file.
 COPY_BYTES = 2**20
@@ -337,7 +339,8 @@ def _text(ncol: int, blocks) -> bytes:
 def _runs(block_rows, ncol: int) -> list[tuple[int, int, int]]:
     """(first row, stop row, block count) of contiguous runs of whole
     blocks, one per usable CPU; empty where the table stays in-process."""
-    if block_rows is None or sum(block_rows) * ncol < FORK_MIN_CELLS:
+    if (block_rows is None or sum(block_rows) * ncol < FORK_MIN_CELLS
+            or not pins_blas_threads()):
         return []
     count = min(usable_cpus(), len(block_rows))
     if count < 2:
@@ -364,11 +367,13 @@ def write_csv(path, header: list[str], blocks, block_rows=None) -> None:
     ``block_rows``, the row count of each block when known in advance, lets
     a table of at least FORK_MIN_CELLS cells be formatted across the usable
     CPUs. The blocks are split into contiguous runs of whole blocks, one per
-    CPU. Each run is drawn from ``blocks`` in this process just before the
-    worker that formats it is forked; a callable block is called in the
-    worker. The workers' text is then copied into the file in row order,
-    COPY_BYTES at a time. Smaller tables, tables without ``block_rows`` and
-    a single usable CPU are formatted in-process, one chunk at a time."""
+    CPU: this process formats the first run into the file, and a forked
+    worker formats each other run, every process on one BLAS thread (see
+    :class:`~omegals.workers.Workers`). A callable block is called where
+    it is formatted, so a process holds one block at a time. The workers'
+    text is then copied into the file in row order, COPY_BYTES at a time.
+    Smaller tables, tables without ``block_rows``, a single usable CPU and a
+    NumPy whose BLAS threads cannot be pinned are formatted in-process."""
     ncol = len(header)
     runs = _runs(block_rows, ncol)
     with open(path, "wb") as fh:
@@ -378,17 +383,13 @@ def write_csv(path, header: list[str], blocks, block_rows=None) -> None:
                 fh.write(text)
             return
         blocks = iter(blocks)
+        first = list(islice(blocks, runs[0][2]))
         with Workers() as workers:
-            for lo, hi, count in runs:
-                # A run's blocks are drawn here, before its worker is forked,
-                # so a block that needs BLAS (the x0 + V Y of solutions.csv)
-                # is computed here. With the per-cell formatter, workers
-                # computing their own blocks wrote the N = 3600 solutions.csv
-                # in 0.33-0.40 s, against 0.27 s in one process and
-                # 0.19-0.21 s this way (2 CPUs): the OpenBLAS threads of
-                # every process spin for the cores.
+            for lo, hi, count in runs[1:]:
                 workers.fork(f"CSV worker for rows {lo}..{hi - 1}", _text, ncol,
                              list(islice(blocks, count)))
+            for text in _csv_chunks(ncol, first):
+                fh.write(text)
             for pipe in workers.pipes():
                 while data := pipe.read(COPY_BYTES):
                     fh.write(data)

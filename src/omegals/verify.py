@@ -8,8 +8,8 @@ A suite is a draw step, which makes every ``rng`` call of one trial, and a
 check step, which does the rest. :func:`_run_trials` splits the trials into
 contiguous chunks, one per usable CPU, and runs each chunk but the first in
 a forked worker that replays the draws before its chunk: every seed draws
-the same instances, and the merged result is that of one process. The
-main-theorem suite runs as one chunk (see :func:`run_main_theorem_suite`).
+the same instances, and the merged result is that of one process. Every
+process computes on one BLAS thread (see :class:`~omegals.workers.Workers`).
 """
 
 from __future__ import annotations
@@ -258,13 +258,8 @@ def _main_theorem_check(result, trial, drawn):
 def run_main_theorem_suite(seed: int = 0, trials: int = 200) -> SuiteResult:
     """Solution differences stay in the q-dimensional difference subspace
     (relative residual <= 1e-10) and that subspace has dimension exactly q;
-    the decomposition's q is the index of invariance and its W is unitary.
-
-    Runs in one process: its instances reach n = 40, where LAPACK's
-    eigensolvers run OpenBLAS's threaded kernels, and the spinning threads
-    of two processes on two cores made a 40 x 40 ``eigh`` six times slower
-    (0.18 -> 1.2 ms) and this suite two to three times slower."""
-    return _run_chunk("main-theorem", _main_theorem_draw, _main_theorem_check, seed, 0, trials)
+    the decomposition's q is the index of invariance and its W is unitary."""
+    return _run_trials("main-theorem", _main_theorem_draw, _main_theorem_check, seed, trials)
 
 
 CONVEXITY_GRID = np.logspace(-3, 3, 50)

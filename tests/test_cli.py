@@ -93,6 +93,16 @@ def test_sweep_subcommand(workspace, capsys):
     assert len(solutions) == 41
 
 
+def test_sweep_into_a_directory_prefix(workspace, capsys):
+    tmp_path, a_path, s_path = workspace
+    out = tmp_path / "runs" / "out"
+    assert main(["sweep", "--matrix", str(a_path), "--subspace", str(s_path),
+                 "--count", "10", "--out-prefix", f"{out}/", "--include-solutions"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["coords.csv", "meta.json", "sigma.csv",
+                                                      "solutions.csv"]
+    assert f"wrote solutions: {out}/solutions.csv" in capsys.readouterr().out
+
+
 def test_sweep_generates_b_from_seed(workspace, capsys):
     tmp_path, a_path, s_path = workspace
     prefix = str(tmp_path / "seeded_")

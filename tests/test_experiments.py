@@ -221,6 +221,15 @@ class TestRunFigure1:
             run_figure1(config)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_directory_prefix_writes_into_that_directory(self, tmp_path):
+        # a prefix ending in a separator names a directory, made if missing
+        out = tmp_path / "new" / "out"
+        result = run_figure1(Figure1Config(out_prefix=f"{out}/", write_solutions=True,
+                                           **self.SMALL))
+        names = ("sigma.csv", "coords.csv", "solutions.csv", "meta.json")
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert sorted(result.files.values()) == sorted(f"{out}/{name}" for name in names)
+
     def test_bit_identical_reruns(self, tmp_path):
         cfg1 = Figure1Config(out_prefix=str(tmp_path / "a_"), **self.SMALL)
         cfg2 = Figure1Config(out_prefix=str(tmp_path / "b_"), **self.SMALL)
@@ -262,8 +271,8 @@ class TestRunFigure1:
     def test_forked_solutions_csv_is_savetxt_of_the_solutions(self, tmp_path, monkeypatch,
                                                               use_cpus, cpus, count,
                                                               block_columns):
-        # workers format whole blocks of the family's partition, so the file
-        # holds the bits of sweep.solutions
+        # the caller and its workers compute and format whole blocks of the
+        # family's partition, so the file holds the bits of sweep.solutions
         monkeypatch.setattr(analysis, "SOLUTION_BLOCK_BYTES", 8 * 25 * block_columns)
         monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
         forks = use_cpus(cpus)
@@ -276,7 +285,7 @@ class TestRunFigure1:
                    header=",".join(["omega"] + [f"x_{k + 1}" for k in range(25)]))
         assert (tmp_path / "f_solutions.csv").read_bytes() == ref.read_bytes()
         blocks = -(-count // block_columns)
-        assert len(forks) == (min(cpus, blocks) if blocks > 1 else 0)
+        assert len(forks) == (min(cpus, blocks) - 1 if blocks > 1 else 0)
 
     def test_complex_family_forks_no_worker(self, tmp_path, monkeypatch, use_cpus):
         # one complex column per block, so a real family would fork

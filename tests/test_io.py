@@ -285,9 +285,10 @@ def _savetxt_bytes(tmp_path, header, table):
 @pytest.mark.parametrize("sizes", [(5, 5, 5, 5), (5, 5, 5, 2), (1, 1), (0, 4, 0, 7), (3,), ()])
 def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, assert_no_child_left,
                                        cpus, sizes):
-    # whole blocks formatted in one forked worker per usable CPU (ragged,
-    # empty and fewer blocks than CPUs included) write the bytes np.savetxt
-    # writes for the whole table
+    # one run of whole blocks per usable CPU, the first formatted by the
+    # caller and each other one by a forked worker (ragged, empty and fewer
+    # blocks than CPUs included), writes the bytes np.savetxt writes for
+    # the whole table
     monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
     forks = use_cpus(cpus)
     table = np.random.default_rng(22).standard_normal((sum(sizes), 3))
@@ -296,14 +297,14 @@ def test_csv_forked_runs_match_savetxt(tmp_path, monkeypatch, use_cpus, assert_n
     path = tmp_path / "forked.csv"
     oio.write_csv(path, header, iter(np.split(table, np.cumsum(sizes)[:-1])), list(sizes))
     assert path.read_bytes() == _savetxt_bytes(tmp_path, header, table)
-    assert len(forks) == (min(cpus, len(sizes)) if len(sizes) > 1 else 0)
+    assert len(forks) == (min(cpus, len(sizes)) - 1 if len(sizes) > 1 else 0)
     assert_no_child_left()
 
 
 def test_csv_below_the_cell_constant_stays_in_process(tmp_path, use_cpus):
     forks = use_cpus(2)
     header = ["a", "b", "c"]
-    for rows, workers in ((oio.FORK_MIN_CELLS // 3, 0), (oio.FORK_MIN_CELLS // 3 + 1, 2)):
+    for rows, workers in ((oio.FORK_MIN_CELLS // 3, 0), (oio.FORK_MIN_CELLS // 3 + 1, 1)):
         table = np.arange(3.0 * rows).reshape(rows, 3) / 7
         path = tmp_path / f"{rows}.csv"
         oio.write_csv(path, header, np.split(table, [rows // 2]), [rows // 2, rows - rows // 2])
@@ -345,20 +346,20 @@ def test_csv_dead_worker_raises_a_runtime_error_naming_its_rows(tmp_path, monkey
 
 def test_csv_parent_error_kills_and_reaps_every_worker(tmp_path, monkeypatch, use_cpus,
                                                        assert_no_child_left):
-    # the first worker would format for a minute; the error in building the
-    # second run kills it at once
+    # the worker for the second run would format for a minute; an error in
+    # the caller's own run kills it at once
     monkeypatch.setattr(oio, "_text", lambda *args: time.sleep(60))
     monkeypatch.setattr(oio, "FORK_MIN_CELLS", 0)
     forks = use_cpus(2)
 
-    def blocks():
-        yield np.zeros((5, 3))
-        yield np.zeros((5, 3))
-        raise ValueError("second run")
+    def broken():
+        raise ValueError("first run")
 
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="second run"):
-        oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"], blocks(), [5] * 4)
+    with pytest.raises(ValueError, match="first run"):
+        oio.write_csv(tmp_path / "t.csv", ["a", "b", "c"],
+                      [lambda: np.zeros((5, 3)), broken] + [lambda: np.zeros((5, 3))] * 2,
+                      [5] * 4)
     assert len(forks) == 1 and time.perf_counter() - start < 30
     assert_no_child_left()
 

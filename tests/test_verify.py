@@ -147,14 +147,27 @@ def test_every_chunk_draws_the_instances_of_one_process(monkeypatch, use_cpus, n
     assert chunked.failures == one.failures
 
 
-def test_every_suite_but_main_theorem_forks(use_cpus, assert_no_child_left):
-    # main-theorem's n = 40 instances run threaded BLAS kernels, which
-    # contend across processes
+def test_every_suite_forks(use_cpus, assert_no_child_left):
     forks = use_cpus(3)
     for name, suite in SUITES.items():
         del forks[:]
         assert suite(seed=1, trials=24).trials == 24
-        assert len(forks) == (0 if name == "main-theorem" else 2), name
+        assert len(forks) == 2, name
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("seed, failures", [
+    (27, ["trial 14: membership residual 1.472e-10 > 1e-10"]), (0, [])])
+def test_main_theorem_across_cpus_matches_one_process(use_cpus, assert_no_child_left,
+                                                      seed, failures):
+    use_cpus(1)
+    one = run_main_theorem_suite(seed=seed)
+    forks = use_cpus(2)
+    merged = run_main_theorem_suite(seed=seed)
+    assert len(forks) == 1
+    assert (merged.trials, merged.checks, merged.failures) == (one.trials, one.checks,
+                                                               one.failures)
+    assert merged.trials == 200 and merged.failures == failures
     assert_no_child_left()
 
 
