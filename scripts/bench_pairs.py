@@ -17,7 +17,9 @@ and a verdict (:func:`verdict`) under the metric's ``better`` and relative
 JSON file: per workload every run record and that summary
 (:func:`summarize`) under ``workloads``, with the ``method``, the ``claim``
 named by ``--claim WORKLOAD:METRIC`` (or null), ``--note`` as ``change``,
-and the ``machine`` (:func:`machine`).
+and the ``machine`` (:func:`machine`), which holds a calibration probe
+(:func:`calibration`) timed before the first pair, so figures from
+different sessions can be set against the speed each session measured.
 """
 
 import argparse
@@ -27,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
@@ -119,11 +122,60 @@ def summarize(runs: dict, end_to_end: dict) -> dict:
     return {"pairs": pairs, "metrics": metrics, "every_run_correct": ok}
 
 
+# The calibration probe: one GEMM of this order, and a pure-Python loop of
+# this many steps (about 0.1 s on a 2-vCPU sandbox).
+PROBE_GEMM_ORDER = 256
+PROBE_LOOP_STEPS = 2_000_000
+
+
+def busy_loop() -> int:
+    total = 0
+    for i in range(PROBE_LOOP_STEPS):
+        total += i
+    return total
+
+
+def best_of(fn, repeat: int) -> float:
+    """The fastest of ``repeat`` timed calls of ``fn``, in seconds."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def two_process_loop() -> None:
+    """One busy loop here and one in a forked child at the same time; returns
+    once the child is reaped."""
+    pid = os.fork()
+    if pid == 0:
+        busy_loop()
+        os._exit(0)
+    busy_loop()
+    os.waitpid(pid, 0)
+
+
+def calibration() -> dict:
+    """Seconds of one float64 GEMM (best of 5), of the busy loop (best of 3)
+    and of two busy loops in two processes, fork to reap (best of 3). Their
+    ratio, ``parallel_efficiency``, is 1 when two processes run as fast as
+    one and 0.5 when they share one CPU. The loops run before this imports
+    NumPy, so a script's fork copies no BLAS threads."""
+    loop, pair = best_of(busy_loop, 3), best_of(two_process_loop, 3)
+    import numpy as np
+
+    a = np.random.default_rng(0).standard_normal((PROBE_GEMM_ORDER, PROBE_GEMM_ORDER))
+    return {"gemm_s": best_of(lambda: a @ a, 5), "python_loop_s": loop,
+            "two_process_loop_s": pair, "parallel_efficiency": loop / pair}
+
+
 def machine() -> dict:
-    """The CPU counts and the python, numpy and scipy versions of this run."""
+    """The CPU counts, the python, numpy and scipy versions and the
+    :func:`calibration` of this run."""
     return {"cpus": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": version("numpy"),
-            "scipy": version("scipy")}
+            "scipy": version("scipy"), "calibration": calibration()}
 
 
 def parse_claim(text: str | None) -> dict | None:
@@ -186,6 +238,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = parse_seeds(args.seeds)
 
+    host = machine()
     workloads = {w: compare(sides, w, seeds, seconds, end_to_end) for w in args.workload}
     if args.out:
         method = (f"python3 scripts/bench_pairs.py PARENT CHANGE --workload "
@@ -194,7 +247,7 @@ def main(argv=None) -> int:
                   f"with --trace 0; PARENT and CHANGE are checkouts of the parent "
                   f"commit and of the change")
         record = {"change": args.note, "claim": args.claim, "method": method,
-                  "machine": machine(), "workloads": workloads}
+                  "machine": host, "workloads": workloads}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

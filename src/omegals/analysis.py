@@ -107,7 +107,7 @@ class SweepResult:
     point (columns align with ``omegas[ok]``) is x0 + V y_k: the anchor
     ``x0`` (n), ``v`` the constraint basis V itself (n x p, orthonormal
     columns) and the coordinates ``y`` (p x K), so no n x K matrix is stored.
-    ``solution_block`` forms the solutions of a column slice, and
+    ``solution_rows`` forms the solutions of a column slice as rows, and
     ``solution_blocks`` yields the family in column blocks of about
     SOLUTION_BLOCK_BYTES. ``solutions``, the dense n x K matrix, is
     assembled from those blocks on first read (then kept), so it agrees bit
@@ -151,23 +151,25 @@ class SweepResult:
         step = max(1, SOLUTION_BLOCK_BYTES // (n * self.dtype.itemsize))
         return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
-    def solution_block(self, cols: slice) -> np.ndarray:
-        """The solutions of the columns ``cols``, x0 + V y[:, cols], by one
-        GEMM."""
-        return self.x0[:, None] + self.v @ self.y[:, cols]
+    def solution_rows(self, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The solutions of the columns ``cols`` as the rows of a (c, n)
+        array, y[:, cols]^T V^T + x0: one GEMM, written straight into
+        ``out`` when it is given (x0 is then added in place)."""
+        rows = np.matmul(self.y[:, cols].T, self.v.T, out=out)
+        return rows + self.x0 if out is None else np.add(rows, self.x0, out=rows)
 
     def solution_blocks(self):
-        """Yield (cols, ``solution_block(cols)``) for each slice of
+        """Yield (cols, ``solution_rows(cols)``) for each slice of
         ``solution_columns``."""
         for cols in self.solution_columns():
-            yield cols, self.solution_block(cols)
+            yield cols, self.solution_rows(cols)
 
     @cached_property
     def solutions(self) -> np.ndarray:
         """The dense n x K solution matrix, filled from ``solution_blocks``."""
         x = np.empty((self.x0.size, self.y.shape[1]), dtype=self.dtype)
-        for cols, block in self.solution_blocks():
-            x[:, cols] = block
+        for cols, rows in self.solution_blocks():
+            x[:, cols] = rows.T
         return x
 
 

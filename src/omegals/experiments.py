@@ -164,13 +164,14 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
     solutions.csv (omega, x_1..x_n), and a metadata sidecar with the largest
     Gram condition bound and the smallest guard margin of the solved shifts.
     solutions.csv is written one row block per column block of the family,
-    each block ``sweep.solution_block(cols)`` stacked with its omegas where
-    ``write_csv`` formats it, so no n x K matrix is formed and a process
-    holds one block at a time; given the block sizes, ``write_csv`` formats
-    a large family in whole blocks across the usable CPUs, and the file
-    holds the bits of ``sweep.solutions``. A family with a nonzero
-    imaginary part raises a ValueError before any file is written. Returns
-    the written paths keyed by kind."""
+    each formed where ``write_csv`` formats it: the omegas and
+    ``sweep.solution_rows(cols)`` go into one (c, n + 1) table, which the
+    GEMM of a real family writes straight into. So no n x K matrix is
+    formed, and a process holds one table at a time. Given the block sizes,
+    ``write_csv`` formats a large family in whole blocks across the usable
+    CPUs, and the file holds the bits of ``sweep.solutions``. A family with
+    a nonzero imaginary part raises a ValueError before any file is
+    written. Returns the written paths keyed by kind."""
     if (write_solutions and sweep.dtype.kind == "c"
             and any(np.abs(x.imag).max() > 0 for _, x in sweep.solution_blocks())):
         raise ValueError("solutions CSV supports real solutions only")
@@ -196,7 +197,13 @@ def sweep_files(sweep: SweepResult, prefix: str, write_solutions: bool = False,
         sol_path = f"{prefix}solutions.csv"
 
         def rows(cols):  # called where write_csv formats the block
-            return np.column_stack([omegas_ok[cols], np.real(sweep.solution_block(cols)).T])
+            table = np.empty((cols.stop - cols.start, sweep.x0.size + 1))
+            table[:, 0] = omegas_ok[cols]
+            if sweep.dtype.kind == "c":
+                table[:, 1:] = sweep.solution_rows(cols).real
+            else:
+                sweep.solution_rows(cols, out=table[:, 1:])
+            return table
 
         columns = sweep.solution_columns()
         write_csv(sol_path, ["omega"] + [f"x_{k + 1}" for k in range(sweep.x0.size)],

@@ -164,9 +164,52 @@ def operator_eig(a) -> EigDecomposition:
     return eig
 
 
+# A basis passes the orthonormality guard when ||B*B - I||_F <= this times
+# max(1, k), for k columns.
+ORTHONORMAL_TOL = 1e-8
+
+
+def check_orthonormal(basis: np.ndarray, widths: np.ndarray | None = None) -> None:
+    """Raise ValueError unless ``basis`` has finite entries and orthonormal
+    columns: ||B*B - I||_F <= ``ORTHONORMAL_TOL`` * max(1, k).
+
+    ``basis`` is one (n, k) basis, or with ``widths`` a stack (T, n, K) whose
+    t-th basis is its first ``widths[t]`` columns, the rest zero.
+    """
+    if not np.isfinite(basis).all():
+        raise ValueError("basis has a non-finite entry (NaN or inf)")
+    k = basis.shape[-1]
+    if widths is None:
+        if k and np.linalg.norm(adjoint(basis) @ basis - np.eye(k)) > ORTHONORMAL_TOL * max(1, k):
+            raise ValueError("basis columns are not orthonormal")
+        return
+    gram = basis.conj().swapaxes(-1, -2) @ basis
+    diag = np.arange(k)
+    gram[:, diag, diag] -= diag < widths[:, None]  # B*B - I, in place
+    # the Frobenius norms, from the real and imaginary parts without the
+    # temporaries of np.linalg.norm
+    parts = gram.reshape(len(gram), -1).view(gram.real.dtype)
+    if np.any(np.sqrt(np.einsum("ti,ti->t", parts, parts)) > ORTHONORMAL_TOL * np.maximum(1, widths)):
+        raise ValueError("basis columns are not orthonormal")
+
+
+def _kept(orig, nrm, scale, drop_tol):
+    """The drop rule of both Gram-Schmidt kernels: whether a column of norm
+    ``orig``, whose residual after the projections has norm ``nrm``, is kept.
+
+    A column is dropped when it is zero or its norm is at most drop_tol *
+    scale, and kept when its residual exceeds drop_tol * max(orig, scale); a
+    scale of 0 leaves the per-column test alone. The two products replace the
+    max, so the rule reads the same on scalars and on arrays: rounding is
+    monotone, so fl(d * max(x, y)) = max(fl(d * x), fl(d * y)).
+    """
+    floor = drop_tol * scale
+    return (orig > floor) & (nrm > floor) & (nrm > drop_tol * orig)
+
+
 def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:
     """New orthonormal columns Q' with [q Q'] spanning span(q, cols): the
-    library's one Gram-Schmidt kernel, for q (n x m) with orthonormal columns.
+    library's Gram-Schmidt kernel, for q (n x m) with orthonormal columns.
 
     Each column of ``cols`` is taken in order and projected off [q, kept]
     twice as a block, v -= B (B* v) (twice is enough to hold ||Q*Q - I|| near
@@ -174,12 +217,14 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = No
     is below drop_tol = ``default_rank_tol(cols.shape)`` times its
     norm. ``scale`` marks the columns as parts of a larger computation whose
     round-off a per-column test cannot see: columns whose norm or residual is
-    below ``drop_tol * scale`` are dropped as well. Once [q, kept] has n
-    columns the remaining columns are not looked at.
+    below ``drop_tol * scale`` are dropped as well (:func:`_kept`). Once [q,
+    kept] has n columns the remaining columns are not looked at.
+    :func:`extend_orthonormal_stacked` runs the same loop over a stack.
     """
     q, cols = np.asarray(q), np.asarray(cols)
     (n, m), k = q.shape, cols.shape[1]
     drop_tol = default_rank_tol((n, max(k, 1)))
+    scale = 0.0 if scale is None else scale
     basis = np.empty((n, m + k), dtype=np.result_type(q, cols, np.float64), order="F")
     basis[:, :m] = q
     width = m
@@ -189,16 +234,51 @@ def extend_orthonormal(q: np.ndarray, cols: np.ndarray, scale: float | None = No
             break
         v = cols[:, j].astype(basis.dtype)
         orig = np.linalg.norm(v)
-        if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
+        if not _kept(orig, orig, scale, drop_tol):
+            # zero or at most drop_tol * scale: dropped whatever its residual
             continue
         kept = basis[:, :width]
         for _ in range(2):
             v -= kept @ (adjoint(kept) @ v)
         nrm = np.linalg.norm(v)
-        if nrm > drop_tol * (max(orig, scale) if scale is not None else orig):
+        if _kept(orig, nrm, scale, drop_tol):
             basis[:, width] = v / nrm
             width += 1
     return basis[:, m:width]
+
+
+def extend_orthonormal_stacked(basis: np.ndarray, m: np.ndarray, cols: np.ndarray, k: np.ndarray,
+                               scale: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """:func:`extend_orthonormal` of T instances of one field, one column
+    step for all of them at a time, in place.
+
+    Instance t lives in the first ``n[t]`` of N rows, the other rows zero:
+    ``basis`` (T, N, N) holds its orthonormal basis in its first ``m[t]``
+    columns and zeros after them, ``cols`` (T, N, K) its ``k[t]`` columns
+    first, and ``scale`` (T,) its scale, 0 for none. Each instance keeps its
+    own drop_tol = ``default_rank_tol((n[t], max(k[t], 1)))`` and the rule
+    of :func:`_kept`, and stops at n[t] columns. The zero rows and columns
+    only add zero terms to the products and norms. The kept columns are
+    written into ``basis`` after its first m[t]; returns the widths m + kept.
+    """
+    if basis.dtype != np.result_type(basis, cols, np.float64):
+        raise TypeError(f"a {basis.dtype} basis cannot hold {cols.dtype} columns")
+    width = np.array(m)
+    drop_tol = default_rank_tol((np.maximum(n, np.maximum(k, 1)),))
+    rows = np.arange(len(basis))
+    for j in range(cols.shape[2]):
+        live = (j < k) & (width < n)
+        if not live.any():
+            break
+        v = cols[:, :, j].astype(basis.dtype)
+        orig = np.linalg.norm(v, axis=1)
+        for _ in range(2):
+            v -= (basis @ (v[:, None, :].conj() @ basis).conj().swapaxes(1, 2))[:, :, 0]
+        nrm = np.linalg.norm(v, axis=1)
+        keep = live & _kept(orig, nrm, scale, drop_tol)
+        basis[rows[keep], :, width[keep]] = v[keep] / nrm[keep, None]
+        width += keep
+    return width
 
 
 def orthonormalize(vectors) -> np.ndarray:

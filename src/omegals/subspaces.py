@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigDecomposition, as_operator, extend_orthonormal, orthonormalize
+from .linalg import (
+    EigDecomposition,
+    as_operator,
+    check_orthonormal,
+    extend_orthonormal,
+    extend_orthonormal_stacked,
+    orthonormalize,
+)
 
 # Eigenvalues closer than this (relative to max(1, ||A||_2)) collapse into
 # one eigenspace block.
@@ -34,13 +41,7 @@ class Subspace:
         b = np.asarray(self.basis)
         if b.ndim != 2:
             raise ValueError("basis must be a 2-D array")
-        if not np.isfinite(b).all():
-            raise ValueError("basis has a non-finite entry (NaN or inf)")
-        k = b.shape[1]
-        if k:
-            gram_err = np.linalg.norm(b.conj().T @ b - np.eye(k))
-            if gram_err > 1e-8 * max(1, k):
-                raise ValueError("basis columns are not orthonormal")
+        check_orthonormal(b)
 
     @classmethod
     def from_vectors(cls, vectors) -> "Subspace":
@@ -106,6 +107,75 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     )
 
 
+class PaddedGroup:
+    """T instances of one field, for the stacked forms of
+    :func:`new_directions`, :func:`subspace_sum` and
+    :func:`orthogonal_complement`: instance t lives in the first n[t] of N =
+    max n coordinates, and every (T, N, N) stack holds zeros outside them. A
+    space is a pair (bases, widths): the basis of instance t is the first
+    widths[t] columns of bases[t], the columns after them zero. Every basis
+    built passes the orthonormality guard of :class:`Subspace`."""
+
+    def __init__(self, n: np.ndarray):
+        self.n = n
+        span = np.arange(n.max())
+        self.inside = span < n[:, None]
+        # the identity on the coordinates past n[t]
+        self.outside = np.eye(span.size) * ~self.inside[:, None, :]
+
+    def pad(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """The (n[t], k_t) blocks as one zero-padded stack, and the k_t."""
+        stack = np.zeros(self.outside.shape, dtype=blocks[0].dtype)
+        for t, block in enumerate(blocks):
+            stack[t, : block.shape[0], : block.shape[1]] = block
+        return stack, np.array([block.shape[1] for block in blocks])
+
+    def reach(self, a: np.ndarray, space) -> tuple:
+        """The :func:`new_directions` step of the operators ``a`` (T, N, N)
+        on ``space``, for :meth:`extend`: A V past V, with the scale
+        :func:`norm2_bound` of each A. The zero columns of V give zero
+        columns of A V, which k = widths leaves out."""
+        basis, width = space
+        return basis, width, a @ basis, width, norm2_bound(a)
+
+    def sum(self, s1, s2) -> tuple:
+        """The :func:`subspace_sum` step, for :meth:`extend`: the bases of S1
+        extended by those of S2, with no scale."""
+        return (*s1, *s2, np.zeros(len(self.n)))
+
+    def extend(self, *steps) -> list:
+        """The spaces [q, kept] of steps (q, m, cols, k, scale) of
+        :func:`~omegals.linalg.extend_orthonormal_stacked`, each for the T
+        instances, all in one call."""
+        basis, m, cols, k, scale = (np.concatenate(part) for part in zip(*steps))
+        width = extend_orthonormal_stacked(basis, m, cols, k, scale, np.tile(self.n, len(steps)))
+        del cols  # freed before the guard's Gram matrices
+        check_orthonormal(basis, width)
+        return _split(basis, width, len(steps))
+
+    def complement(self, *spaces) -> list:
+        """:func:`orthogonal_complement` in F^n[t] of each space, by one
+        stacked SVD: with the identity on the coordinates past n[t] added,
+        the left singular vectors past the first width + N - n[t] span the
+        complement. They are moved to the front, and their round-off on the
+        coordinates past n[t] is set to zero."""
+        basis, width = (np.concatenate(part) for part in zip(*spaces))
+        inside, outside = (np.concatenate([x] * len(spaces)) for x in (self.inside, self.outside))
+        size = inside.shape[1]
+        u = np.linalg.svd(basis + outside)[0]
+        cols = np.arange(size) + (width + size - inside.sum(axis=1))[:, None]
+        perp = np.take_along_axis(u, np.minimum(cols, size - 1)[:, None, :], axis=2)
+        perp *= inside[:, :, None] & (cols < size)[:, None, :]
+        check_orthonormal(perp, size - cols[:, 0])
+        return _split(perp, size - cols[:, 0], len(spaces))
+
+
+def _split(basis, width, parts) -> list:
+    """A stack of bases and its widths, split into ``parts`` equal spaces."""
+    size = len(basis) // parts
+    return [(basis[i:i + size], width[i:i + size]) for i in range(0, len(basis), size)]
+
+
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     """Orthonormal basis of span{b, Ab, ..., A^(k-1) b}.
 
@@ -134,24 +204,32 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:
     return Subspace(basis)
 
 
+def norm2_bound(a) -> np.ndarray:
+    """sqrt(||A||_1 ||A||_inf), an O(n^2) upper bound on ||A||_2 (O(nnz) for a
+    sparse A), of one operator or of each matrix of a dense stack."""
+    mags = abs(a)
+    col, row = (np.asarray(mags.sum(axis=axis)).reshape(*a.shape[:-2], -1).max(axis=-1)
+                for axis in (-2, -1))
+    return np.sqrt(col * row)
+
+
 def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
     """V': orthonormal columns with [V V'] spanning S + A S, in the order of
     the columns of A V that contribute them.
 
     The one place that decides what counts as a new direction: A V extended
-    past V by :func:`extend_orthonormal` with scale sqrt(||A||_1 ||A||_inf),
-    an O(n^2) upper bound on ||A||_2 (O(nnz) for a sparse A; the same value
-    either way). The round-off left of an invariant direction is of the size
-    of A, not of A S (eigenvalues of S small against ||A|| leave residuals
-    far above eps ||A V||). ||A V||_2 needs no term of its own: V has
-    orthonormal columns, so ||A V||_2 <= ||A||_2, which the bound already
+    past V by :func:`extend_orthonormal` with scale sqrt(||A||_1 ||A||_inf)
+    (:func:`norm2_bound`; :meth:`PaddedGroup.reach` hands the same to the
+    stacked kernel). The round-off left of an invariant direction is of the
+    size of A, not of A S (eigenvalues of S small against ||A|| leave
+    residuals far above eps ||A V||). ||A V||_2 needs no term of its own: V
+    has orthonormal columns, so ||A V||_2 <= ||A||_2, which the bound already
     covers.
     """
     a = as_operator(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
-    mags = abs(a)
-    scale = float(np.sqrt(mags.sum(axis=0).max() * mags.sum(axis=1).max())) if a.size else 0.0
+    scale = float(norm2_bound(a)) if a.size else 0.0
     return extend_orthonormal(s.basis, a @ s.basis, scale=scale)
 
 

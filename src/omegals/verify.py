@@ -5,7 +5,14 @@ bound checks at fixed tolerances, and reports per-check failures. The CLI
 ``verify`` subcommand and the acceptance tests both run through these.
 
 A suite is a draw step, which makes every ``rng`` call of one trial, and a
-check step, which does the rest. :func:`_run_trials` splits the trials into
+check step, which does the rest. The index suite has three steps: the draw,
+which returns raw Gaussian columns for its subspaces; a batched measure,
+which takes the draws of up to ``MEASURE_BATCH`` consecutive trials and
+computes every index, reach, complement and intersection the check needs,
+each Gram-Schmidt step and SVD stacked over the trials of one field
+(:class:`~omegals.subspaces.PaddedGroup`); and a per-trial check
+that only compares those values, so checks and failures still come per
+trial and in trial order. :func:`_run_trials` splits the trials into
 contiguous chunks, one per usable CPU, and runs each chunk but the first in
 a forked worker that replays the draws before its chunk: every seed draws
 the same instances, and the merged result is that of one process. Every
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +58,7 @@ from .sampling import (
     random_unitary,
 )
 from .solver import ProblemInstance, solve_limit, solve_weighted
-from .subspaces import (
-    Subspace,
-    index_of_invariance,
-    krylov,
-    orthogonal_complement,
-    reach,
-    subspace_intersect,
-    subspace_sum,
-    subspaces_equal,
-)
+from .subspaces import PaddedGroup, Subspace, index_of_invariance, krylov, subspaces_equal
 from .workers import Workers, usable_cpus
 
 MEMBERSHIP_TOL = 1e-10
@@ -68,9 +67,17 @@ CONVEXITY_T_SLACK = 1e-10
 CONVEXITY_OFF_TOL = 1e-9
 
 # Fewest trials a chunk may hold. A worker costs about 3 ms to fork, run
-# and reap before any trial, plus the replay of the draws before its chunk;
-# at two chunks of 8 trials the split about breaks even (2-core machine).
+# and reap before any trial, plus the replay of the draws before its chunk.
+# With 2 CPUs, two chunks of 8 trials take 0.74-1.01 times one process's
+# time in four suites and 1.28 times in the batched index suite, which
+# breaks even between 16 and 24 trials (0.84 times at 24).
 MIN_CHUNK_TRIALS = 8
+
+# Most trials whose draws the index suite measures in one batch. In one
+# process its 500 trials took 0.27 s at 16, 0.23 s at 24 and 0.21 s at 32;
+# the verify benchmark's peak RSS rose over the per-trial path by 0.47 MB
+# at 16, 0.66 MB at 24 and 0.70 MB at 32 (medians of 4 runs, 2 CPUs).
+MEASURE_BATCH = 16
 
 
 @dataclass
@@ -97,16 +104,23 @@ class SuiteResult:
         return line
 
 
-def _run_chunk(name, draw, check, seed, start, stop) -> SuiteResult:
+def _run_chunk(name, draw, check, seed, start, stop, measure=None) -> SuiteResult:
     """Trials start .. stop - 1, after replaying the draws of the trials
-    before them so that the rng stream is the one of a full run."""
+    before them so that the rng stream is the one of a full run. With
+    ``measure``, the draws of up to ``MEASURE_BATCH`` consecutive trials go
+    through one ``measure(draws)`` call, and each check reads its trial's
+    entry of the list it returns."""
     result = SuiteResult(name)
     rng = np.random.default_rng(seed)
     for trial in range(start):
         draw(rng, trial)
-    for trial in range(start, stop):
-        result.trials += 1
-        check(result, trial, draw(rng, trial))
+    size = MEASURE_BATCH if measure else 1
+    for first in range(start, stop, size):
+        batch = range(first, min(first + size, stop))
+        drawn = [draw(rng, trial) for trial in batch]
+        for trial, values in zip(batch, measure(drawn) if measure else drawn):
+            result.trials += 1
+            check(result, trial, values)
     return result
 
 
@@ -127,9 +141,11 @@ def _pickled_chunk(*chunk) -> bytes:
     return pickle.dumps(outcome)
 
 
-def _run_trials(name, draw, check, seed: int, trials: int) -> SuiteResult:
+def _run_trials(name, draw, check, seed: int, trials: int, measure=None) -> SuiteResult:
     """Run trials 0 .. trials - 1 of one suite, ``check(result, trial,
-    draw(rng, trial))`` each, and merge the chunks in trial order.
+    draw(rng, trial))`` each (or the trial's entry of ``measure`` over its
+    batch of draws, see :func:`_run_chunk`), and merge the chunks in trial
+    order.
 
     The calling process runs the first chunk. The first exception in trial
     order is raised here with its type and message, and a worker that dies
@@ -140,8 +156,8 @@ def _run_trials(name, draw, check, seed: int, trials: int) -> SuiteResult:
     with Workers() as workers:
         for start, stop in rest:
             workers.fork(f"{name} worker for trials {start}..{stop - 1}", _pickled_chunk,
-                         name, draw, check, seed, start, stop)
-        result = _run_chunk(name, draw, check, seed, *first)
+                         name, draw, check, seed, start, stop, measure)
+        result = _run_chunk(name, draw, check, seed, *first, measure)
         parts = [pipe.read() for pipe in workers.pipes()]
     for data in parts:
         ok, part = pickle.loads(data)
@@ -154,10 +170,13 @@ def _run_trials(name, draw, check, seed: int, trials: int) -> SuiteResult:
 
 
 def _index_draw(rng, trial):
+    """One trial's instance. S and S2 come as the Gaussian columns that span
+    them (the columns ``random_subspace`` orthonormalizes); the batched
+    measure orthonormalizes them."""
     complex_field = bool(trial % 2)
     n = int(rng.integers(3, 11))
     p = int(rng.integers(1, n))
-    s = random_subspace(rng, n, p, complex_field)
+    s = gaussian_matrix(rng, n, p, complex_field)
     a = gaussian_matrix(rng, n, n, complex_field)
     while np.linalg.cond(a) > 1e6:
         a = gaussian_matrix(rng, n, n, complex_field)
@@ -165,51 +184,100 @@ def _index_draw(rng, trial):
     shift = omega if not complex_field else omega + 1j * float(rng.standard_normal())
     a_h = random_hermitian(rng, n, complex_field)
     p2 = int(rng.integers(1, n))
-    s2 = random_subspace(rng, n, p2, complex_field)
+    s2 = gaussian_matrix(rng, n, p2, complex_field)
     b_op = gaussian_matrix(rng, n, n, complex_field)
     return s, a, shift, a_h, s2, b_op
 
 
-def _index_check(result, trial, drawn):
-    s, a, shift, a_h, s2, b_op = drawn
-    n, p = s.basis.shape
-    q = index_of_invariance(a, s)
-    result.check(0 <= q <= min(p, n - p), f"trial {trial}: index bound violated (q={q})")
+class IndexValues(NamedTuple):
+    """The dimensions the index check compares for one trial. S is spanned
+    by the drawn columns, dim p, in F^n; q_X is the index of invariance on S
+    of the operator X: A, A + shift I, A^-1, the Hermitian A_h, B, A + B and
+    AB. q_s2 and q_sum are those of A on S2 and on S + S2; q_perp and
+    q_between those of A_h on S-perp and on S-perp cap (S + A_h S), whose
+    dimension is ``between``."""
 
-    q_shift = index_of_invariance(a + shift * np.eye(n), s)
-    result.check(q_shift == q, f"trial {trial}: shift changed the index {q}->{q_shift}")
+    n: int
+    p: int
+    q_a: int
+    q_shift: int
+    q_inv: int
+    q_h: int
+    q_b: int
+    q_apb: int
+    q_ab: int
+    q_s2: int
+    q_sum: int
+    q_perp: int
+    between: int
+    q_between: int
 
-    q_inv = index_of_invariance(np.linalg.inv(a), s)
-    result.check(q_inv == q, f"trial {trial}: inverse changed the index {q}->{q_inv}")
 
-    sum_h = reach(a_h, s)
-    q_h = sum_h.dim - s.dim
-    s_perp = orthogonal_complement(s)
-    q_perp = index_of_invariance(a_h, s_perp)
-    result.check(q_perp == q_h,
-                 f"trial {trial}: Hermitian complement index {q_h}->{q_perp}")
-    s_between = subspace_intersect(s_perp, sum_h)
-    result.check(s_between.dim == q_h,
-                 f"trial {trial}: complement-in-sum dimension {s_between.dim} != {q_h}")
-    q_between = index_of_invariance(a_h, s_between)
-    result.check(q_between == q_h,
-                 f"trial {trial}: index of S-perp cap (S+AS) is {q_between} != {q_h}")
+def _index_measure_group(draws):
+    """:class:`IndexValues` of trials of one field. Each Gram-Schmidt step
+    and SVD of the one-trial routines (``index_of_invariance``, ``reach``,
+    ``orthogonal_complement``, ``subspace_sum``, ``subspace_intersect``) runs
+    once, stacked over the trials (:class:`~omegals.subspaces.PaddedGroup`),
+    with the same inputs, scales and drop rule."""
+    s_cols, a, shift, a_h, s2_cols, b_op = zip(*draws)
+    group = PaddedGroup(np.array([x.shape[0] for x in a]))
+    (a, _), (a_h, _), (b_op, _) = (group.pad(x) for x in (a, a_h, b_op))
+    s, s2 = group.extend(*(group.sum((np.zeros_like(cols), np.zeros_like(k)), (cols, k))
+                           for cols, k in (group.pad(s_cols), group.pad(s2_cols))))
+    eye = np.eye(a.shape[1]) - group.outside
+    # A plus the identity outside F^n[t] has the inverse A^-1 plus it
+    inverse = np.linalg.inv(a + group.outside) - group.outside
+    ops = (a, a + np.array(shift)[:, None, None] * eye, inverse, a_h, b_op, a + b_op, a @ b_op)
+    *reached, s2_reach, s_s2 = group.extend(*(group.reach(op, s) for op in ops),
+                                            group.reach(a, s2), group.sum(s, s2))
+    sum_h = reached[3]
+    s_perp, sum_h_perp = group.complement(s, sum_h)
+    [s_perp_perp] = group.complement(s_perp)
+    perp_reach, sum_reach, joined = group.extend(
+        group.reach(a_h, s_perp), group.reach(a, s_s2), group.sum(s_perp_perp, sum_h_perp))
+    [between] = group.complement(joined)
+    [between_reach] = group.extend(group.reach(a_h, between))
+    gains = [w - s[1] for _, w in reached] + [
+        s2_reach[1] - s2[1], sum_reach[1] - s_s2[1], perp_reach[1] - s_perp[1], between[1],
+        between_reach[1] - between[1]]
+    return [IndexValues(*map(int, column))
+            for column in np.stack([group.n, s[1], *gains], axis=1)]
 
-    q_s2 = index_of_invariance(a, s2)
-    result.check(
-        index_of_invariance(a, subspace_sum(s, s2)) <= q + q_s2,
-        f"trial {trial}: subadditivity in the subspace argument failed")
-    q_b = index_of_invariance(b_op, s)
-    result.check(index_of_invariance(a + b_op, s) <= q + q_b,
-                 f"trial {trial}: subadditivity under sums failed")
-    result.check(index_of_invariance(a @ b_op, s) <= q + q_b,
-                 f"trial {trial}: subadditivity under products failed")
+
+def _index_measure(draws):
+    """The :class:`IndexValues` of a batch of draws, in draw order, measured
+    in two groups: the real trials and the complex ones."""
+    groups = {}
+    for i, drawn in enumerate(draws):
+        groups.setdefault(drawn[1].dtype, []).append(i)
+    measured = [None] * len(draws)
+    for members in groups.values():
+        for i, values in zip(members, _index_measure_group([draws[i] for i in members])):
+            measured[i] = values
+    return measured
+
+
+def _index_check(result, trial, m):
+    q = m.q_a
+    result.check(0 <= q <= min(m.p, m.n - m.p), f"trial {trial}: index bound violated (q={q})")
+    result.check(m.q_shift == q, f"trial {trial}: shift changed the index {q}->{m.q_shift}")
+    result.check(m.q_inv == q, f"trial {trial}: inverse changed the index {q}->{m.q_inv}")
+    result.check(m.q_perp == m.q_h,
+                 f"trial {trial}: Hermitian complement index {m.q_h}->{m.q_perp}")
+    result.check(m.between == m.q_h,
+                 f"trial {trial}: complement-in-sum dimension {m.between} != {m.q_h}")
+    result.check(m.q_between == m.q_h,
+                 f"trial {trial}: index of S-perp cap (S+AS) is {m.q_between} != {m.q_h}")
+    result.check(m.q_sum <= q + m.q_s2,
+                 f"trial {trial}: subadditivity in the subspace argument failed")
+    result.check(m.q_apb <= q + m.q_b, f"trial {trial}: subadditivity under sums failed")
+    result.check(m.q_ab <= q + m.q_b, f"trial {trial}: subadditivity under products failed")
 
 
 def run_index_suite(seed: int = 0, trials: int = 500) -> SuiteResult:
     """Shift/inverse/Hermitian-complement equalities and the three
     subadditivity inequalities, as exact integer comparisons."""
-    return _run_trials("index", _index_draw, _index_check, seed, trials)
+    return _run_trials("index", _index_draw, _index_check, seed, trials, _index_measure)
 
 
 def _main_theorem_draw(rng, trial):

@@ -3,6 +3,7 @@ verdict. The script is loaded by path: scripts/ is not a package."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,7 @@ def fake_runs(monkeypatch, tmp_path):
                                               "peak_rss_mb": {"value": 70.0, "unit": "MB"}}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "calibration", lambda: {"gemm_s": 0.001})
     return change, calls
 
 
@@ -92,8 +94,10 @@ def test_several_workloads_write_one_bench_file(tmp_path, monkeypatch):
     assert record["claim"] == {"workload": "structure", "metric": "iter_s.p50",
                                "rule": bench_pairs.GAIN_RULE}
     assert "--workload structure verify --seeds 1-3" in record["method"]
-    assert set(record["machine"]) == {"cpus", "usable_cpus", "python", "numpy", "scipy"}
+    assert set(record["machine"]) == {"cpus", "usable_cpus", "python", "numpy", "scipy",
+                                      "calibration"}
     assert record["machine"]["numpy"] == np.__version__
+    assert record["machine"]["calibration"] == {"gemm_s": 0.001}
     assert list(record["workloads"]) == ["structure", "verify"]
     assert all(w["pairs"] == 3 and w["every_run_correct"] for w in record["workloads"].values())
 
@@ -105,3 +109,16 @@ def test_claim_must_name_a_compared_workload_and_a_metric(tmp_path, monkeypatch,
         bench_pairs.main([str(tmp_path / "parent"), str(change), "--workload", "structure",
                           "--seeds", "1", "--claim", claim])
     assert calls == []
+
+
+def test_calibration_times_a_gemm_a_loop_and_two_processes(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PROBE_GEMM_ORDER", 16)
+    monkeypatch.setattr(bench_pairs, "PROBE_LOOP_STEPS", 20_000)
+    probe = bench_pairs.calibration()
+    assert set(probe) == {"gemm_s", "python_loop_s", "two_process_loop_s",
+                          "parallel_efficiency"}
+    assert all(value > 0 for value in probe.values())
+    assert probe["parallel_efficiency"] == probe["python_loop_s"] / probe["two_process_loop_s"]
+    # the forked child was reaped: this process has none left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from omegals.linalg import (
     EigDecomposition,
+    _kept,
     adjoint,
+    check_orthonormal,
     default_rank_tol,
     extend_orthonormal,
+    extend_orthonormal_stacked,
     hermitian_eig,
     hermitian_part,
     is_singular,
@@ -182,6 +185,166 @@ class TestExtendOrthonormal:
         cols = np.array([[1.0, 0.0], [0.0, 1e-15]])
         assert extend_orthonormal(np.zeros((2, 0)), cols).shape == (2, 2)
         assert extend_orthonormal(np.zeros((2, 0)), cols, scale=1.0).shape == (2, 1)
+
+
+def extend_before_the_shared_rule(q, cols, scale=None):
+    """extend_orthonormal with its drop rule written inline, as it was
+    before the rule moved into ``_kept``: the bits the kernel keeps."""
+    q, cols = np.asarray(q), np.asarray(cols)
+    (n, m), k = q.shape, cols.shape[1]
+    drop_tol = default_rank_tol((n, max(k, 1)))
+    basis = np.empty((n, m + k), dtype=np.result_type(q, cols, np.float64), order="F")
+    basis[:, :m] = q
+    width = m
+    for j in range(k):
+        if width == n:
+            break
+        v = cols[:, j].astype(basis.dtype)
+        orig = np.linalg.norm(v)
+        if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
+            continue
+        kept = basis[:, :width]
+        for _ in range(2):
+            v -= kept @ (adjoint(kept) @ v)
+        nrm = np.linalg.norm(v)
+        if nrm > drop_tol * (max(orig, scale) if scale is not None else orig):
+            basis[:, width] = v / nrm
+            width += 1
+    return basis[:, m:width]
+
+
+def gaussian(rng, complex_field, *shape):
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_field else m
+
+
+def extension_cases(complex_field):
+    """(q, cols, scale) instances of several n: an invariant subspace,
+    rank-deficient and zero columns, columns dropped by the scale, a width
+    that reaches n in mid-loop, k = 0, m = 0 and a generic case."""
+    rng = np.random.default_rng(12)
+    g = lambda *shape: gaussian(rng, complex_field, *shape)  # noqa: E731
+    u = orthonormalize(g(6, 6))
+    a = u @ np.triu(g(6, 6)) @ adjoint(u)  # span of u[:, :2] is A-invariant
+    q = orthonormalize(g(5, 1))
+    c = g(5, 2)
+    deficient = np.column_stack([c[:, 0], np.zeros(5), c[:, 0] + 2 * q[:, 0], c[:, 1],
+                                 c[:, 0] - c[:, 1]])
+    return [
+        (u[:, :2], a @ u[:, :2], float(np.linalg.norm(a, 2))),
+        (q, deficient, None),
+        (orthonormalize(g(4, 2)), np.column_stack([1e-18 * g(4), g(4), 1e-17 * g(4)]), 1.0),
+        (orthonormalize(g(7, 3)), g(7, 6), None),
+        (orthonormalize(g(3, 2)), np.zeros((3, 0)), None),
+        (np.zeros((8, 0)), g(8, 3), 2.0),
+        (orthonormalize(g(10, 4)), g(10, 5), 30.0),
+    ]
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+def test_single_call_kernel_keeps_its_bits(complex_field):
+    for q, cols, scale in extension_cases(complex_field):
+        new = extend_orthonormal(q, cols, scale=scale)
+        ref = extend_before_the_shared_rule(q, cols, scale)
+        assert new.dtype == ref.dtype and new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()
+
+
+def parent_rule(orig, nrm, scale, drop_tol):
+    """The drop rule as extend_orthonormal wrote it inline; scale None."""
+    if orig == 0.0 or (scale is not None and orig <= drop_tol * scale):
+        return False
+    return nrm > drop_tol * (max(orig, scale) if scale is not None else orig)
+
+
+def test_drop_rule_reads_the_same_on_scalars_and_arrays():
+    # values that hit both boundaries exactly, and the next float past them
+    d = default_rank_tol((7, 3))
+    values = [0.0, 1e-300, 0.5, 1.0, 3.0]
+    cases = [(o, n, s) for o in values for s in (0.0, 1.0, 3.0)
+             for n in (*values, d * o, d * s, np.nextafter(d * max(o, s), 1.0))]
+    cases += [(d * s, 1.0, s) for s in (1.0, 3.0)]
+    expected = [parent_rule(o, n, s or None, d) for o, n, s in cases]
+    assert True in expected and False in expected
+    orig, nrm, scale = np.array(cases).T
+    assert _kept(orig, nrm, scale, d).tolist() == expected
+    assert [bool(_kept(o, n, s, d)) for o, n, s in cases] == expected
+
+
+def padded_stack(cases):
+    """The cases as the zero-padded inputs of extend_orthonormal_stacked."""
+    size = max(q.shape[0] for q, _, _ in cases)
+    count = max(cols.shape[1] for _, cols, _ in cases)
+    dtype = np.result_type(*(x for q, cols, _ in cases for x in (q, cols)), np.float64)
+    q_stack = np.zeros((len(cases), size, size), dtype=dtype)
+    cols_stack = np.zeros((len(cases), size, count), dtype=dtype)
+    for t, (q, cols, _) in enumerate(cases):
+        q_stack[t, : q.shape[0], : q.shape[1]] = q
+        cols_stack[t, : cols.shape[0], : cols.shape[1]] = cols
+    dims = np.array([[q.shape[0], q.shape[1], cols.shape[1], scale or 0.0]
+                     for q, cols, scale in cases]).T
+    n, m, k = dims[:3].astype(int)
+    return q_stack, m, cols_stack, k, dims[3], n
+
+
+class TestExtendOrthonormalStacked:
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    def test_matches_one_call_per_instance(self, complex_field):
+        cases = extension_cases(complex_field)
+        q, m, cols, k, scale, n = padded_stack(cases)
+        basis = q.copy()
+        width = extend_orthonormal_stacked(basis, m, cols, k, scale, n)
+        check_orthonormal(basis, width)
+        for t, (q_t, cols_t, scale_t) in enumerate(cases):
+            new = extend_orthonormal(q_t, cols_t, scale=scale_t)
+            assert width[t] == m[t] + new.shape[1]
+            stacked = basis[t, : n[t], : width[t]]
+            one = np.hstack([q_t, new])
+            np.testing.assert_allclose(stacked @ adjoint(stacked), one @ adjoint(one), atol=1e-13)
+            assert not basis[t, n[t]:].any() and not basis[t, :, width[t]:].any()
+        # invariant, a zero and two dependent columns of 5 dropped, 2 of 3
+        # dropped by the scale, F^7 filled in mid-loop, k = 0 and m = 0
+        assert (width - m).tolist() == [0, 2, 1, 4, 0, 3, 5]
+
+    def test_no_columns_leave_the_bases(self):
+        q, m, cols, k, scale, n = padded_stack([(np.eye(3)[:, :1], np.zeros((3, 0)), None)] * 2)
+        basis = q.copy()
+        width = extend_orthonormal_stacked(basis, m, cols, k, scale, n)
+        assert width.tolist() == [1, 1] and basis.tobytes() == q.tobytes()
+
+    def test_a_basis_of_another_field_is_refused(self):
+        q, m, cols, k, scale, n = padded_stack([(np.eye(3)[:, :1], np.ones((3, 1)) * 1j, None)])
+        with pytest.raises(TypeError, match="cannot hold"):
+            extend_orthonormal_stacked(q.real.copy(), m, cols, k, scale, n)
+
+
+class TestCheckOrthonormal:
+    def stack(self):
+        rng = np.random.default_rng(5)
+        cases = [(orthonormalize(gaussian(rng, True, 6, w)), np.zeros((6, 0)), None)
+                 for w in (0, 2, 6)]
+        q, m, *_ = padded_stack(cases)
+        return q, m
+
+    def test_a_zero_padded_stack_passes(self):
+        check_orthonormal(*self.stack())
+
+    def test_one_bad_basis_fails_the_stack(self):
+        q, m = self.stack()
+        q[1, 0, 0] += 1e-7
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(q, m)
+        q, m = self.stack()
+        q[2, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            check_orthonormal(q, m)
+
+    def test_the_tolerance_grows_with_the_width(self):
+        # ||B*B - I||_F = 2e-8 passes with 2 or more columns, not with 1
+        q = np.eye(3)[:, :2] * np.sqrt(1 + 1e-8)
+        check_orthonormal(q)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(q[:, :1] * np.sqrt(1 + 1e-8))
 
 
 class TestNumericalRank:

@@ -86,6 +86,7 @@ UNCALLED_BY_DESIGN = {
     "solver.solution_map": "the paper's exported coordinate map M(omega)",
     "io.save_subspace": "writes the subspace file format the CLI reads",
     "io.decomposition_blocks_from_json": "reads the decomposition files the CLI writes",
+    "subspaces.subspace_intersect": "the one-trial oracle of the index suite's stacked steps",
 }
 
 

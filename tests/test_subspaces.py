@@ -10,6 +10,7 @@ from omegals.sampling import random_unitary
 from omegals.subspaces import (
     EIG_CLUSTER_TOL,
     AffineSubspace,
+    PaddedGroup,
     Subspace,
     eigenspace_split,
     index_of_invariance,
@@ -418,3 +419,46 @@ class TestShiftAndInverseInvariance:
         s = Subspace.from_vectors([u[:, 0], rng.standard_normal(9)])
         between = subspace_intersect(orthogonal_complement(s), reach(a, s))
         assert between.dim == index_of_invariance(a, s) == 1
+
+
+class TestPaddedGroup:
+    """The stacked forms against the one-instance routines, on instances of
+    several n with widths 0 to n."""
+
+    @staticmethod
+    def instances(complex_field):
+        rng = np.random.default_rng(8)
+        dims = [(3, 0), (5, 2), (6, 6), (4, 1), (6, 3)]
+        spaces, ops = [], []
+        for n, k in dims:
+            g = rng.standard_normal((n, n + k))
+            if complex_field:
+                g = g + 1j * rng.standard_normal((n, n + k))
+            spaces.append(Subspace.from_vectors(g[:, :k]) if k else
+                          Subspace.zero(n, complex_field))
+            ops.append(g[:, k:])
+        group = PaddedGroup(np.array([n for n, _ in dims]))
+        return group, spaces, ops, group.pad([s.basis for s in spaces])
+
+    @staticmethod
+    def projectors(space, n):
+        bases, widths = space
+        return [bases[t, : n[t], : widths[t]] @ bases[t, : n[t], : widths[t]].conj().T
+                for t in range(len(n))]
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    def test_complement_reach_and_sum(self, complex_field):
+        group, spaces, ops, padded = self.instances(complex_field)
+        [perp] = group.complement(padded)
+        a, _ = group.pad(ops)
+        reached, summed = group.extend(group.reach(a, padded), group.sum(padded, perp))
+        for t, (s, op) in enumerate(zip(spaces, ops)):
+            assert perp[1][t] == s.ambient_dim - s.dim
+            assert reached[1][t] == reach(op, s).dim and summed[1][t] == s.ambient_dim
+        for space, expected in [(perp, [orthogonal_complement(s) for s in spaces]),
+                                (reached, [reach(op, s) for s, op in zip(spaces, ops)])]:
+            for got, want in zip(self.projectors(space, group.n), expected):
+                np.testing.assert_allclose(got, want.projector(), atol=1e-12)
+        # every stack stays zero outside F^n[t]
+        for bases, _ in (perp, reached, summed):
+            assert not (bases * ~group.inside[:, :, None]).any()

@@ -12,10 +12,20 @@ import pytest
 
 from omegals import verify
 from omegals.decomposition import tridiagonal_block_decomposition
+from omegals.linalg import orthonormalize
 from omegals.sampling import random_hermitian_invertible, random_subspace
+from omegals.subspaces import (
+    Subspace,
+    index_of_invariance,
+    orthogonal_complement,
+    reach,
+    subspace_intersect,
+    subspace_sum,
+)
 from omegals.verify import (
     MIN_CHUNK_TRIALS,
     SUITES,
+    IndexValues,
     SuiteResult,
     run_convexity_suite,
     run_index_suite,
@@ -30,6 +40,31 @@ def test_index_suite_small():
     res = run_index_suite(seed=3, trials=40)
     assert res.passed, res.failures[:5]
     assert res.checks == 9 * 40
+
+
+def index_values_one_at_a_time(drawn) -> IndexValues:
+    """The index suite's values of one draw from the one-trial routines."""
+    s_cols, a, shift, a_h, s2_cols, b_op = drawn
+    n = a.shape[0]
+    s, s2 = Subspace(orthonormalize(s_cols)), Subspace(orthonormalize(s2_cols))
+    sum_h = reach(a_h, s)
+    s_perp = orthogonal_complement(s)
+    between = subspace_intersect(s_perp, sum_h)
+    return IndexValues(
+        n, s.dim, *(index_of_invariance(op, s) for op in (
+            a, a + shift * np.eye(n), np.linalg.inv(a), a_h, b_op, a + b_op, a @ b_op)),
+        index_of_invariance(a, s2), index_of_invariance(a, subspace_sum(s, s2)),
+        index_of_invariance(a_h, s_perp), between.dim, index_of_invariance(a_h, between))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_batched_index_measure_matches_the_one_trial_routines(seed):
+    rng = np.random.default_rng(seed)
+    draws = [verify._index_draw(rng, trial) for trial in range(48)]
+    measured = verify._index_measure(draws)
+    assert measured == [index_values_one_at_a_time(drawn) for drawn in draws]
+    # each field's group mixes ambient dimensions, so it is zero-padded
+    assert len({v.n for v in measured[0::2]}) >= 5 and len({v.n for v in measured[1::2]}) >= 5
 
 
 def test_main_theorem_suite_small():
@@ -108,10 +143,12 @@ def test_summary_format():
 
 
 def _chunked(name, seed, trials):
-    """A suite's draw and check steps through the chunked runner."""
+    """A suite's draw, measure (if it has one) and check steps through the
+    chunked runner."""
     steps = f"_{name.replace('-', '_')}"
     return verify._run_trials(name, getattr(verify, f"{steps}_draw"),
-                              getattr(verify, f"{steps}_check"), seed, trials)
+                              getattr(verify, f"{steps}_check"), seed, trials,
+                              getattr(verify, f"{steps}_measure", None))
 
 
 @pytest.mark.parametrize("name, seed, trials", [
@@ -139,6 +176,9 @@ def test_every_chunk_draws_the_instances_of_one_process(monkeypatch, use_cpus, n
         result.check(False, f"{trial} {hashlib.sha256(pickle.dumps(drawn)).hexdigest()}")
 
     monkeypatch.setattr(verify, f"_{name.replace('-', '_')}_check", report)
+    if hasattr(verify, f"_{name.replace('-', '_')}_measure"):
+        # the batched measure hands each check its own trial's draws
+        monkeypatch.setattr(verify, f"_{name.replace('-', '_')}_measure", lambda draws: draws)
     use_cpus(1)
     one = SUITES[name](seed=11, trials=24)
     forks = use_cpus(3)
@@ -197,9 +237,9 @@ def _before_index_check(monkeypatch, before):
     """Call ``before(trial)`` ahead of each check of the index suite."""
     check = verify._index_check
 
-    def patched(result, trial, drawn):
+    def patched(result, trial, measured):
         before(trial)
-        check(result, trial, drawn)
+        check(result, trial, measured)
 
     monkeypatch.setattr(verify, "_index_check", patched)
 
@@ -232,6 +272,26 @@ def test_first_exception_in_trial_order_wins(monkeypatch, use_cpus, assert_no_ch
     use_cpus(3)
     with pytest.raises(ValueError, match="^trial 12$"):
         run_index_suite(seed=1, trials=36)
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_measure_step_surfaces_at_its_batch(monkeypatch, use_cpus,
+                                                                assert_no_child_left):
+    # the batch of trials 32..39 fails in the batched measure: trials 0..31
+    # were checked, and none of that batch
+    measure, checked = verify._index_measure, []
+
+    def fail(draws):
+        if len(checked) == verify.MEASURE_BATCH:
+            raise ValueError("basis columns are not orthonormal")
+        return measure(draws)
+
+    monkeypatch.setattr(verify, "_index_measure", fail)
+    _before_index_check(monkeypatch, checked.append)
+    use_cpus(1)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        run_index_suite(seed=1, trials=40)
+    assert checked == list(range(verify.MEASURE_BATCH))
     assert_no_child_left()
 
 

@@ -63,7 +63,7 @@ def test_csv_and_verify_leave_the_callers_thread_count(caller_threads, tmp_path,
     assert run_index_suite(seed=3, trials=40).passed
     assert get() == caller_threads
 
-    def broken(result, trial, drawn):
+    def broken(result, trial, measured):
         raise ValueError(f"trial {trial}")
 
     monkeypatch.setattr(verify, "_index_check", broken)
