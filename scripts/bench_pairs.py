@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload structure verify \
         --seeds 951-960 --claim structure:iter_s.p50 --out BENCH_label.json
+    python3 scripts/bench_pairs.py --trajectory BENCH_*.json
 
 For each workload in turn and each seed, runs ``python3 bench/run.py
 --workload W --seed S --seconds T --trace 0`` in both checkouts, alternating
@@ -20,6 +21,10 @@ named by ``--claim WORKLOAD:METRIC`` (or null), ``--note`` as ``change``,
 and the ``machine`` (:func:`machine`), which holds a calibration probe
 (:func:`calibration`) timed before the first pair, so figures from
 different sessions can be set against the speed each session measured.
+
+``--trajectory`` compares no checkouts: it prints, for each BENCH file
+given, each side's median per workload and metric, and each median in
+seconds also in units of that file's probe (:func:`trajectory`).
 """
 
 import argparse
@@ -178,6 +183,37 @@ def machine() -> dict:
             "scipy": version("scipy"), "calibration": calibration()}
 
 
+def trajectory(paths: list[Path]) -> list[str]:
+    """The lines of ``--trajectory``: per BENCH file a header naming its
+    probe, then per workload and metric each side's median, a median in
+    seconds followed by it divided by the probe's ``python_loop_s`` ("loops")
+    and ``gemm_s`` ("GEMMs"). A file recorded without a probe says "no
+    probe" there, so figures from different sessions compare only through
+    their probes."""
+    lines = []
+    for path in paths:
+        record = json.loads(Path(path).read_text())
+        probe = record["machine"].get("calibration")
+        lines.append(f"{Path(path).name}: " + (
+            f"probe python_loop_s {probe['python_loop_s']:.4g}, gemm_s {probe['gemm_s']:.4g}"
+            if probe else "no probe"))
+        for workload, summary in record["workloads"].items():
+            units = summary["runs"]["parent"][0]["metrics"]
+            for metric, m in summary["metrics"].items():
+                unit = units[metric]["unit"]
+                cells = []
+                for side in ("parent", "change"):
+                    median = m[side]["median"]
+                    cell = f"{side} {median:.4g} {unit}"
+                    if unit == "s":
+                        cell += (f" = {median / probe['python_loop_s']:.4g} loops"
+                                 f" = {median / probe['gemm_s']:.4g} GEMMs"
+                                 if probe else " (no probe)")
+                    cells.append(cell)
+                lines.append(f"  {workload} {metric}: " + "  ".join(cells))
+    return lines
+
+
 def parse_claim(text: str | None) -> dict | None:
     if text is None:
         return None
@@ -220,16 +256,26 @@ def compare(sides: dict, workload: str, seeds: list[int], seconds: float,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True, nargs="+",
+    parser.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, nargs="?", help="checkout of the change")
+    parser.add_argument("--workload", nargs="+",
                         help="one or more workloads, compared one after another")
-    parser.add_argument("--seeds", required=True, help="inclusive range A-B, or one seed")
+    parser.add_argument("--seeds", help="inclusive range A-B, or one seed")
     parser.add_argument("--claim", type=parse_claim, metavar="WORKLOAD:METRIC",
                         help="the metric the change claims a gain on")
     parser.add_argument("--note", help="what the change is, recorded as 'change'")
     parser.add_argument("--out", type=Path, help="write the runs and the summaries as JSON here")
+    parser.add_argument("--trajectory", type=Path, nargs="+", metavar="BENCH",
+                        help="print the medians of these BENCH files against their probes "
+                             "instead of comparing checkouts")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory(args.trajectory)))
+        return 0
+    missing = [name for name in ("parent", "change", "workload", "seeds")
+               if getattr(args, name) is None]
+    if missing:
+        parser.error(f"comparing checkouts needs {', '.join(missing)}")
     if args.claim and args.claim["workload"] not in args.workload:
         parser.error(f"--claim names {args.claim['workload']!r}, which is not compared")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())

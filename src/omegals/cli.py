@@ -22,7 +22,7 @@ from .manifolds import (
     ManifoldClass,
     construct_positive_member,
     manifold_dimension,
-    membership,
+    member_classes,
 )
 from .sampling import gaussian_vector
 from .solver import ProblemInstance
@@ -109,8 +109,11 @@ def _cmd_manifold(args) -> int:
         a = oio.read_matrix_market(args.matrix)
         s = _load_subspace(args.s)
         s_prime = _load_subspace(args.s_prime)
-        ok = membership(a, s, s_prime, ManifoldClass.parse(args.cls), tol=args.tol)
+        cls = ManifoldClass.parse(args.cls)
+        found = member_classes(a, s, s_prime, tol=args.tol)
+        ok = cls in found
         print("member" if ok else "not a member")
+        print("classes:", " ".join(c.value for c in ManifoldClass if c in found) or "none")
         return 0 if ok else 1
     if args.action == "construct":
         s = _load_subspace(args.s)

@@ -38,8 +38,8 @@ from .linalg import (
     hermitian_eig,
     hermitian_part,
     is_hermitian,
-    numerical_rank,
     operator_eig,
+    singular_value_rank,
     solve_hermitian,
 )
 from .subspaces import Subspace, new_directions
@@ -252,8 +252,8 @@ def nullspace_of_hstar(dec: TridiagDecomp) -> NullspaceN:
     if dec.q == 0:
         raise ValueError("q = 0: the nullspace of H* is trivial")
     hstar = adjoint(dec.H)  # p x (p+q)
-    _, _, vh = np.linalg.svd(hstar, full_matrices=True)
-    r = numerical_rank(hstar)
+    _, sigma, vh = np.linalg.svd(hstar, full_matrices=True)
+    r = singular_value_rank(sigma, hstar.shape)
     n_basis = adjoint(vh[r:])  # (p+q) x (p+q-r); width q when H has full rank
     return NullspaceN(N=n_basis, N1=n_basis[: dec.p], N2=n_basis[dec.p:])
 

@@ -18,6 +18,7 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     numerical_rank,
+    singular_value_rank,
 )
 from .subspaces import (
     SUBSPACE_EQUAL_TOL,
@@ -44,11 +45,6 @@ class ManifoldClass(Enum):
         raise ValueError(f"unknown manifold class {name!r}")
 
 
-_SYM_CLASSES = {ManifoldClass.M_SYM, ManifoldClass.M_SYMINV,
-                ManifoldClass.M_POS, ManifoldClass.M_SYMT}
-_INV_CLASSES = {ManifoldClass.M_INV, ManifoldClass.M_SYMINV}
-
-
 def _check_nested(s: Subspace, s_prime: Subspace,
                   tol: float = SUBSPACE_EQUAL_TOL) -> tuple[int, int]:
     if s.ambient_dim != s_prime.ambient_dim:
@@ -59,40 +55,42 @@ def _check_nested(s: Subspace, s_prime: Subspace,
     return s.dim, s_prime.dim - s.dim
 
 
-def membership(
-    a: np.ndarray,
-    s: Subspace,
-    s_prime: Subspace,
-    cls: ManifoldClass = ManifoldClass.M,
-    tol: float = SUBSPACE_EQUAL_TOL,
-) -> bool:
-    """Whether S + A S = S' and A satisfies the class predicate.
-
-    Subspace equality is tested as dimension match plus projector distance
-    <= tol. Requires S to be contained in S'.
-    """
+def member_classes(a: np.ndarray, s: Subspace, s_prime: Subspace,
+                   tol: float = SUBSPACE_EQUAL_TOL) -> frozenset[ManifoldClass]:
+    """The classes A belongs to: empty unless S + A S = S' (dimension match
+    plus projector distance <= tol), else M and each refinement whose
+    predicate A satisfies, each predicate evaluated once. Requires S to be
+    contained in S'."""
     a = np.asarray(a)
     _check_nested(s, s_prime, tol)
     if not subspaces_equal(reach(a, s), s_prime, tol):
-        return False
-    if cls in _INV_CLASSES and numerical_rank(a) < a.shape[0]:
-        return False
-    if cls in _SYM_CLASSES and not is_hermitian(a):
-        return False
-    if cls is ManifoldClass.M_POS and hermitian_eig(a).lambdas[-1] <= 0:
-        return False
-    if cls is ManifoldClass.M_SYMT and not compression_invertible(a, s):
-        return False
-    return True
+        return frozenset()
+    sigma = np.linalg.svd(a, compute_uv=False)
+    inv = singular_value_rank(sigma, a.shape) == a.shape[0]
+    sym = is_hermitian(a)
+    pos = sym and hermitian_eig(a).lambdas[-1] > 0
+    symt = sym and compression_invertible(a, s, op_norm=float(sigma[0]))
+    return frozenset(cls for cls, holds in (
+        (ManifoldClass.M, True), (ManifoldClass.M_INV, inv), (ManifoldClass.M_SYM, sym),
+        (ManifoldClass.M_SYMINV, sym and inv), (ManifoldClass.M_POS, pos),
+        (ManifoldClass.M_SYMT, symt)) if holds)
 
 
-def compression_invertible(a: np.ndarray, s: Subspace) -> bool:
+def membership(a: np.ndarray, s: Subspace, s_prime: Subspace,
+               cls: ManifoldClass = ManifoldClass.M, tol: float = SUBSPACE_EQUAL_TOL) -> bool:
+    """Whether S + A S = S' and A satisfies the class predicate
+    (:func:`member_classes`)."""
+    return cls in member_classes(a, s, s_prime, tol)
+
+
+def compression_invertible(a: np.ndarray, s: Subspace, op_norm: float | None = None) -> bool:
     """Whether the compression V* A V onto S is invertible, its rank judged
-    against ||A||_2: a compression that is round-off of the operator scale is
-    singular no matter what its own spectrum says."""
+    against ||A||_2 (``op_norm``, when the caller has it): a compression that
+    is round-off of the operator scale is singular no matter what its own
+    spectrum says."""
     a = np.asarray(a)
-    compression = adjoint(s.basis) @ (a @ s.basis)
-    return numerical_rank(compression, scale=float(np.linalg.norm(a, 2))) == s.dim
+    op_norm = float(np.linalg.norm(a, 2)) if op_norm is None else op_norm
+    return numerical_rank(adjoint(s.basis) @ (a @ s.basis), scale=op_norm) == s.dim
 
 
 def swap_witness(s: Subspace, s_prime: Subspace) -> np.ndarray:
@@ -169,9 +167,11 @@ def perturb_to_invertible(a: np.ndarray, subspace: Subspace | None = None) -> np
     n = a.shape[0]
     for eps in [0.0, *_epsilon_schedule(a)]:
         candidate = a if eps == 0.0 else a + eps * np.eye(n, dtype=a.dtype)
-        if numerical_rank(candidate) < n:
+        sigma = np.linalg.svd(candidate, compute_uv=False)
+        if singular_value_rank(sigma, candidate.shape) < n:
             continue
-        if subspace is not None and not compression_invertible(candidate, subspace):
+        if subspace is not None and not compression_invertible(candidate, subspace,
+                                                               op_norm=float(sigma[0])):
             continue
         return candidate
     raise ValueError("perturbation schedule exhausted without reaching invertibility")

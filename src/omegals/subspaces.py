@@ -136,18 +136,25 @@ class PaddedGroup:
         :func:`norm2_bound` of each A. The zero columns of V give zero
         columns of A V, which k = widths leaves out."""
         basis, width = space
-        return basis, width, a @ basis, width, norm2_bound(a)
+        return basis, width, lambda out: np.matmul(a, basis, out=out), width, norm2_bound(a)
 
     def sum(self, s1, s2) -> tuple:
         """The :func:`subspace_sum` step, for :meth:`extend`: the bases of S1
         extended by those of S2, with no scale."""
-        return (*s1, *s2, np.zeros(len(self.n)))
+        basis, width = s2
+        return (*s1, lambda out: np.copyto(out, basis), width, np.zeros(len(self.n)))
 
     def extend(self, *steps) -> list:
-        """The spaces [q, kept] of steps (q, m, cols, k, scale) of
+        """The spaces [q, kept] of steps (q, m, fill, k, scale) of
         :func:`~omegals.linalg.extend_orthonormal_stacked`, each for the T
-        instances, all in one call."""
-        basis, m, cols, k, scale = (np.concatenate(part) for part in zip(*steps))
+        instances, all in one call. ``fill(out)`` writes the step's (T, N, N)
+        columns into its slice of one buffer, so no step's columns exist
+        twice."""
+        basis, m, fills, k, scale = zip(*steps)
+        basis, m, k, scale = (np.concatenate(part) for part in (basis, m, k, scale))
+        cols, size = np.empty_like(basis), len(self.n)
+        for i, fill in enumerate(fills):
+            fill(cols[i * size:(i + 1) * size])
         width = extend_orthonormal_stacked(basis, m, cols, k, scale, np.tile(self.n, len(steps)))
         del cols  # freed before the guard's Gram matrices
         check_orthonormal(basis, width)

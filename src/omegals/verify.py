@@ -42,6 +42,7 @@ from .manifolds import (
     ManifoldClass,
     compression_invertible,
     construct_positive_member,
+    member_classes,
     membership,
     perturb_to_invertible,
     swap_witness,
@@ -74,10 +75,12 @@ CONVEXITY_OFF_TOL = 1e-9
 MIN_CHUNK_TRIALS = 8
 
 # Most trials whose draws the index suite measures in one batch. In one
-# process its 500 trials took 0.27 s at 16, 0.23 s at 24 and 0.21 s at 32;
-# the verify benchmark's peak RSS rose over the per-trial path by 0.47 MB
-# at 16, 0.66 MB at 24 and 0.70 MB at 32 (medians of 4 runs, 2 CPUs).
-MEASURE_BATCH = 16
+# process on one CPU its 500 trials took 0.19 s at 16, 0.15 s at 24 and 32,
+# 0.14 s at 48 and 0.12 s at 64 (medians of 7 runs). A larger batch holds
+# more stacked columns: the verify benchmark's peak RSS (2 CPUs, medians of
+# 5-6 runs) read 64.0 MB at 16 and 24, 64.1-64.2 MB at 32, 64.4 MB at 48 and
+# 64.6-64.8 MB at 64.
+MEASURE_BATCH = 24
 
 
 @dataclass
@@ -510,13 +513,14 @@ def _manifolds_check(result, trial, drawn):
     q, s, s_prime, omega, oversized = drawn
     n = s.ambient_dim
     witness = construct_positive_member(s, s_prime)
-    result.check(membership(witness, s, s_prime, ManifoldClass.M_POS),
+    classes = member_classes(witness, s, s_prime)
+    result.check(ManifoldClass.M_POS in classes,
                  f"trial {trial}: witness failed positive-class membership")
     result.check(index_of_invariance(witness, s) == q,
                  f"trial {trial}: witness index != q")
     for cls in (ManifoldClass.M, ManifoldClass.M_INV, ManifoldClass.M_SYM,
                 ManifoldClass.M_SYMINV, ManifoldClass.M_SYMT):
-        result.check(membership(witness, s, s_prime, cls),
+        result.check(cls in classes,
                      f"trial {trial}: containment chain broke at {cls.value}")
     result.check(membership(witness + omega * np.eye(n), s, s_prime, ManifoldClass.M),
                  f"trial {trial}: diagonal shift left the base class")

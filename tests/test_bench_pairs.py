@@ -122,3 +122,37 @@ def test_calibration_times_a_gemm_a_loop_and_two_processes(monkeypatch):
     # the forked child was reaped: this process has none left
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_trajectory_sets_each_file_against_its_own_probe(tmp_path, monkeypatch, capsys):
+    change, _ = fake_runs(monkeypatch, tmp_path)
+    monkeypatch.setattr(bench_pairs, "calibration",
+                        lambda: {"python_loop_s": 0.5, "gemm_s": 0.01})
+    probed, unprobed = tmp_path / "BENCH_a.json", tmp_path / "BENCH_b.json"
+    for out in (probed, unprobed):
+        assert bench_pairs.main([str(tmp_path / "parent"), str(change), "--workload", "verify",
+                                 "--seeds", "1-10", "--out", str(out)]) == 0
+    # a file recorded before the probe existed
+    record = json.loads(unprobed.read_text())
+    del record["machine"]["calibration"]
+    unprobed.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert bench_pairs.main(["--trajectory", str(probed), str(unprobed)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "BENCH_a.json: probe python_loop_s 0.5, gemm_s 0.01",
+        "  verify iter_s.p50: parent 1.045 s = 2.09 loops = 104.5 GEMMs"
+        "  change 0.845 s = 1.69 loops = 84.5 GEMMs",
+        "  verify peak_rss_mb: parent 70 MB  change 70 MB",
+        "BENCH_b.json: no probe",
+        "  verify iter_s.p50: parent 1.045 s (no probe)  change 0.845 s (no probe)",
+        "  verify peak_rss_mb: parent 70 MB  change 70 MB",
+    ]
+
+
+def test_comparing_checkouts_needs_both_and_the_workloads_and_seeds(tmp_path, monkeypatch):
+    change, calls = fake_runs(monkeypatch, tmp_path)
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(change), "--workload", "verify", "--seeds", "1"])
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path / "parent"), str(change), "--seeds", "1"])
+    assert calls == []

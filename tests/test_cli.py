@@ -190,13 +190,15 @@ def test_manifold_subcommands(tmp_path, capsys):
                  "--s-prime", str(sp_path), "--out", str(a_path)]) == 0
     assert main(["manifold", "member", "--matrix", str(a_path), "--s", str(s_path),
                  "--s-prime", str(sp_path), "--class", "M_pos"]) == 0
-    out = capsys.readouterr().out
-    assert "member" in out
+    # the positive witness of q = 1 is in every class
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "member", "classes: M M_inv M_sym M_syminv M_pos M_symT"]
     # non-member: the identity does not reach S'
     eye_path = tmp_path / "eye.mtx"
     oio.write_matrix_market(eye_path, np.eye(5))
     assert main(["manifold", "member", "--matrix", str(eye_path), "--s", str(s_path),
                  "--s-prime", str(sp_path), "--class", "M"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["not a member", "classes: none"]
     assert main(["manifold", "dim", "--n", "4", "--p", "2", "--q", "1",
                  "--class", "M_sym", "--field", "R"]) == 0
     assert capsys.readouterr().out.strip().endswith("8")

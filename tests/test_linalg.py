@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omegals import linalg
 from omegals.linalg import (
     EigDecomposition,
     _kept,
@@ -337,6 +338,15 @@ class TestCheckOrthonormal:
         q, m = self.stack()
         q[2, 3, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
+            check_orthonormal(q, m)
+
+    def test_a_stack_past_gram_stack_is_checked_in_parts(self, monkeypatch):
+        # two bases per part: the bad basis 2 sits in the second part
+        monkeypatch.setattr(linalg, "GRAM_STACK", 2)
+        check_orthonormal(*self.stack())
+        q, m = self.stack()
+        q[2, 0, 0] += 1e-7
+        with pytest.raises(ValueError, match="not orthonormal"):
             check_orthonormal(q, m)
 
     def test_the_tolerance_grows_with_the_width(self):

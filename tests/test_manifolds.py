@@ -9,6 +9,7 @@ from omegals.manifolds import (
     compression_invertible,
     construct_positive_member,
     manifold_dimension,
+    member_classes,
     membership,
     perturb_to_invertible,
     swap_witness,
@@ -19,7 +20,7 @@ from omegals.sampling import (
     random_nested_subspaces,
     random_unitary,
 )
-from omegals.subspaces import Subspace, index_of_invariance
+from omegals.subspaces import Subspace, index_of_invariance, orthogonal_complement
 
 
 def nested(seed, n, p, q, complex_field=False):
@@ -67,6 +68,43 @@ class TestMembership:
         if membership(candidate, s, s_prime, ManifoldClass.M):
             assert not membership(candidate, s, s_prime, ManifoldClass.M_SYM)
         assert basis.shape == (5, 5)
+
+
+class TestMemberClasses:
+    """member_classes against the expected classes of members built from the
+    witnesses, over R and C, and against membership class by class."""
+
+    @staticmethod
+    def cases(complex_field):
+        """(label, A, S, S', the classes of A) with n = 7, p = 3, q = 2."""
+        rng = np.random.default_rng(30 + complex_field)
+        s, s_prime = random_nested_subspaces(rng, 7, 3, 2, complex_field)
+        swap = swap_witness(s, s_prime)  # eigenvalues +-1 and 1
+        positive = construct_positive_member(s, s_prime)  # swap + 2 I
+        vpp = orthogonal_complement(s_prime).basis
+        # acting on S'-perp only leaves S + A S alone
+        skew = vpp @ (0.1 * gaussian_matrix(rng, 2, 2, complex_field)) @ vpp.conj().T
+        c = ManifoldClass
+        return [(label, a, s, s_prime, frozenset(classes)) for label, a, classes in [
+            ("positive", positive, c),
+            ("indefinite, compression singular", swap,
+             {c.M, c.M_INV, c.M_SYM, c.M_SYMINV}),
+            # compression diag(-0.5, -0.5, 0.5), spectrum -1.5 and 0.5
+            ("indefinite, compression invertible", positive - 2.5 * np.eye(7),
+             {c.M, c.M_INV, c.M_SYM, c.M_SYMINV, c.M_SYMT}),
+            ("singular", swap - vpp @ vpp.conj().T, {c.M, c.M_SYM}),
+            ("non-Hermitian", positive + skew, {c.M, c.M_INV}),
+            ("S + A S = S", np.eye(7), set()),
+            ("Gaussian", gaussian_matrix(rng, 7, 7, complex_field), set()),
+        ]]
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    def test_classes_and_membership(self, complex_field):
+        for label, a, s, s_prime, expected in self.cases(complex_field):
+            found = member_classes(a, s, s_prime)
+            assert found == expected, label
+            for cls in ManifoldClass:
+                assert membership(a, s, s_prime, cls) == (cls in found), (label, cls)
 
 
 class TestSwapWitness:

@@ -277,8 +277,8 @@ def test_first_exception_in_trial_order_wins(monkeypatch, use_cpus, assert_no_ch
 
 def test_an_exception_in_the_measure_step_surfaces_at_its_batch(monkeypatch, use_cpus,
                                                                 assert_no_child_left):
-    # the batch of trials 32..39 fails in the batched measure: trials 0..31
-    # were checked, and none of that batch
+    # the second batch fails in the batched measure: the trials of the
+    # first were checked, and none of the second
     measure, checked = verify._index_measure, []
 
     def fail(draws):
