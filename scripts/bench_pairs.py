@@ -10,13 +10,16 @@ For each workload in turn and each seed, runs ``python3 bench/run.py
 which side runs first, with T the ``run_seconds`` of CHANGE's BENCHMARK.json.
 Around each run it records the load average (``os.getloadavg``) and the
 share of CPU time stolen by the hypervisor (the ``steal`` column of
-/proc/stat, read only), so a noisy neighbour shows next to the figures it
-disturbed. Prints one line per run, then per workload and end-to-end metric
-each side's median [q1, q3], the number of pairs in which CHANGE is lower,
-and a verdict (:func:`verdict`) under the metric's ``better`` and relative
-``bound`` from CHANGE's BENCHMARK.json. With ``--out PATH`` it writes one
-JSON file: per workload every run record and that summary
-(:func:`summarize`) under ``workloads``, with the ``method``, the ``claim``
+/proc/stat, read only), and before each pair the three load averages and
+the steal share of an idle second (:func:`conditions`), so a noisy
+neighbour shows next to the figures it disturbed. Prints one line per pair
+and per run, then per workload and end-to-end metric each side's median
+[q1, q3], the number of pairs in which CHANGE is lower, and a verdict
+(:func:`verdict`) under the metric's ``better`` and relative ``bound`` from
+CHANGE's BENCHMARK.json. With ``--out PATH`` it writes one JSON file: per
+workload every run record, the conditions before each pair
+(``before_pairs``) and that summary (:func:`summarize`) under
+``workloads``, with the ``method``, the ``claim``
 named by ``--claim WORKLOAD:METRIC`` (or null), ``--note`` as ``change``,
 and the ``machine`` (:func:`machine`), which holds a calibration probe
 (:func:`calibration`) timed before the first pair, so figures from
@@ -43,6 +46,10 @@ GAIN_RULE = ("change lower in at least 9 of 10 alternating pairs, and the median
              "apart by more than the parent's interquartile range")
 
 
+# The variables bench/run.py sets to pin its BLAS threads.
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def parse_seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -54,6 +61,21 @@ def cpu_ticks() -> tuple[int, int]:
         fields = [int(v) for v in f.readline().split()[1:]]
     # user nice system idle iowait irq softirq steal (guest time is inside user)
     return fields[7], sum(fields[:8])
+
+
+# Seconds over which conditions() samples the steal share before a pair.
+CONDITIONS_SAMPLE_S = 1.0
+
+
+def conditions() -> dict:
+    """The 1, 5 and 15 minute load averages, and the percentage of CPU time
+    stolen by the hypervisor over ``CONDITIONS_SAMPLE_S`` in which this
+    script runs nothing."""
+    steal0, total0 = cpu_ticks()
+    time.sleep(CONDITIONS_SAMPLE_S)
+    steal1, total1 = cpu_ticks()
+    return {"loadavg": list(os.getloadavg()),
+            "steal_pct": 100.0 * (steal1 - steal0) / max(1, total1 - total0)}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +154,29 @@ def summarize(runs: dict, end_to_end: dict) -> dict:
 PROBE_GEMM_ORDER = 256
 PROBE_LOOP_STEPS = 2_000_000
 
+# BLAS threads of the GEMM probe. Unpinned, the probe took the BLAS default
+# of every CPU and read 0.57 ms in one session and 11 ms in another on one
+# sandbox, while the Python loop moved 5 %: one thread times a core, not how
+# the scheduler places several threads beside other processes.
+PROBE_BLAS_THREADS = 1
+
+# The GEMM probe's program, run in a fresh interpreter so that the thread
+# count is set before NumPy loads its BLAS: one untimed call first, which
+# pays for the BLAS set-up and the first touch of the result's pages, then
+# the best of 5.
+GEMM_PROBE = """
+import time
+import numpy as np
+a = np.random.default_rng(0).standard_normal(({order}, {order}))
+a @ a
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    a @ a
+    times.append(time.perf_counter() - start)
+print(min(times))
+"""
+
 
 def busy_loop() -> int:
     total = 0
@@ -161,18 +206,26 @@ def two_process_loop() -> None:
     os.waitpid(pid, 0)
 
 
-def calibration() -> dict:
-    """Seconds of one float64 GEMM (best of 5), of the busy loop (best of 3)
-    and of two busy loops in two processes, fork to reap (best of 3). Their
-    ratio, ``parallel_efficiency``, is 1 when two processes run as fast as
-    one and 0.5 when they share one CPU. The loops run before this imports
-    NumPy, so a script's fork copies no BLAS threads."""
-    loop, pair = best_of(busy_loop, 3), best_of(two_process_loop, 3)
-    import numpy as np
+def gemm_probe() -> float:
+    """Seconds of one float64 GEMM of order ``PROBE_GEMM_ORDER``
+    (:data:`GEMM_PROBE`), in a fresh interpreter whose BLAS runs on
+    ``PROBE_BLAS_THREADS`` threads."""
+    env = {**os.environ, **dict.fromkeys(BLAS_ENV, str(PROBE_BLAS_THREADS))}
+    proc = subprocess.run([sys.executable, "-c", GEMM_PROBE.format(order=PROBE_GEMM_ORDER)],
+                          env=env, capture_output=True, text=True, check=True)
+    return float(proc.stdout)
 
-    a = np.random.default_rng(0).standard_normal((PROBE_GEMM_ORDER, PROBE_GEMM_ORDER))
-    return {"gemm_s": best_of(lambda: a @ a, 5), "python_loop_s": loop,
-            "two_process_loop_s": pair, "parallel_efficiency": loop / pair}
+
+def calibration() -> dict:
+    """Seconds of one float64 GEMM (:func:`gemm_probe`, with its thread
+    count), of the busy loop (best of 3) and of two busy loops in two
+    processes, fork to reap (best of 3). Their ratio,
+    ``parallel_efficiency``, is 1 when two processes run as fast as one and
+    0.5 when they share one CPU."""
+    loop, pair = best_of(busy_loop, 3), best_of(two_process_loop, 3)
+    return {"gemm_s": gemm_probe(), "gemm_blas_threads": PROBE_BLAS_THREADS,
+            "python_loop_s": loop, "two_process_loop_s": pair,
+            "parallel_efficiency": loop / pair}
 
 
 def machine() -> dict:
@@ -227,8 +280,11 @@ def compare(sides: dict, workload: str, seeds: list[int], seconds: float,
             end_to_end: dict) -> dict:
     """Alternating pairs on one workload: prints every run and the summary,
     and returns the runs with their :func:`summarize` summary."""
-    runs = {"parent": [], "change": []}
+    runs, before_pairs = {"parent": [], "change": []}, []
     for i, seed in enumerate(seeds):
+        before_pairs.append(conditions())
+        print(f"{workload} seed {seed}: load {before_pairs[-1]['loadavg']} "
+              f"steal {before_pairs[-1]['steal_pct']:.1f}% before the pair", flush=True)
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             r = run_once(sides[side], workload, seed, seconds)
@@ -251,7 +307,7 @@ def compare(sides: dict, workload: str, seeds: list[int], seconds: float,
               f"change lower in {m['change_lower_in']}/{m['pairs']}{judged}")
     print(f"  every run correct with 0 failed operations: {summary['every_run_correct']}\n")
     return {"workload": workload, "seeds": seeds, "run_seconds": seconds, "runs": runs,
-            **summary}
+            "before_pairs": before_pairs, **summary}
 
 
 def main(argv=None) -> int:

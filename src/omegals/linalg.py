@@ -56,10 +56,14 @@ def stored_entries(a) -> np.ndarray:
     return a.data if _is_sparse(a) else np.asarray(a)
 
 
-def is_hermitian(m) -> bool:
+def is_hermitian(m):
     """Whether ``m`` (dense or sparse) equals its adjoint within
-    ``HERMITIAN_TOL`` relative Frobenius norm."""
+    ``HERMITIAN_TOL`` relative Frobenius norm; for a dense stack (T, n, n),
+    an array of T such answers."""
     m = as_operator(m)
+    if m.ndim == 3 and m.shape[1] == m.shape[2]:
+        return (np.linalg.norm(m - m.conj().swapaxes(1, 2), axis=(1, 2))
+                <= HERMITIAN_TOL * np.linalg.norm(m, axis=(1, 2)))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     scale = np.linalg.norm(stored_entries(m))
@@ -111,15 +115,17 @@ def hermitian_eig(m: np.ndarray) -> EigDecomposition:
     factored densely. The input is symmetrized before the factorization so
     that round-off drift cannot leak into the eigenvectors. U is stored
     C-contiguous: the reversed view has a negative column stride, which every
-    later product with U would copy first.
+    later product with U would copy first. A dense stack (T, n, n) gives the
+    (T, n, n) eigenvectors and (T, n) eigenvalues of each matrix, each
+    checked; :meth:`EigDecomposition.apply_uh` takes one matrix's.
     """
     m = dense(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
+    if not np.all(is_hermitian(m)):
         raise ValueError("matrix is not Hermitian within tolerance")
     lam, u = np.linalg.eigh(hermitian_part(m))
-    return EigDecomposition(np.ascontiguousarray(u[:, ::-1]), lam[::-1])
+    return EigDecomposition(np.ascontiguousarray(u[..., ::-1]), lam[..., ::-1])
 
 
 # The last dense operator factored by operator_eig: (weak reference to the

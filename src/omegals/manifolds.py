@@ -9,6 +9,7 @@ and the dimension counts are implemented here (no charts or tangent data).
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -55,6 +56,31 @@ def _check_nested(s: Subspace, s_prime: Subspace,
     return s.dim, s_prime.dim - s.dim
 
 
+def _reached(a: np.ndarray, s: Subspace, s_prime: Subspace, tol: float) -> bool:
+    """Whether S + A S = S' (dimension match plus projector distance <=
+    tol); raises unless S is contained in S'."""
+    _check_nested(s, s_prime, tol)
+    return bool(subspaces_equal(reach(a, s), s_prime, tol))
+
+
+def _class_tests(a: np.ndarray, s: Subspace) -> dict:
+    """The predicate of each class for a member A, as a call that evaluates
+    only what its class needs, each part at most once: the SVD of A (its
+    rank and ||A||_2), the Hermitian test and lambda_min."""
+    sigma = cache(lambda: np.linalg.svd(a, compute_uv=False))
+    inv = cache(lambda: singular_value_rank(sigma(), a.shape) == a.shape[0])
+    sym = cache(lambda: is_hermitian(a))
+    return {
+        ManifoldClass.M: lambda: True,
+        ManifoldClass.M_INV: inv,
+        ManifoldClass.M_SYM: sym,
+        ManifoldClass.M_SYMINV: lambda: sym() and inv(),
+        ManifoldClass.M_POS: lambda: sym() and hermitian_eig(a).lambdas[-1] > 0,
+        ManifoldClass.M_SYMT: lambda: sym() and compression_invertible(
+            a, s, op_norm=float(sigma()[0])),
+    }
+
+
 def member_classes(a: np.ndarray, s: Subspace, s_prime: Subspace,
                    tol: float = SUBSPACE_EQUAL_TOL) -> frozenset[ManifoldClass]:
     """The classes A belongs to: empty unless S + A S = S' (dimension match
@@ -62,25 +88,17 @@ def member_classes(a: np.ndarray, s: Subspace, s_prime: Subspace,
     predicate A satisfies, each predicate evaluated once. Requires S to be
     contained in S'."""
     a = np.asarray(a)
-    _check_nested(s, s_prime, tol)
-    if not subspaces_equal(reach(a, s), s_prime, tol):
+    if not _reached(a, s, s_prime, tol):
         return frozenset()
-    sigma = np.linalg.svd(a, compute_uv=False)
-    inv = singular_value_rank(sigma, a.shape) == a.shape[0]
-    sym = is_hermitian(a)
-    pos = sym and hermitian_eig(a).lambdas[-1] > 0
-    symt = sym and compression_invertible(a, s, op_norm=float(sigma[0]))
-    return frozenset(cls for cls, holds in (
-        (ManifoldClass.M, True), (ManifoldClass.M_INV, inv), (ManifoldClass.M_SYM, sym),
-        (ManifoldClass.M_SYMINV, sym and inv), (ManifoldClass.M_POS, pos),
-        (ManifoldClass.M_SYMT, symt)) if holds)
+    return frozenset(cls for cls, holds in _class_tests(a, s).items() if holds())
 
 
 def membership(a: np.ndarray, s: Subspace, s_prime: Subspace,
                cls: ManifoldClass = ManifoldClass.M, tol: float = SUBSPACE_EQUAL_TOL) -> bool:
-    """Whether S + A S = S' and A satisfies the class predicate
-    (:func:`member_classes`)."""
-    return cls in member_classes(a, s, s_prime, tol)
+    """Whether S + A S = S' and A satisfies the class predicate of
+    :func:`member_classes`, evaluating only what ``cls`` needs."""
+    a = np.asarray(a)
+    return _reached(a, s, s_prime, tol) and bool(_class_tests(a, s)[cls]())
 
 
 def compression_invertible(a: np.ndarray, s: Subspace, op_norm: float | None = None) -> bool:
@@ -121,9 +139,13 @@ def construct_positive_member(s: Subspace, s_prime: Subspace) -> np.ndarray:
     """A positive Hermitian witness with S + A S = S' (empty set if q > p).
 
     Diagonal shifts do not change S + A S, so the swap witness plus
-    1 + |lambda_min| lands in the positive class; the shift is skipped when
-    the witness is already positive (q = 0)."""
-    a0 = swap_witness(s, s_prime)
+    1 + |lambda_min| lands in the positive class (:func:`positive_shift`)."""
+    return positive_shift(swap_witness(s, s_prime))
+
+
+def positive_shift(a0: np.ndarray) -> np.ndarray:
+    """Hermitian A0 plus (1 + |lambda_min|) I, or A0 itself when it is
+    already positive."""
     lam_min = float(hermitian_eig(a0).lambdas[-1])
     shift = 0.0 if lam_min > 0 else 1.0 + abs(lam_min)
     return a0 + shift * np.eye(a0.shape[0], dtype=a0.dtype)

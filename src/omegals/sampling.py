@@ -4,6 +4,14 @@ Real components are always standard Gaussian; complex entries get an
 independent Gaussian imaginary part. Hermitian invertible operators are
 built from a random unitary and a spectrum bounded away from zero, which
 keeps the conditioning of downstream solves under control.
+
+Each generator is a draw, which makes its ``rng`` calls and returns the raw
+Gaussian blocks (:func:`gaussian_matrix`, :func:`draw_hermitian_invertible`),
+and a form from the draw (:func:`haar_unitary`,
+:func:`hermitian_with_spectrum`, ``orthonormalize``). The forms also take a
+zero-padded stack of draws, as the batched verify suites hold them: a Haar
+unitary of G plus the identity on the padding is the identity there, and a
+spectrum padded with zeros gives zeros there.
 """
 
 from __future__ import annotations
@@ -35,30 +43,51 @@ def gaussian_vector(rng: np.random.Generator, n: int, complex_field: bool) -> np
     return v
 
 
+def haar_unitary(g: np.ndarray) -> np.ndarray:
+    """The unitary Q of the QR G = Q R of a square Gaussian draw (or of each
+    matrix of a stack), its columns' phases normalized so that the
+    distribution is Haar."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(rng: np.random.Generator, n: int, complex_field: bool) -> np.ndarray:
-    q, r = np.linalg.qr(gaussian_matrix(rng, n, n, complex_field))
-    # normalize the QR phase so the distribution is Haar
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return haar_unitary(gaussian_matrix(rng, n, n, complex_field))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, complex_field: bool) -> np.ndarray:
     return hermitian_part(gaussian_matrix(rng, n, n, complex_field))
 
 
+def hermitian_with_spectrum(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """U diag(lam) U*, made exactly Hermitian, of one unitary or a stack."""
+    return hermitian_part((u * lam[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def draw_hermitian_invertible(rng: np.random.Generator, n: int,
+                              complex_field: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The draw of :func:`random_hermitian_invertible`: the Gaussian matrix of
+    its unitary and the Gaussian vector of its spectrum."""
+    return gaussian_matrix(rng, n, n, complex_field), rng.standard_normal(n)
+
+
+def hermitian_invertible(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The form of :func:`random_hermitian_invertible` from its draw: the
+    spectrum sign(x) (SPECTRAL_FLOOR + |x|) on the Haar unitary of G."""
+    return hermitian_with_spectrum(haar_unitary(g), np.sign(x) * (SPECTRAL_FLOOR + np.abs(x)))
+
+
 def random_hermitian_invertible(rng: np.random.Generator, n: int,
                                 complex_field: bool) -> np.ndarray:
     """Hermitian with random signs and |eigenvalues| >= SPECTRAL_FLOOR."""
-    u = random_unitary(rng, n, complex_field)
-    lam = rng.standard_normal(n)
-    lam = np.sign(lam) * (SPECTRAL_FLOOR + np.abs(lam))
-    return hermitian_part((u * lam) @ u.conj().T)
+    return hermitian_invertible(*draw_hermitian_invertible(rng, n, complex_field))
 
 
 def random_spd(rng: np.random.Generator, n: int, complex_field: bool = False,
                lo: float = 0.5, hi: float = 5.0) -> np.ndarray:
     u = random_unitary(rng, n, complex_field)
-    lam = rng.uniform(lo, hi, size=n)
-    return hermitian_part((u * lam) @ u.conj().T)
+    return hermitian_with_spectrum(u, rng.uniform(lo, hi, size=n))
 
 
 def random_subspace(rng: np.random.Generator, n: int, p: int, complex_field: bool) -> Subspace:

@@ -124,8 +124,9 @@ class PaddedGroup:
         self.outside = np.eye(span.size) * ~self.inside[:, None, :]
 
     def pad(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """The (n[t], k_t) blocks as one zero-padded stack, and the k_t."""
-        stack = np.zeros(self.outside.shape, dtype=blocks[0].dtype)
+        """The (n[t], k_t) blocks of the first instances as one zero-padded
+        stack, and the k_t."""
+        stack = np.zeros((len(blocks), *self.outside.shape[1:]), dtype=blocks[0].dtype)
         for t, block in enumerate(blocks):
             stack[t, : block.shape[0], : block.shape[1]] = block
         return stack, np.array([block.shape[1] for block in blocks])
@@ -236,8 +237,13 @@ def new_directions(a: np.ndarray, s: Subspace) -> np.ndarray:
     a = as_operator(a)
     if a.shape[0] != s.ambient_dim:
         raise ValueError("operator and subspace ambient dimensions differ")
+    return _directions(a, s.basis, a @ s.basis)
+
+
+def _directions(a, v: np.ndarray, av: np.ndarray) -> np.ndarray:
+    """:func:`new_directions` of A on the span of V, given the product A V."""
     scale = float(norm2_bound(a)) if a.size else 0.0
-    return extend_orthonormal(s.basis, a @ s.basis, scale=scale)
+    return extend_orthonormal(v, av, scale=scale)
 
 
 def reach(a: np.ndarray, s: Subspace) -> Subspace:

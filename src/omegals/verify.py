@@ -5,18 +5,19 @@ bound checks at fixed tolerances, and reports per-check failures. The CLI
 ``verify`` subcommand and the acceptance tests both run through these.
 
 A suite is a draw step, which makes every ``rng`` call of one trial, and a
-check step, which does the rest. The index suite has three steps: the draw,
-which returns raw Gaussian columns for its subspaces; a batched measure,
-which takes the draws of up to ``MEASURE_BATCH`` consecutive trials and
-computes every index, reach, complement and intersection the check needs,
-each Gram-Schmidt step and SVD stacked over the trials of one field
-(:class:`~omegals.subspaces.PaddedGroup`); and a per-trial check
-that only compares those values, so checks and failures still come per
-trial and in trial order. :func:`_run_trials` splits the trials into
-contiguous chunks, one per usable CPU, and runs each chunk but the first in
-a forked worker that replays the draws before its chunk: every seed draws
-the same instances, and the merged result is that of one process. Every
-process computes on one BLAS thread (see :class:`~omegals.workers.Workers`).
+check step, which does the rest. The index and nullspace suites have three
+steps: the draw, which returns raw Gaussian blocks; a batched measure, which
+takes the draws of up to ``MEASURE_BATCH`` consecutive trials and computes
+what the checks read (the index suite's indices, reaches, complements and
+intersections; the nullspace suite's operators and adapted decompositions),
+each Gram-Schmidt step, QR and SVD stacked over the trials of one field
+(:class:`~omegals.subspaces.PaddedGroup`); and a per-trial check, so checks
+and failures still come per trial and in trial order. :func:`_run_trials`
+splits the trials into contiguous chunks, one per usable CPU, and runs each
+chunk but the first in a forked worker that replays the draws before its
+chunk: every seed draws the same instances, and the merged result is that
+of one process. Every process computes on one BLAS thread (see
+:class:`~omegals.workers.Workers`).
 """
 
 from __future__ import annotations
@@ -36,8 +37,16 @@ from .decomposition import (
     NullspaceN,
     block_tridiagonal,
     tridiagonal_block_decomposition,
+    tridiagonal_block_decompositions,
 )
-from .linalg import adjoint, hermitian_part, numerical_rank, orthonormalize, solve_hermitian
+from .linalg import (
+    adjoint,
+    hermitian_part,
+    numerical_rank,
+    orthonormalize,
+    singular_value_rank,
+    solve_hermitian,
+)
 from .manifolds import (
     ManifoldClass,
     compression_invertible,
@@ -45,18 +54,21 @@ from .manifolds import (
     member_classes,
     membership,
     perturb_to_invertible,
+    positive_shift,
     swap_witness,
 )
 from .sampling import (
+    draw_hermitian_invertible,
     gaussian_matrix,
     gaussian_vector,
+    haar_unitary,
+    hermitian_invertible,
     random_hermitian,
     random_hermitian_invertible,
     random_nested_subspaces,
     random_shift_offset,
     random_spd,
     random_subspace,
-    random_unitary,
 )
 from .solver import ProblemInstance, solve_limit, solve_weighted
 from .subspaces import PaddedGroup, Subspace, index_of_invariance, krylov, subspaces_equal
@@ -70,16 +82,18 @@ CONVEXITY_OFF_TOL = 1e-9
 # Fewest trials a chunk may hold. A worker costs about 3 ms to fork, run
 # and reap before any trial, plus the replay of the draws before its chunk.
 # With 2 CPUs, two chunks of 8 trials take 0.74-1.01 times one process's
-# time in four suites and 1.28 times in the batched index suite, which
-# breaks even between 16 and 24 trials (0.84 times at 24).
+# time in three suites, 0.89 times in the batched nullspace suite and 1.28
+# times in the batched index suite, which breaks even between 16 and 24
+# trials (0.84 times at 24).
 MIN_CHUNK_TRIALS = 8
 
-# Most trials whose draws the index suite measures in one batch. In one
-# process on one CPU its 500 trials took 0.19 s at 16, 0.15 s at 24 and 32,
-# 0.14 s at 48 and 0.12 s at 64 (medians of 7 runs). A larger batch holds
-# more stacked columns: the verify benchmark's peak RSS (2 CPUs, medians of
-# 5-6 runs) read 64.0 MB at 16 and 24, 64.1-64.2 MB at 32, 64.4 MB at 48 and
-# 64.6-64.8 MB at 64.
+# Most trials whose draws the index and nullspace suites measure in one
+# batch. In one process on one CPU the index suite's 500 trials took 0.19 s
+# at 16, 0.15 s at 24 and 32, 0.14 s at 48 and 0.12 s at 64 (medians of 7
+# runs), and the nullspace suite's 60 trials 80, 69, 71, 70, 67 and 64 ms
+# at 6, 12, 16, 24, 32 and 60. A larger batch holds more stacked columns:
+# the verify benchmark's peak RSS (2 CPUs, medians of 5-6 runs) read 64.0
+# MB at 16 and 24, 64.1-64.2 MB at 32, 64.4 MB at 48 and 64.6-64.8 MB at 64.
 MEASURE_BATCH = 24
 
 
@@ -247,17 +261,23 @@ def _index_measure_group(draws):
             for column in np.stack([group.n, s[1], *gains], axis=1)]
 
 
-def _index_measure(draws):
-    """The :class:`IndexValues` of a batch of draws, in draw order, measured
-    in two groups: the real trials and the complex ones."""
+def _by_field(draws, block, measure_group) -> list:
+    """``measure_group`` of a batch of draws in two groups, the trials whose
+    ``block(drawn)`` is real and those whose is complex; the values come
+    back in draw order."""
     groups = {}
     for i, drawn in enumerate(draws):
-        groups.setdefault(drawn[1].dtype, []).append(i)
+        groups.setdefault(block(drawn).dtype, []).append(i)
     measured = [None] * len(draws)
     for members in groups.values():
-        for i, values in zip(members, _index_measure_group([draws[i] for i in members])):
+        for i, values in zip(members, measure_group([draws[i] for i in members])):
             measured[i] = values
     return measured
+
+
+def _index_measure(draws):
+    """The :class:`IndexValues` of a batch of draws, in draw order."""
+    return _by_field(draws, lambda drawn: drawn[1], _index_measure_group)
 
 
 def _index_check(result, trial, m):
@@ -415,16 +435,21 @@ def _nullspace_identities(result: SuiteResult, dec, label: str) -> NullspaceN:
 
 
 def _nullspace_draw(rng, trial):
+    """One trial's raw draws, in the order the formed generators make them:
+    the generic instance's (:func:`draw_hermitian_invertible` and the
+    Gaussian columns of S), the square instance's when 2 p_eq <= n, and the
+    disjoint-image case's tau, M and Gaussian blocks of C, D, E and W. Only
+    the rejection of a singular M stays here; the measure forms the rest."""
     complex_field = bool(trial % 2)
     n = int(rng.integers(5, 15))
     p = int(rng.integers(1, n - 1))
-    a = random_hermitian_invertible(rng, n, complex_field)
-    s = random_subspace(rng, n, p, complex_field)
+    a = draw_hermitian_invertible(rng, n, complex_field)
+    s = gaussian_matrix(rng, n, p, complex_field)
     p_eq = int(rng.integers(1, max(2, n // 2)))
     square = None
     if 2 * p_eq <= n:
-        s_eq = random_subspace(rng, n, p_eq, complex_field)
-        square = random_hermitian_invertible(rng, n, complex_field), s_eq
+        s_eq = gaussian_matrix(rng, n, p_eq, complex_field)
+        square = draw_hermitian_invertible(rng, n, complex_field), s_eq
     q3 = int(rng.integers(1, 4))
     p3 = q3 + int(rng.integers(0, 3))
     extra = int(rng.integers(1, 4))
@@ -433,21 +458,65 @@ def _nullspace_draw(rng, trial):
     m_inv = gaussian_matrix(rng, q3, q3, complex_field)
     while numerical_rank(m_inv) < q3:
         m_inv = gaussian_matrix(rng, q3, q3, complex_field)
-    c3 = random_hermitian(rng, q3, complex_field)
+    c3 = gaussian_matrix(rng, q3, q3, complex_field)
     d3 = gaussian_matrix(rng, extra, q3, complex_field)
-    e3 = random_hermitian(rng, extra, complex_field)
-    w = random_unitary(rng, n3, complex_field)
+    e3 = gaussian_matrix(rng, extra, extra, complex_field)
+    w = gaussian_matrix(rng, n3, n3, complex_field)
     return (a, s), square, (tau, m_inv, c3, d3, e3, w)
 
 
-def _nullspace_check(result, trial, drawn):
-    (a, s), square, (tau, m_inv, c3, d3, e3, w) = drawn
+def _nullspace_measure_group(draws):
+    """(A, its decomposition, the square case's or None, the disjoint case's
+    and its designed q) of trials of one field. Every operator, subspace and
+    decomposition is formed in one :class:`~omegals.subspaces.PaddedGroup`
+    of the generic instances, then the square ones, then the disjoint ones.
+
+    The disjoint case compresses to T = diag(tau, 0) and B* = [0; M] in
+    W [[T, B*, 0], [B, C, D*], [0, D, E]] W*, so Img(T) and Img(B*) are
+    disjoint by construction; its S is spanned by the first p columns of W.
+    Making the whole matrix Hermitian gives the bits of C and E made
+    Hermitian, since the other blocks are already."""
+    generic, square, disjoint = zip(*draws)
+    hermitian = [*generic, *(x for x in square if x is not None)]
+    h, compressed, p3 = len(hermitian), [], []
+    for tau, m_inv, c3, d3, e3, _ in disjoint:
+        q3 = m_inv.shape[0]
+        p3.append(q3 + tau.size)
+        t3 = np.zeros((p3[-1], p3[-1]), dtype=m_inv.dtype)
+        t3[: tau.size, : tau.size] = np.diag(tau)
+        bstar3 = np.vstack([np.zeros((tau.size, q3)), m_inv])
+        compressed.append(block_tridiagonal(t3, adjoint(bstar3), c3, d3, e3))
+    group = PaddedGroup(np.array([s.shape[0] for _, s in hermitian]
+                                 + [m.shape[0] for m in compressed]))
+    gauss = group.pad([g for (g, _), _ in hermitian] + [d[-1] for d in disjoint])[0]
+    gauss += group.outside
+    spectra = group.pad([x[None] for (_, x), _ in hermitian])[0][:, 0]
+    w3 = haar_unitary(gauss[h:])
+    a = np.concatenate([hermitian_invertible(gauss[:h], spectra), hermitian_part(
+        w3 @ hermitian_part(group.pad(compressed)[0]) @ w3.conj().swapaxes(1, 2))])
+    cols = group.pad([s for _, s in hermitian] + [
+        w3[t, :group.n[h + t], :p] for t, p in enumerate(p3)])
+    [s] = group.extend(group.sum((np.zeros_like(cols[0]), np.zeros_like(cols[1])), cols))
+    del gauss, w3, cols  # freed before the decompositions' stacks
+    decs = tridiagonal_block_decompositions(group, a, s)
+    square_decs = iter(decs[len(generic):h])
+    return [(a[t, :n, :n].copy(), decs[t], None if sq is None else next(square_decs),
+             decs[h + t], d[1].shape[0])
+            for t, (n, sq, d) in enumerate(zip(group.n.tolist(), square, disjoint))]
+
+
+def _nullspace_measure(draws):
+    """The values :func:`_nullspace_measure_group` gives, in draw order."""
+    return _by_field(draws, lambda drawn: drawn[0][1], _nullspace_measure_group)
+
+
+def _nullspace_check(result, trial, measured):
+    a, dec, dec_eq, dec3, q3 = measured
 
     # Generic instance; T comes out invertible almost surely.
-    dec = tridiagonal_block_decomposition(a, s)
     if dec.q >= 1:
         ns = _nullspace_identities(result, dec, f"trial {trial} generic")
-        if compression_invertible(a, s):
+        if compression_invertible(a, Subspace(dec.V), op_norm=dec.op_norm):
             candidate = np.vstack([
                 -solve_hermitian(dec.T, adjoint(dec.B)),
                 np.eye(dec.q, dtype=dec.B.dtype),
@@ -458,32 +527,21 @@ def _nullspace_check(result, trial, drawn):
 
     # Maximal index: p = q forces the coupling block to be square and
     # invertible, so N1 must be invertible as well.
-    if square is not None:
-        dec_eq = tridiagonal_block_decomposition(*square)
-        if dec_eq.q == dec_eq.p:
-            ns_eq = _nullspace_identities(result, dec_eq, f"trial {trial} square")
-            result.check(numerical_rank(ns_eq.N1) == dec_eq.p,
-                         f"trial {trial}: square case N1 not invertible")
+    if dec_eq is not None and dec_eq.q == dec_eq.p:
+        ns_eq = _nullspace_identities(result, dec_eq, f"trial {trial} square")
+        result.check(numerical_rank(ns_eq.N1) == dec_eq.p,
+                     f"trial {trial}: square case N1 not invertible")
 
-    # Disjoint images by construction: T = diag(tau, 0), B* supported on
-    # the complementary coordinates.
-    q3 = m_inv.shape[0]
-    p3 = q3 + tau.size
-    t3 = np.zeros((p3, p3), dtype=w.dtype)
-    t3[: p3 - q3, : p3 - q3] = np.diag(tau)
-    bstar3 = np.vstack([np.zeros((p3 - q3, q3)), m_inv])
-    compressed = block_tridiagonal(t3, adjoint(bstar3), c3, d3, e3)
-    a3 = hermitian_part(w @ compressed @ adjoint(w))
-    dec3 = tridiagonal_block_decomposition(a3, Subspace(w[:, :p3]))
+    # Disjoint images by construction (see _nullspace_measure_group).
     if dec3.q != q3:
         result.check(False, f"trial {trial}: designed disjoint-image case lost its index")
         return
     ns3 = _nullspace_identities(result, dec3, f"trial {trial} disjoint")
     # Img(T)^perp: the left singular vectors of T past its rank, the
     # rank judged at ||A||_2 as condition_report judges it
-    u3, _, _ = np.linalg.svd(dec3.T)
-    img_t_perp = Subspace(u3[:, numerical_rank(dec3.T, scale=dec3.op_norm):])
-    result.check(subspaces_equal(Subspace(orthonormalize(ns3.N1)), img_t_perp),
+    u3, sigma3, _ = np.linalg.svd(dec3.T)
+    rank3 = singular_value_rank(sigma3, dec3.T.shape, scale=dec3.op_norm)
+    result.check(subspaces_equal(Subspace(orthonormalize(ns3.N1)), Subspace(u3[:, rank3:])),
                  f"trial {trial}: disjoint case Img(N1) != Img(T)-perp")
     result.check(np.linalg.norm(ns3.N2) <= RESIDUAL_TOL,
                  f"trial {trial}: disjoint case N2 != 0")
@@ -492,7 +550,8 @@ def _nullspace_check(result, trial, drawn):
 def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
     """Nullspace identities of the stacked block plus the three structural
     special cases (invertible T; square invertible B*; disjoint images)."""
-    return _run_trials("nullspace", _nullspace_draw, _nullspace_check, seed, trials)
+    return _run_trials("nullspace", _nullspace_draw, _nullspace_check, seed, trials,
+                       _nullspace_measure)
 
 
 def _manifolds_draw(rng, trial):
@@ -512,7 +571,8 @@ def _manifolds_draw(rng, trial):
 def _manifolds_check(result, trial, drawn):
     q, s, s_prime, omega, oversized = drawn
     n = s.ambient_dim
-    witness = construct_positive_member(s, s_prime)
+    a0 = swap_witness(s, s_prime)
+    witness = positive_shift(a0)
     classes = member_classes(witness, s, s_prime)
     result.check(ManifoldClass.M_POS in classes,
                  f"trial {trial}: witness failed positive-class membership")
@@ -525,7 +585,6 @@ def _manifolds_check(result, trial, drawn):
     result.check(membership(witness + omega * np.eye(n), s, s_prime, ManifoldClass.M),
                  f"trial {trial}: diagonal shift left the base class")
     if q >= 1:
-        a0 = swap_witness(s, s_prime)
         result.check(not compression_invertible(a0, s),
                      f"trial {trial}: swap witness compression unexpectedly invertible")
         nudged = perturb_to_invertible(a0, subspace=s)

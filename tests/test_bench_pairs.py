@@ -14,6 +14,7 @@ spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
+CONDITIONS = bench_pairs.conditions
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 
@@ -57,6 +58,8 @@ def fake_runs(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "calibration", lambda: {"gemm_s": 0.001})
+    monkeypatch.setattr(bench_pairs, "conditions",
+                        lambda: {"loadavg": [0.5, 0.4, 0.3], "steal_pct": 0.0})
     return change, calls
 
 
@@ -115,9 +118,10 @@ def test_calibration_times_a_gemm_a_loop_and_two_processes(monkeypatch):
     monkeypatch.setattr(bench_pairs, "PROBE_GEMM_ORDER", 16)
     monkeypatch.setattr(bench_pairs, "PROBE_LOOP_STEPS", 20_000)
     probe = bench_pairs.calibration()
-    assert set(probe) == {"gemm_s", "python_loop_s", "two_process_loop_s",
-                          "parallel_efficiency"}
+    assert set(probe) == {"gemm_s", "gemm_blas_threads", "python_loop_s",
+                          "two_process_loop_s", "parallel_efficiency"}
     assert all(value > 0 for value in probe.values())
+    assert probe["gemm_blas_threads"] == bench_pairs.PROBE_BLAS_THREADS == 1
     assert probe["parallel_efficiency"] == probe["python_loop_s"] / probe["two_process_loop_s"]
     # the forked child was reaped: this process has none left
     with pytest.raises(ChildProcessError):
@@ -156,3 +160,31 @@ def test_comparing_checkouts_needs_both_and_the_workloads_and_seeds(tmp_path, mo
     with pytest.raises(SystemExit):
         bench_pairs.main([str(tmp_path / "parent"), str(change), "--seeds", "1"])
     assert calls == []
+
+
+
+def test_the_gemm_probe_warms_up_on_pinned_blas_threads(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "PROBE_GEMM_ORDER", 16)
+    run, envs = bench_pairs.subprocess.run, []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda args, env, **kwargs:
+                        envs.append(env) or run(args, env=env, **kwargs))
+    assert bench_pairs.gemm_probe() > 0
+    assert [envs[0][var] for var in bench_pairs.BLAS_ENV] == ["1"] * 3
+    # one untimed product before the timed ones
+    code = bench_pairs.GEMM_PROBE
+    assert code.index("a @ a") < code.index("perf_counter")
+
+
+def test_each_pair_records_the_load_and_the_steal_before_it(tmp_path, monkeypatch):
+    change, _ = fake_runs(monkeypatch, tmp_path)
+    # each conditions() reads the ticks twice: 2 of 20 ticks stolen
+    ticks = iter([(5, 100), (7, 120)] * 3)
+    monkeypatch.setattr(bench_pairs, "conditions", CONDITIONS)
+    monkeypatch.setattr(bench_pairs, "cpu_ticks", lambda: next(ticks))
+    monkeypatch.setattr(bench_pairs, "CONDITIONS_SAMPLE_S", 0.0)
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", lambda: (1.0, 2.0, 3.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(change), "--workload", "verify",
+                             "--seeds", "1-3", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["workloads"]["verify"]
+    assert record["before_pairs"] == [{"loadavg": [1.0, 2.0, 3.0], "steal_pct": 10.0}] * 3

@@ -12,6 +12,7 @@ from omegals.decomposition import (
     nullspace_of_hstar,
     shifted_blocks,
     tridiagonal_block_decomposition,
+    tridiagonal_block_decompositions,
 )
 from omegals.linalg import (
     adjoint,
@@ -30,7 +31,7 @@ from omegals.sampling import (
     random_subspace,
     random_unitary,
 )
-from omegals.subspaces import Subspace, index_of_invariance, subspaces_equal
+from omegals.subspaces import PaddedGroup, Subspace, index_of_invariance, subspaces_equal
 
 
 def coupling_shifts(dec, *shifts):
@@ -246,6 +247,73 @@ class TestHouseholderComplement:
         assert np.linalg.norm(dec.E - e_dense) <= 1e-13 * np.linalg.norm(e_dense)
         assert_coupling_matches_dense(dec, coupling_shifts(dec, dec.omega_min + 1.0),
                                       complex_field)
+
+
+def stacked_instances(complex_field):
+    """(A, S, q) of several n in one field: generic with q < p, p = q, q = 0
+    (S spanned by rotated eigenvectors of A), n = p + q, and p = 0."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n, p in [(7, 4), (8, 3), (6, 2), (5, 3), (4, 0)]:
+        a = random_hermitian(rng, n, complex_field)
+        if n == 6:
+            u = np.linalg.eigh(a)[1][:, [1, 4]]
+            cases.append((a, Subspace(u @ random_unitary(rng, 2, complex_field)), 0))
+        elif p == 0:
+            cases.append((a, Subspace.zero(n, complex_field), 0))
+        else:
+            cases.append((a, random_subspace(rng, n, p, complex_field), min(p, n - p)))
+    return cases
+
+
+def stacked(cases):
+    """The group, the operator stack and the space of ``cases``."""
+    group = PaddedGroup(np.array([a.shape[0] for a, _, _ in cases]))
+    return group, group.pad([a for a, _, _ in cases])[0], group.pad([s.basis for _, s, _ in cases])
+
+
+class TestStackedDecompositions:
+    """The stacked pass of the verify suites against the single path, one
+    instance at a time."""
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    def test_blocks_agree_with_the_single_path(self, complex_field):
+        cases = stacked_instances(complex_field)
+        decs = tridiagonal_block_decompositions(*stacked(cases))
+        for (a, s, q), dec in zip(cases, decs):
+            one = tridiagonal_block_decomposition(a, s)
+            assert (dec.n, dec.p, dec.q) == (one.n, one.p, one.q) == (a.shape[0], s.dim, q)
+            for got, want in [(dec.V, one.V), (dec.Vp, one.Vp), (dec.T, one.T), (dec.B, one.B),
+                              (dec.C, one.C), (adjoint(dec.D) @ dec.D, adjoint(one.D) @ one.D),
+                              (np.linalg.eigvalsh(dec.E), np.linalg.eigvalsh(one.E))]:
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+            assert dec.lambda_min == pytest.approx(one.lambda_min, rel=1e-14, abs=1e-14)
+            assert dec.op_norm == pytest.approx(one.op_norm, rel=1e-14)
+            w = dec.W
+            assert np.linalg.norm(adjoint(w) @ w - np.eye(dec.n)) <= 1e-13
+            reassembled = w @ dec.compressed() @ adjoint(w)
+            assert np.linalg.norm(reassembled - a) <= 1e-13 * np.linalg.norm(a)
+
+    def test_a_spectrum_past_the_padding(self):
+        # a positive definite A next to a larger one: the padding moves
+        # neither end of its spectrum
+        rng = np.random.default_rng(3)
+        cases = [(random_spd(rng, 3), random_subspace(rng, 3, 1, False), 1),
+                 (-random_spd(rng, 6), random_subspace(rng, 6, 2, False), 2)]
+        for (a, _, _), dec in zip(cases, tridiagonal_block_decompositions(*stacked(cases))):
+            lam = np.linalg.eigvalsh(a)
+            assert dec.lambda_min == pytest.approx(lam[0], rel=1e-14)
+            assert dec.op_norm == pytest.approx(np.abs(lam).max(), rel=1e-14)
+
+    def test_a_non_hermitian_operator_fails_its_batch(self):
+        cases = stacked_instances(True)
+        a, s, q = cases[2]
+        cases[2] = (a + 1e-6 * np.triu(np.ones_like(a), 1), s, q)
+        with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
+            tridiagonal_block_decomposition(*cases[2][:2])
+        with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
+            tridiagonal_block_decompositions(*stacked(cases))
 
 
 class TestNullspace:

@@ -106,6 +106,32 @@ class TestMemberClasses:
             for cls in ManifoldClass:
                 assert membership(a, s, s_prime, cls) == (cls in found), (label, cls)
 
+    # the predicates each class reads beyond S + A S = S'
+    NEEDS = {"M": [], "M_inv": ["singular_value_rank"], "M_sym": ["is_hermitian"],
+             "M_syminv": ["is_hermitian", "singular_value_rank"],
+             "M_pos": ["hermitian_eig", "is_hermitian"],
+             "M_symT": ["compression_invertible", "is_hermitian"]}
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+    def test_membership_evaluates_only_what_its_class_needs(self, monkeypatch, complex_field):
+        called = []
+        for name in ("is_hermitian", "hermitian_eig", "singular_value_rank",
+                     "compression_invertible"):
+            def counted(*args, _fn=getattr(manifolds, name), _name=name, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(manifolds, name, counted)
+        (_, positive, s, s_prime, _), *_, (_, outside, *_) = self.cases(complex_field)
+        for cls in ManifoldClass:
+            del called[:]
+            assert membership(positive, s, s_prime, cls)
+            assert sorted(called) == self.NEEDS[cls.value], cls
+            assert not membership(outside, s, s_prime, cls)
+        del called[:]
+        assert member_classes(positive, s, s_prime) == frozenset(ManifoldClass)
+        assert sorted(called) == sorted(set(sum(self.NEEDS.values(), [])))
+
 
 class TestSwapWitness:
     def test_q_zero_returns_identity(self):

@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 from omegals import verify
-from omegals.decomposition import tridiagonal_block_decomposition
-from omegals.linalg import orthonormalize
-from omegals.sampling import random_hermitian_invertible, random_subspace
+from omegals.decomposition import block_tridiagonal, tridiagonal_block_decomposition
+from omegals.linalg import adjoint, hermitian_part, orthonormalize
+from omegals.sampling import (
+    haar_unitary,
+    hermitian_invertible,
+    random_hermitian_invertible,
+    random_subspace,
+)
 from omegals.subspaces import (
     Subspace,
     index_of_invariance,
@@ -65,6 +70,44 @@ def test_batched_index_measure_matches_the_one_trial_routines(seed):
     assert measured == [index_values_one_at_a_time(drawn) for drawn in draws]
     # each field's group mixes ambient dimensions, so it is zero-padded
     assert len({v.n for v in measured[0::2]}) >= 5 and len({v.n for v in measured[1::2]}) >= 5
+
+
+def nullspace_values_one_at_a_time(drawn):
+    """The nullspace suite's operators and decompositions of one draw from the
+    one-trial routines, as the suite formed them per trial."""
+    ((g, x), s_cols), square, (tau, m_inv, c3, d3, e3, w) = drawn
+    a = hermitian_invertible(g, x)
+    dec = tridiagonal_block_decomposition(a, Subspace(orthonormalize(s_cols)))
+    dec_eq = None
+    if square is not None:
+        (g_eq, x_eq), s_eq = square
+        dec_eq = tridiagonal_block_decomposition(hermitian_invertible(g_eq, x_eq),
+                                                 Subspace(orthonormalize(s_eq)))
+    q3, p3 = m_inv.shape[0], m_inv.shape[0] + tau.size
+    t3 = np.diag(np.concatenate([tau, np.zeros(q3)]))
+    bstar3 = np.vstack([np.zeros((p3 - q3, q3)), m_inv])
+    w = haar_unitary(w)
+    compressed = block_tridiagonal(t3, adjoint(bstar3), hermitian_part(c3), d3, hermitian_part(e3))
+    dec3 = tridiagonal_block_decomposition(hermitian_part(w @ compressed @ adjoint(w)),
+                                           Subspace(w[:, :p3]))
+    return a, dec, dec_eq, dec3, q3
+
+
+@pytest.mark.parametrize("seed", [0, 6, 304])
+def test_batched_nullspace_measure_matches_the_one_trial_routines(seed):
+    rng = np.random.default_rng(seed)
+    draws = [verify._nullspace_draw(rng, trial) for trial in range(40)]
+    measured = verify._nullspace_measure(draws)
+    for got, want in zip(measured, map(nullspace_values_one_at_a_time, draws), strict=True):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-13)
+        assert (got[2] is None) == (want[2] is None) and got[4] == want[4]
+        for dec, one in zip([got[1], got[2], got[3]], [want[1], want[2], want[3]]):
+            if one is not None:
+                assert (dec.n, dec.p, dec.q) == (one.n, one.p, one.q)
+                for block in ("T", "B", "C"):
+                    np.testing.assert_allclose(getattr(dec, block), getattr(one, block),
+                                               rtol=0, atol=1e-12)
+    assert sum(values[2] is not None for values in measured) >= 10
 
 
 def test_main_theorem_suite_small():
