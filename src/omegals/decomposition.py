@@ -248,17 +248,17 @@ def tridiagonal_block_decompositions(group: PaddedGroup, a: np.ndarray,
 
     A is the (T, N, N) stack, zero past n[t], and S a space (bases, widths)
     of the group. One Hermitian check (the single path's ValueError if any A
-    fails it) and one spectrum, with A[0, 0] on the coordinates past n[t]:
-    it lies in A's numerical range, so it moves neither lambda_min nor
-    ||A||_2. V' from :meth:`PaddedGroup.reach`, with the drop rule and scale
-    of :func:`new_directions`; V'' = Q[:, p+q:n] for the complete Householder
-    QR [V V'] = Q R, whose Q is the identity past n[t]; one guard on
-    W = [V V' V''] and every block from W* A W. Blocks agree with the single
-    path to rounding, V'' and E because both take the same reflectors.
+    fails it), and lambda_min and ||A||_2 from the eigenvalues alone
+    (:meth:`PaddedGroup.spectrum_ends`). V' from :meth:`PaddedGroup.reach`,
+    with the drop rule and scale of :func:`new_directions`; V'' = Q[:, p+q:n]
+    for the complete Householder QR [V V'] = Q R, whose Q is the identity
+    past n[t]; one guard on W = [V V' V''] and every block from W* A W.
+    Blocks agree with the single path to rounding, V'' and E because both
+    take the same reflectors.
     """
     if not np.all(is_hermitian(a)):
         raise ValueError("operator is not Hermitian within tolerance")
-    lam = hermitian_eig(a + a[:, :1, :1].real * group.outside).lambdas
+    lam_min, op_norm = group.spectrum_ends(a)
     [(w, k)] = group.extend(group.reach(a, s))
     n, p, cols = group.n, s[1], np.arange(a.shape[1])
     np.copyto(w, np.linalg.qr(w, mode="complete")[0],
@@ -266,7 +266,6 @@ def tridiagonal_block_decompositions(group: PaddedGroup, a: np.ndarray,
     check_orthonormal(w, n)
     m = w.conj().swapaxes(1, 2) @ (a @ w)
     h = hermitian_part(m)
-    op_norm = np.abs(lam).max(axis=1)
     decs = []
     for t, (nt, pt, kt) in enumerate(zip(n.tolist(), p.tolist(), k.tolist())):
         # copies of the instance's own blocks, so that no stack outlives the pass
@@ -274,7 +273,7 @@ def tridiagonal_block_decompositions(group: PaddedGroup, a: np.ndarray,
         decs.append(TridiagDecomp(
             V=wt[:, :pt], Vp=wt[:, pt:kt], Vpp=wt[:, kt:], T=ht[:pt, :pt], B=mt[pt:kt, :pt],
             C=ht[pt:kt, pt:kt], D=mt[kt:, pt:kt], E=ht[kt:, kt:],
-            lambda_min=float(lam[t, -1]), op_norm=float(op_norm[t])))
+            lambda_min=float(lam_min[t]), op_norm=float(op_norm[t])))
     return decs
 
 

@@ -4,10 +4,14 @@ Every routine works over R or C; the field is carried by the dtype
 (``complex128`` vs ``float64``) so conjugation degrades to a no-op for real
 input. No function mutates its arguments. All are pure except
 :func:`operator_eig`, which keeps and reads the factorization of the last
-dense operator factored, for as long as that array lives unchanged. A
-spectrum is reached two ways only: :func:`hermitian_eig` of a matrix and
-:func:`operator_eig` of a caller's operator. Routines that only apply an
-operator with ``@`` also take a SciPy sparse matrix (:func:`as_operator`).
+dense operator factored, for as long as that array lives unchanged. A full
+spectrum and eigenvectors are reached two ways only: :func:`hermitian_eig` of
+a matrix and :func:`operator_eig` of a caller's operator; the batched passes
+over many small instances read only the two ends of each spectrum of a
+stack, from eigenvalues alone
+(:meth:`~omegals.subspaces.PaddedGroup.spectrum_ends`). Routines that only
+apply an operator with ``@`` also take a SciPy sparse matrix
+(:func:`as_operator`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ HERMITIAN_TOL = 1e-10
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().T
+
+
+def adjoints(a: np.ndarray) -> np.ndarray:
+    """The adjoint of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -204,7 +213,7 @@ def check_orthonormal(basis: np.ndarray, widths: np.ndarray | None = None) -> No
     gram[:, diag, diag] -= diag < widths[:, None]  # B*B - I, in place
     # the Frobenius norms, from the real and imaginary parts without the
     # temporaries of np.linalg.norm
-    parts = gram.reshape(len(gram), -1).view(gram.real.dtype)
+    parts = gram.reshape(len(gram), k * k).view(gram.real.dtype)
     if np.any(np.sqrt(np.einsum("ti,ti->t", parts, parts)) > ORTHONORMAL_TOL * np.maximum(1, widths)):
         raise ValueError("basis columns are not orthonormal")
 
@@ -336,6 +345,18 @@ def singular_value_rank(s: np.ndarray, shape: tuple[int, int], scale: float | No
     if s.size == 0 or reference == 0.0:
         return 0
     return int(np.count_nonzero(s > default_rank_tol(shape) * reference))
+
+
+def singular_value_ranks(s: np.ndarray, order: np.ndarray,
+                         scale: np.ndarray | None = None) -> np.ndarray:
+    """:func:`singular_value_rank` of each row of a stack of spectra ``s``
+    (T, k), descending and zero-padded, for matrices whose larger dimension
+    is ``order[t]``: the count above ``default_rank_tol`` of that order times
+    ``scale[t]`` or the row's first value, 0 where that reference is 0.
+    Padding zeros never count."""
+    reference = s[:, 0] if scale is None else np.asarray(scale)
+    above = s > (default_rank_tol((order,)) * reference)[:, None]
+    return np.count_nonzero(above, axis=1) * (reference != 0.0)
 
 
 def solve_hermitian(m, rhs: np.ndarray) -> np.ndarray:

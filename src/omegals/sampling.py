@@ -8,10 +8,11 @@ keeps the conditioning of downstream solves under control.
 Each generator is a draw, which makes its ``rng`` calls and returns the raw
 Gaussian blocks (:func:`gaussian_matrix`, :func:`draw_hermitian_invertible`),
 and a form from the draw (:func:`haar_unitary`,
-:func:`hermitian_with_spectrum`, ``orthonormalize``). The forms also take a
-zero-padded stack of draws, as the batched verify suites hold them: a Haar
-unitary of G plus the identity on the padding is the identity there, and a
-spectrum padded with zeros gives zeros there.
+:func:`hermitian_with_spectrum`, :func:`nested_subspaces`,
+``orthonormalize``). The forms also take a zero-padded stack of draws, as
+the batched verify suites hold them: a Haar unitary of G plus the identity
+on the padding is the identity there, and a spectrum padded with zeros
+gives zeros there.
 """
 
 from __future__ import annotations
@@ -94,12 +95,19 @@ def random_subspace(rng: np.random.Generator, n: int, p: int, complex_field: boo
     return Subspace(orthonormalize(gaussian_matrix(rng, n, p, complex_field)))
 
 
+def nested_subspaces(cols: np.ndarray, p: int) -> tuple[Subspace, Subspace]:
+    """The form of :func:`random_nested_subspaces` from its draw, the
+    Gaussian columns of S': S' is their orthonormalized span, and S that of
+    the first p."""
+    big = orthonormalize(cols)
+    return Subspace(big[:, :p]), Subspace(big)
+
+
 def random_nested_subspaces(
     rng: np.random.Generator, n: int, p: int, q: int, complex_field: bool
 ) -> tuple[Subspace, Subspace]:
     """Random pair S inside S' with dim S = p and dim S' = p + q."""
-    big = orthonormalize(gaussian_matrix(rng, n, p + q, complex_field))
-    return Subspace(big[:, :p]), Subspace(big)
+    return nested_subspaces(gaussian_matrix(rng, n, p + q, complex_field), p)
 
 
 def random_shift_offset(rng: np.random.Generator) -> float:

@@ -15,11 +15,14 @@ import numpy as np
 
 from .linalg import (
     EigDecomposition,
+    adjoints,
     as_operator,
     check_orthonormal,
     extend_orthonormal,
     extend_orthonormal_stacked,
+    hermitian_part,
     orthonormalize,
+    singular_value_ranks,
 )
 
 # Eigenvalues closer than this (relative to max(1, ||A||_2)) collapse into
@@ -109,19 +112,21 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
 
 class PaddedGroup:
     """T instances of one field, for the stacked forms of
-    :func:`new_directions`, :func:`subspace_sum` and
-    :func:`orthogonal_complement`: instance t lives in the first n[t] of N =
-    max n coordinates, and every (T, N, N) stack holds zeros outside them. A
-    space is a pair (bases, widths): the basis of instance t is the first
-    widths[t] columns of bases[t], the columns after them zero. Every basis
-    built passes the orthonormality guard of :class:`Subspace`."""
+    :func:`new_directions`, :func:`subspace_sum`, :func:`orthogonal_complement`
+    and the nullspace and spectrum ends of a matrix: instance t lives in the
+    first n[t] of N = ``size`` (default max n) coordinates, and every (T, N,
+    N) stack holds zeros outside them. A space is a pair (bases, widths): the
+    basis of instance t is the first widths[t] columns of bases[t], the
+    columns after them zero. Every basis built passes the orthonormality
+    guard of :class:`Subspace`."""
 
-    def __init__(self, n: np.ndarray):
+    def __init__(self, n: np.ndarray, size: int | None = None):
         self.n = n
-        span = np.arange(n.max())
+        span = np.arange(n.max() if size is None else size)
         self.inside = span < n[:, None]
-        # the identity on the coordinates past n[t]
+        # the identity on the coordinates past n[t], and on those up to it
         self.outside = np.eye(span.size) * ~self.inside[:, None, :]
+        self.eye = np.eye(span.size) * self.inside[:, None, :]
 
     def pad(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """The (n[t], k_t) blocks of the first instances as one zero-padded
@@ -139,11 +144,17 @@ class PaddedGroup:
         basis, width = space
         return basis, width, lambda out: np.matmul(a, basis, out=out), width, norm2_bound(a)
 
-    def sum(self, s1, s2) -> tuple:
+    def sum(self, s1, s2, scale: float = 0.0) -> tuple:
         """The :func:`subspace_sum` step, for :meth:`extend`: the bases of S1
-        extended by those of S2, with no scale."""
+        extended by those of S2, with no scale (or ``scale``, as
+        :func:`~omegals.manifolds.swap_witness` extends V by S')."""
         basis, width = s2
-        return (*s1, lambda out: np.copyto(out, basis), width, np.zeros(len(self.n)))
+        return (*s1, lambda out: np.copyto(out, basis), width, np.full(len(self.n), scale))
+
+    def span(self, cols) -> tuple:
+        """The :func:`~omegals.linalg.orthonormalize` step, for
+        :meth:`extend`: the columns (stack, counts) past an empty basis."""
+        return self.sum((np.zeros_like(cols[0]), np.zeros_like(cols[1])), cols)
 
     def extend(self, *steps) -> list:
         """The spaces [q, kept] of steps (q, m, fill, k, scale) of
@@ -165,23 +176,64 @@ class PaddedGroup:
         """:func:`orthogonal_complement` in F^n[t] of each space, by one
         stacked SVD: with the identity on the coordinates past n[t] added,
         the left singular vectors past the first width + N - n[t] span the
-        complement. They are moved to the front, and their round-off on the
-        coordinates past n[t] is set to zero."""
+        complement (:func:`_trailing`)."""
         basis, width = (np.concatenate(part) for part in zip(*spaces))
         inside, outside = (np.concatenate([x] * len(spaces)) for x in (self.inside, self.outside))
-        size = inside.shape[1]
         u = np.linalg.svd(basis + outside)[0]
-        cols = np.arange(size) + (width + size - inside.sum(axis=1))[:, None]
-        perp = np.take_along_axis(u, np.minimum(cols, size - 1)[:, None, :], axis=2)
-        perp *= inside[:, :, None] & (cols < size)[:, None, :]
-        check_orthonormal(perp, size - cols[:, 0])
-        return _split(perp, size - cols[:, 0], len(spaces))
+        return _split(*_trailing(u, inside, width + (~inside).sum(axis=1)), len(spaces))
+
+    def nullspace(self, m: np.ndarray, scale: np.ndarray | None = None) -> tuple:
+        """The nullspace in F^n[t] of each matrix of ``m``, the t-th with n[t]
+        columns and at most n[t] rows, zero elsewhere, from one stacked SVD:
+        the right singular vectors past the rank, as in
+        :func:`~omegals.decomposition.nullspace_of_hstar`, the rank by
+        :func:`~omegals.linalg.singular_value_rank` for order n[t] against
+        ``scale[t]`` or sigma_1.
+
+        The coordinates past n[t] get c times the identity, so they leave the
+        nullspace and add singular values c: c = scale, or ||M||_F /
+        sqrt(n[t]), which lies between sigma_1 / sqrt(n[t]) and sigma_1, so
+        that sigma_1 stays the reference and c stays above the threshold."""
+        c = np.linalg.norm(m, axis=(1, 2)) / np.sqrt(self.n) if scale is None else scale
+        _, sigma, vh = np.linalg.svd(m + c[:, None, None] * self.outside)
+        return _trailing(adjoints(vh), self.inside, singular_value_ranks(sigma, self.n, scale))
+
+    def spectrum_ends(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lambda_min and max |lambda| of each matrix of a Hermitian stack
+        (the caller checks it with :func:`~omegals.linalg.is_hermitian`), from
+        its eigenvalues alone; :func:`~omegals.linalg.hermitian_eig` stays the
+        route to eigenvectors. A[0, 0] goes on the coordinates past n[t]: it
+        lies in A's numerical range, so it moves neither end."""
+        lam = np.linalg.eigvalsh(hermitian_part(a + a[:, :1, :1].real * self.outside))
+        return lam[:, 0], np.abs(lam[:, [0, -1]]).max(axis=1)
+
+
+def _trailing(u: np.ndarray, inside: np.ndarray, start: np.ndarray) -> tuple:
+    """The space whose t-th basis is the columns of u[t] from start[t] on,
+    moved to the front, with their round-off on the coordinates outside
+    ``inside[t]`` set to zero; checked orthonormal."""
+    size = inside.shape[1]
+    cols = np.arange(size) + start[:, None]
+    basis = np.take_along_axis(u, np.minimum(cols, size - 1)[:, None, :], axis=2)
+    basis *= inside[:, :, None] & (cols < size)[:, None, :]
+    check_orthonormal(basis, size - start)
+    return basis, size - start
+
+
+def spaces_equal(s1, s2, tol: float = SUBSPACE_EQUAL_TOL) -> np.ndarray:
+    """:func:`subspaces_equal` of each pair of spaces (bases, widths) of two
+    stacks: matching widths and projector distance <= tol, the distances
+    from one stacked SVD."""
+    (b1, w1), (b2, w2) = s1, s2
+    distance = np.linalg.svd(b1 @ adjoints(b1) - b2 @ adjoints(b2), compute_uv=False)[:, 0]
+    return (w1 == w2) & (distance <= tol)
 
 
 def _split(basis, width, parts) -> list:
     """A stack of bases and its widths, split into ``parts`` equal spaces."""
     size = len(basis) // parts
-    return [(basis[i:i + size], width[i:i + size]) for i in range(0, len(basis), size)]
+    return [(basis[i * size:(i + 1) * size], width[i * size:(i + 1) * size])
+            for i in range(parts)]
 
 
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> Subspace:

@@ -5,14 +5,17 @@ bound checks at fixed tolerances, and reports per-check failures. The CLI
 ``verify`` subcommand and the acceptance tests both run through these.
 
 A suite is a draw step, which makes every ``rng`` call of one trial, and a
-check step, which does the rest. The index and nullspace suites have three
-steps: the draw, which returns raw Gaussian blocks; a batched measure, which
-takes the draws of up to ``MEASURE_BATCH`` consecutive trials and computes
-what the checks read (the index suite's indices, reaches, complements and
-intersections; the nullspace suite's operators and adapted decompositions),
-each Gram-Schmidt step, QR and SVD stacked over the trials of one field
-(:class:`~omegals.subspaces.PaddedGroup`); and a per-trial check, so checks
-and failures still come per trial and in trial order. :func:`_run_trials`
+check step, which does the rest. The index, nullspace and manifolds suites
+have three steps: the draw, which returns raw Gaussian blocks; a batched
+measure, which takes the draws of up to ``MEASURE_BATCH`` consecutive
+trials and computes every value the checks read (the index suite's
+indices, reaches, complements and intersections; the nullspace suite's
+adapted decompositions, nullspaces, ranks and residuals; the manifolds
+suite's witnesses, reaches, classes and nudges), each Gram-Schmidt step,
+QR, SVD and spectrum stacked over the trials of one field
+(:class:`~omegals.subspaces.PaddedGroup`); and a per-trial check, which
+compares those values with the tolerances, so checks and failures still
+come per trial and in trial order. :func:`_run_trials`
 splits the trials into contiguous chunks, one per usable CPU, and runs each
 chunk but the first in a forked worker that replays the draws before its
 chunk: every seed draws the same instances, and the merged result is that
@@ -34,28 +37,28 @@ from .analysis import (
     membership_residual,
 )
 from .decomposition import (
-    NullspaceN,
     block_tridiagonal,
     tridiagonal_block_decomposition,
     tridiagonal_block_decompositions,
 )
 from .linalg import (
     adjoint,
+    adjoints,
     hermitian_part,
+    is_hermitian,
     numerical_rank,
-    orthonormalize,
-    singular_value_rank,
+    singular_value_ranks,
     solve_hermitian,
 )
 from .manifolds import (
     ManifoldClass,
-    compression_invertible,
+    check_contained,
+    classes_holding,
     construct_positive_member,
-    member_classes,
-    membership,
-    perturb_to_invertible,
-    positive_shift,
-    swap_witness,
+    invertibility,
+    perturb_to_invertible_stacked,
+    positive_shifts,
+    swap_witnesses,
 )
 from .sampling import (
     draw_hermitian_invertible,
@@ -65,13 +68,18 @@ from .sampling import (
     hermitian_invertible,
     random_hermitian,
     random_hermitian_invertible,
-    random_nested_subspaces,
     random_shift_offset,
     random_spd,
     random_subspace,
 )
 from .solver import ProblemInstance, solve_limit, solve_weighted
-from .subspaces import PaddedGroup, Subspace, index_of_invariance, krylov, subspaces_equal
+from .subspaces import (
+    PaddedGroup,
+    Subspace,
+    index_of_invariance,
+    krylov,
+    spaces_equal,
+)
 from .workers import Workers, usable_cpus
 
 MEMBERSHIP_TOL = 1e-10
@@ -82,18 +90,22 @@ CONVEXITY_OFF_TOL = 1e-9
 # Fewest trials a chunk may hold. A worker costs about 3 ms to fork, run
 # and reap before any trial, plus the replay of the draws before its chunk.
 # With 2 CPUs, two chunks of 8 trials take 0.74-1.01 times one process's
-# time in three suites, 0.89 times in the batched nullspace suite and 1.28
-# times in the batched index suite, which breaks even between 16 and 24
-# trials (0.84 times at 24).
+# time in the two per-trial suites. In the batched suites they took 1.28
+# (index), 1.07 (nullspace) and 1.6 times (manifolds), and two chunks of 24
+# trials 0.84, 1.15 and 1.2 times (the last two medians of 9, measured on
+# another day than the index figures). At default trials two chunks took
+# 0.54-0.67 times one process in all three.
 MIN_CHUNK_TRIALS = 8
 
-# Most trials whose draws the index and nullspace suites measure in one
-# batch. In one process on one CPU the index suite's 500 trials took 0.19 s
-# at 16, 0.15 s at 24 and 32, 0.14 s at 48 and 0.12 s at 64 (medians of 7
-# runs), and the nullspace suite's 60 trials 80, 69, 71, 70, 67 and 64 ms
-# at 6, 12, 16, 24, 32 and 60. A larger batch holds more stacked columns:
-# the verify benchmark's peak RSS (2 CPUs, medians of 5-6 runs) read 64.0
-# MB at 16 and 24, 64.1-64.2 MB at 32, 64.4 MB at 48 and 64.6-64.8 MB at 64.
+# Most trials whose draws the batched suites measure in one batch. In one
+# process on one CPU the index suite's 500 trials took 0.19 s at 16, 0.15 s
+# at 24 and 32, 0.14 s at 48 and 0.12 s at 64 (medians of 7 runs); the
+# nullspace suite's 60 trials 61, 45, 41, 39, 36 and 35 ms at 6, 12, 16,
+# 24, 32 and 60, and the manifolds suite's 100 trials 62, 42, 37, 31, 28, 24
+# and 21 ms at 6, 12, 16, 24, 32, 60 and 100 (medians of 7, seed 901). A
+# larger batch holds more stacked columns: the verify benchmark's peak RSS
+# (2 CPUs, medians of 5-6 runs) read 64.0 MB at 16 and 24, 64.1-64.2 MB at
+# 32, 64.4 MB at 48 and 64.6-64.8 MB at 64.
 MEASURE_BATCH = 24
 
 
@@ -239,12 +251,10 @@ def _index_measure_group(draws):
     s_cols, a, shift, a_h, s2_cols, b_op = zip(*draws)
     group = PaddedGroup(np.array([x.shape[0] for x in a]))
     (a, _), (a_h, _), (b_op, _) = (group.pad(x) for x in (a, a_h, b_op))
-    s, s2 = group.extend(*(group.sum((np.zeros_like(cols), np.zeros_like(k)), (cols, k))
-                           for cols, k in (group.pad(s_cols), group.pad(s2_cols))))
-    eye = np.eye(a.shape[1]) - group.outside
+    s, s2 = group.extend(group.span(group.pad(s_cols)), group.span(group.pad(s2_cols)))
     # A plus the identity outside F^n[t] has the inverse A^-1 plus it
     inverse = np.linalg.inv(a + group.outside) - group.outside
-    ops = (a, a + np.array(shift)[:, None, None] * eye, inverse, a_h, b_op, a + b_op, a @ b_op)
+    ops = (a, a + np.array(shift)[:, None, None] * group.eye, inverse, a_h, b_op, a + b_op, a @ b_op)
     *reached, s2_reach, s_s2 = group.extend(*(group.reach(op, s) for op in ops),
                                             group.reach(a, s2), group.sum(s, s2))
     sum_h = reached[3]
@@ -259,6 +269,11 @@ def _index_measure_group(draws):
         between_reach[1] - between[1]]
     return [IndexValues(*map(int, column))
             for column in np.stack([group.n, s[1], *gains], axis=1)]
+
+
+def _joined(spaces) -> tuple:
+    """Spaces (bases, widths) of one shape as one stack."""
+    return tuple(map(np.concatenate, zip(*spaces)))
 
 
 def _by_field(draws, block, measure_group) -> list:
@@ -417,21 +432,92 @@ def run_convexity_suite(seed: int = 0, trials: int = 50) -> SuiteResult:
     return _run_trials("convexity", _convexity_draw, _convexity_check, seed, trials)
 
 
-def _nullspace_identities(result: SuiteResult, dec, label: str) -> NullspaceN:
-    """Check the nullspace identities of H*; returns the nullspace checked."""
-    ns = dec.Hstar_nullspace
-    hstar = adjoint(dec.H)
-    scale = max(1.0, float(np.linalg.norm(hstar)))
-    result.check(np.linalg.norm(hstar @ ns.N) <= RESIDUAL_TOL * scale,
-                 f"{label}: H* N residual too large")
-    result.check(numerical_rank(ns.N) == dec.q, f"{label}: rank(N) != q")
-    result.check(numerical_rank(ns.N1) == dec.q, f"{label}: rank(N1) != q")
-    # T N1 + B* N2 = 0 with B* of full column rank q; least squares on B*
-    # itself, not the normal equations BB*, which square its conditioning
-    predicted_n2 = -np.linalg.lstsq(adjoint(dec.B), dec.T @ ns.N1, rcond=None)[0]
-    result.check(np.linalg.norm(ns.N2 - predicted_n2) <= RESIDUAL_TOL * max(1.0, np.linalg.norm(ns.N2)),
-                 f"{label}: N2 != -(BB*)^-1 B T N1")
-    return ns
+class NullspaceChecks(NamedTuple):
+    """What the nullspace check reads of one decomposition: p and q; for the
+    orthonormal basis N of the nullspace of H* = [T B*]
+    (:func:`~omegals.decomposition.nullspace_of_hstar`), the ranks of N and
+    of its top p rows N1, ||H* N||_F and ||H*||_F, ||N2 - predicted||_F
+    (N2 predicted from T N1 + B* N2 = 0 by least squares on B* itself, not
+    the normal equations BB*, which square its conditioning) and ||N2||_F.
+    For a generic decomposition, whether T = V* A V is invertible at
+    ||A||_2 (:func:`~omegals.manifolds.compression_invertible`) and, if so,
+    whether Img(N) is the span of [-T^-1 B*; I]; for a disjoint one,
+    whether Img(N1) is Img(T)-perp, the rank of T judged at ||A||_2 as
+    condition_report judges it. Flags not read are False."""
+
+    p: int
+    q: int
+    rank_n: int
+    rank_n1: int
+    residual: float
+    hstar_norm: float
+    n2_error: float
+    n2_norm: float
+    invertible_t: bool = False
+    same_span: bool = False
+    n1_perp: bool = False
+
+
+def _nullspace_values(generic, square, disjoint) -> list[NullspaceChecks]:
+    """:class:`NullspaceChecks` of the generic, square and disjoint
+    decompositions (each with q >= 1), in that order, each SVD, QR,
+    Gram-Schmidt and projector distance stacked over the decompositions that
+    read it. H* lives in F^(p+q) and N1 and T in its first p coordinates;
+    the nullspaces come from :meth:`~omegals.subspaces.PaddedGroup.nullspace`,
+    so padding enters no nullspace or rank, and every rank, drop rule and
+    tolerance is that of the one-decomposition routines.
+
+    N passed the orthonormality guard, so its singular values lie within
+    1e-8 q of 1: its rank is its width, and it spans Img(N) as
+    orthonormalize(N) does. B* has full column rank q, so its least squares
+    come from its QR (:func:`_n2_misfit`)."""
+    decs = [*generic, *square, *disjoint]
+    g, d = len(generic), len(decs) - len(disjoint)
+    p, q, op_norm = (np.array([getattr(x, f) for x in decs]) for f in ("p", "q", "op_norm"))
+    group = PaddedGroup(p + q)
+    size = group.eye.shape[1]
+    top = PaddedGroup(p, size=size)  # F^p inside F^(p+q)
+    hstar = group.pad([adjoint(x.H) for x in decs])[0]
+    basis, width = group.nullspace(hstar)
+    norms = [np.linalg.norm(x, axis=(1, 2)) for x in (hstar @ basis, hstar)]
+    norms += _n2_misfit(hstar, basis, p, q)
+    t_part = hstar * top.inside[:, None, :]
+    n1 = basis * top.inside[:, :, None]
+    sigma = np.linalg.svd(np.concatenate([n1, t_part[:g]]), compute_uv=False)
+    rank_n1 = singular_value_ranks(sigma[:len(decs)], np.maximum(p, width))
+    invertible = singular_value_ranks(sigma[len(decs):], p[:g], op_norm[:g]) == p[:g]
+    # [-T^-1 B*; I] in the columns p .. p+q-1, T replaced by I where singular
+    candidate = group.eye[:g] - top.eye[:g] - np.linalg.solve(
+        np.where(invertible[:, None, None], t_part[:g], top.eye[:g]) + top.outside[:g],
+        hstar[:g] - t_part[:g])
+    t_perp = PaddedGroup(p[d:], size=size).nullspace(adjoints(t_part[d:]), scale=op_norm[d:])
+    spans = (np.concatenate([candidate, n1[d:]]),
+             np.concatenate([np.where(invertible, (p + q)[:g], 0), width[d:]]))
+    del hstar, t_part, n1, candidate
+    joint = PaddedGroup(np.concatenate([(p + q)[:g], p[d:]]), size=size)
+    [spans] = joint.extend(joint.span(spans))
+    equal = spaces_equal(spans, _joined([(basis[:g], width[:g]), t_perp]))
+    flags = [{"invertible_t": bool(x), "same_span": bool(y)} for x, y in zip(invertible, equal)]
+    flags += [{}] * (d - g) + [{"n1_perp": bool(x)} for x in equal[g:]]
+    return [NullspaceChecks(*map(int, ints), *map(float, reals), **f)
+            for ints, reals, f in zip(zip(p, q, width, rank_n1), zip(*norms), flags)]
+
+
+def _n2_misfit(hstar: np.ndarray, basis: np.ndarray, p: np.ndarray, q: np.ndarray) -> list:
+    """||N2 - predicted||_F and ||N2||_F for stacks of H* = [T B*] and of
+    bases N of its nullspace in F^(p+q), N2 predicted from T N1 + B* N2 = 0
+    by least squares on B* through its QR: B* (columns p .. p+q-1 of H*) and
+    N2 (rows p .. p+q-1 of N) are moved to the first q columns and rows, and
+    the identity past them keeps the padded R invertible."""
+    cols = np.arange(hstar.shape[1])
+    shift, first_q = np.minimum(cols + p[:, None], cols.size - 1), cols < q[:, None]
+    n2 = np.take_along_axis(basis, shift[:, :, None], axis=1) * first_q[:, :, None]
+    unitary, r = np.linalg.qr(np.take_along_axis(hstar, shift[:, None, :], axis=2)
+                              * first_q[:, None, :])
+    t_n1 = (hstar * (cols < p[:, None])[:, None, :]) @ basis
+    fit = np.linalg.solve(r + np.eye(cols.size) * ~first_q[:, None, :],
+                          adjoints(unitary) @ t_n1) * first_q[:, :, None]
+    return [np.linalg.norm(x, axis=(1, 2)) for x in (n2 + fit, n2)]
 
 
 def _nullspace_draw(rng, trial):
@@ -465,11 +551,13 @@ def _nullspace_draw(rng, trial):
     return (a, s), square, (tau, m_inv, c3, d3, e3, w)
 
 
-def _nullspace_measure_group(draws):
-    """(A, its decomposition, the square case's or None, the disjoint case's
-    and its designed q) of trials of one field. Every operator, subspace and
-    decomposition is formed in one :class:`~omegals.subspaces.PaddedGroup`
-    of the generic instances, then the square ones, then the disjoint ones.
+def _nullspace_decompositions(draws):
+    """The decompositions the check reads of each trial of one field: the
+    generic one when q >= 1, the square one when there is one with q = p,
+    and the disjoint one when it kept its designed q, None where not. Every
+    operator, subspace and decomposition is formed in one
+    :class:`~omegals.subspaces.PaddedGroup` of the generic instances, then
+    the square ones, then the disjoint ones.
 
     The disjoint case compresses to T = diag(tau, 0) and B* = [0; M] in
     W [[T, B*, 0], [B, C, D*], [0, D, E]] W*, so Img(T) and Img(B*) are
@@ -500,9 +588,22 @@ def _nullspace_measure_group(draws):
     del gauss, w3, cols  # freed before the decompositions' stacks
     decs = tridiagonal_block_decompositions(group, a, s)
     square_decs = iter(decs[len(generic):h])
-    return [(a[t, :n, :n].copy(), decs[t], None if sq is None else next(square_decs),
-             decs[h + t], d[1].shape[0])
-            for t, (n, sq, d) in enumerate(zip(group.n.tolist(), square, disjoint))]
+    return [(decs[t] if decs[t].q >= 1 else None,
+             None if sq is None or (d := next(square_decs)).q != d.p else d,
+             decs[h + t] if decs[h + t].q == draw[1].shape[0] else None)
+            for t, (sq, draw) in enumerate(zip(square, disjoint))]
+
+
+def _nullspace_measure_group(draws):
+    """For each trial of one field, the :class:`NullspaceChecks` of the
+    generic, square and disjoint decompositions its check reads
+    (:func:`_nullspace_decompositions`), None where it reads none."""
+    checked = _nullspace_decompositions(draws)
+    kinds = [[d for d in kind if d is not None] for kind in zip(*checked)]
+    values = iter(_nullspace_values(*kinds))
+    by_kind = [iter([next(values) for _ in kind]) for kind in kinds]
+    return [[None if d is None else next(it) for d, it in zip(trial, by_kind)]
+            for trial in checked]
 
 
 def _nullspace_measure(draws):
@@ -510,40 +611,40 @@ def _nullspace_measure(draws):
     return _by_field(draws, lambda drawn: drawn[0][1], _nullspace_measure_group)
 
 
+def _nullspace_identities(result: SuiteResult, m: NullspaceChecks, label: str) -> None:
+    """Check the nullspace identities of H*."""
+    result.check(m.residual <= RESIDUAL_TOL * max(1.0, m.hstar_norm),
+                 f"{label}: H* N residual too large")
+    result.check(m.rank_n == m.q, f"{label}: rank(N) != q")
+    result.check(m.rank_n1 == m.q, f"{label}: rank(N1) != q")
+    result.check(m.n2_error <= RESIDUAL_TOL * max(1.0, m.n2_norm),
+                 f"{label}: N2 != -(BB*)^-1 B T N1")
+
+
 def _nullspace_check(result, trial, measured):
-    a, dec, dec_eq, dec3, q3 = measured
+    generic, square, disjoint = measured
 
     # Generic instance; T comes out invertible almost surely.
-    if dec.q >= 1:
-        ns = _nullspace_identities(result, dec, f"trial {trial} generic")
-        if compression_invertible(a, Subspace(dec.V), op_norm=dec.op_norm):
-            candidate = np.vstack([
-                -solve_hermitian(dec.T, adjoint(dec.B)),
-                np.eye(dec.q, dtype=dec.B.dtype),
-            ])
-            same = subspaces_equal(Subspace(orthonormalize(ns.N)),
-                                   Subspace(orthonormalize(candidate)))
-            result.check(same, f"trial {trial}: invertible-T nullspace span mismatch")
+    if generic is not None:
+        _nullspace_identities(result, generic, f"trial {trial} generic")
+        if generic.invertible_t:
+            result.check(generic.same_span,
+                         f"trial {trial}: invertible-T nullspace span mismatch")
 
     # Maximal index: p = q forces the coupling block to be square and
     # invertible, so N1 must be invertible as well.
-    if dec_eq is not None and dec_eq.q == dec_eq.p:
-        ns_eq = _nullspace_identities(result, dec_eq, f"trial {trial} square")
-        result.check(numerical_rank(ns_eq.N1) == dec_eq.p,
+    if square is not None:
+        _nullspace_identities(result, square, f"trial {trial} square")
+        result.check(square.rank_n1 == square.p,
                      f"trial {trial}: square case N1 not invertible")
 
-    # Disjoint images by construction (see _nullspace_measure_group).
-    if dec3.q != q3:
+    # Disjoint images by construction (see _nullspace_decompositions).
+    if disjoint is None:
         result.check(False, f"trial {trial}: designed disjoint-image case lost its index")
         return
-    ns3 = _nullspace_identities(result, dec3, f"trial {trial} disjoint")
-    # Img(T)^perp: the left singular vectors of T past its rank, the
-    # rank judged at ||A||_2 as condition_report judges it
-    u3, sigma3, _ = np.linalg.svd(dec3.T)
-    rank3 = singular_value_rank(sigma3, dec3.T.shape, scale=dec3.op_norm)
-    result.check(subspaces_equal(Subspace(orthonormalize(ns3.N1)), Subspace(u3[:, rank3:])),
-                 f"trial {trial}: disjoint case Img(N1) != Img(T)-perp")
-    result.check(np.linalg.norm(ns3.N2) <= RESIDUAL_TOL,
+    _nullspace_identities(result, disjoint, f"trial {trial} disjoint")
+    result.check(disjoint.n1_perp, f"trial {trial}: disjoint case Img(N1) != Img(T)-perp")
+    result.check(disjoint.n2_norm <= RESIDUAL_TOL,
                  f"trial {trial}: disjoint case N2 != 0")
 
 
@@ -555,50 +656,114 @@ def run_nullspace_suite(seed: int = 0, trials: int = 60) -> SuiteResult:
 
 
 def _manifolds_draw(rng, trial):
+    """One trial's raw draws, in the order the formed generators make them:
+    p, q, the Gaussian columns of S' (:func:`random_nested_subspaces`'s
+    draw, S spanned by the first p), omega, and when 2 p + 1 <= n the
+    oversized case's columns of S_big (S_small the first p) and the Gaussian
+    matrix of its Hermitian probe."""
     complex_field = bool(trial % 2)
     n = int(rng.integers(3, 11))
     p = int(rng.integers(1, n))
     q = int(rng.integers(0, min(p, n - p) + 1))
-    s, s_prime = random_nested_subspaces(rng, n, p, q, complex_field)
+    cols = gaussian_matrix(rng, n, p + q, complex_field)
     omega = float(rng.standard_normal())
     oversized = None
     if 2 * p + 1 <= n:
-        s_small, s_big = random_nested_subspaces(rng, n, p, p + 1, complex_field)
-        oversized = s_small, s_big, random_hermitian(rng, n, complex_field)
-    return q, s, s_prime, omega, oversized
+        oversized = (gaussian_matrix(rng, n, 2 * p + 1, complex_field),
+                     gaussian_matrix(rng, n, n, complex_field))
+    return p, q, cols, omega, oversized
 
 
-def _manifolds_check(result, trial, drawn):
-    q, s, s_prime, omega, oversized = drawn
-    n = s.ambient_dim
-    a0 = swap_witness(s, s_prime)
-    witness = positive_shift(a0)
-    classes = member_classes(witness, s, s_prime)
-    result.check(ManifoldClass.M_POS in classes,
+class ManifoldsValues(NamedTuple):
+    """What the manifolds check reads for one trial: the designed q, the
+    index of the positive witness on S and its classes
+    (:func:`~omegals.manifolds.member_classes`), whether the witness plus
+    omega I reaches S' (class M); for the swap witness A0, whether its
+    compression onto S is invertible, ||nudged - A0||_F for its nudge
+    (:func:`~omegals.manifolds.perturb_to_invertible`) and whether the
+    nudge is in M_symT; the oversized pair (S_small, S_big) or None, and
+    whether its probe reaches S_big."""
+
+    q: int
+    index: int
+    classes: frozenset
+    shifted: bool
+    swap_invertible: bool
+    nudge: float
+    nudged: bool
+    oversized: tuple | None
+    probe: bool
+
+
+def _manifolds_measure_group(draws):
+    """:class:`ManifoldsValues` of trials of one field, every step stacked
+    over them in one :class:`~omegals.subspaces.PaddedGroup`: S' and S_big
+    orthonormalized, the swap witnesses (:func:`~omegals.manifolds.swap_witnesses`)
+    and their positive shifts, the nudges, the four reaches, the nesting
+    checks and projector distances, the Hermitian tests, and the ranks and
+    ||A||_2 of each SVD. A trial without an oversized case gets a zero probe
+    on a zero-width S_small. The nudge's compression is invertible by the
+    choice of eps, the test :func:`~omegals.manifolds.perturb_to_invertible`
+    makes."""
+    p, q, cols, omega, oversized = zip(*draws)
+    group = PaddedGroup(np.array([c.shape[0] for c in cols]))
+    big, probe = zip(*(x or (c[:, :0],) * 2 for c, x in zip(cols, oversized)))
+    probe = hermitian_part(group.pad(probe)[0])
+    s_prime, s_big = group.extend(group.span(group.pad(cols)), group.span(group.pad(big)))
+    first_p = np.arange(probe.shape[1]) < np.array(p)[:, None]
+    s, s_small = ((x * first_p[:, None, :], np.minimum(p, k)) for x, k in (s_prime, s_big))
+    check_contained(s_small[0], s_big[0])
+    a0 = swap_witnesses(group, s, s_prime)
+    witness = positive_shifts(group, a0)
+    nudged, swap_invertible = perturb_to_invertible_stacked(group, a0, s)
+    invertible, compression, _ = invertibility(group, witness, s)
+    shifted = witness + np.array(omega)[:, None, None] * group.eye
+    reaches = group.extend(*(group.reach(x, s) for x in (witness, shifted, nudged)),
+                           group.reach(probe, s_small))
+    reached = np.split(spaces_equal(_joined(reaches), _joined([s_prime] * 3 + [s_big])), 4)
+    hermitian = np.split(is_hermitian(np.concatenate([witness, nudged])), 2)
+    positive = group.spectrum_ends(witness)[0] > 0
+    nudge = np.linalg.norm(nudged - a0, axis=(1, 2))
+    values = []
+    for t, x in enumerate(oversized):
+        parts = {"invertible": invertible[t], "hermitian": hermitian[0][t],
+                 "positive": positive[t], "compression": compression[t]}
+        pair = None if x is None else tuple(Subspace(s_big[0][t, :group.n[t], :space[1][t]])
+                                            for space in (s_small, s_big))
+        values.append(ManifoldsValues(
+            q[t], int(reaches[0][1][t]) - p[t],
+            classes_holding(parts) if reached[0][t] else frozenset(),
+            bool(reached[1][t]), bool(swap_invertible[t]), float(nudge[t]),
+            bool(reached[2][t] and hermitian[1][t]), pair, x is not None and bool(reached[3][t])))
+    return values
+
+
+def _manifolds_measure(draws):
+    """The :class:`ManifoldsValues` of a batch of draws, in draw order."""
+    return _by_field(draws, lambda drawn: drawn[2], _manifolds_measure_group)
+
+
+def _manifolds_check(result, trial, m):
+    result.check(ManifoldClass.M_POS in m.classes,
                  f"trial {trial}: witness failed positive-class membership")
-    result.check(index_of_invariance(witness, s) == q,
-                 f"trial {trial}: witness index != q")
+    result.check(m.index == m.q, f"trial {trial}: witness index != q")
     for cls in (ManifoldClass.M, ManifoldClass.M_INV, ManifoldClass.M_SYM,
                 ManifoldClass.M_SYMINV, ManifoldClass.M_SYMT):
-        result.check(cls in classes,
+        result.check(cls in m.classes,
                      f"trial {trial}: containment chain broke at {cls.value}")
-    result.check(membership(witness + omega * np.eye(n), s, s_prime, ManifoldClass.M),
-                 f"trial {trial}: diagonal shift left the base class")
-    if q >= 1:
-        result.check(not compression_invertible(a0, s),
+    result.check(m.shifted, f"trial {trial}: diagonal shift left the base class")
+    if m.q >= 1:
+        result.check(not m.swap_invertible,
                      f"trial {trial}: swap witness compression unexpectedly invertible")
-        nudged = perturb_to_invertible(a0, subspace=s)
-        result.check(np.linalg.norm(nudged - a0) <= 1e-6,
-                     f"trial {trial}: perturbation larger than 1e-6")
-        result.check(membership(nudged, s, s_prime, ManifoldClass.M_SYMT),
+        result.check(m.nudge <= 1e-6, f"trial {trial}: perturbation larger than 1e-6")
+        result.check(m.nudged,
                      f"trial {trial}: perturbed witness missed the invertible-compression class")
     # Oversized q: the set is empty, so membership must reject every A.
-    if oversized is not None:
-        s_small, s_big, probe = oversized
-        result.check(not membership(probe, s_small, s_big, ManifoldClass.M),
+    if m.oversized is not None:
+        result.check(not m.probe,
                      f"trial {trial}: membership accepted an impossible q > p pair")
         try:
-            construct_positive_member(s_small, s_big)
+            construct_positive_member(*m.oversized)
             result.check(False, f"trial {trial}: construction succeeded for q > p")
         except ValueError:
             pass
@@ -608,7 +773,8 @@ def run_manifolds_suite(seed: int = 0, trials: int = 100) -> SuiteResult:
     """Witness construction, membership, containment chain, emptiness for
     q > p, and the small-perturbation route into the invertible-compression
     class."""
-    return _run_trials("manifolds", _manifolds_draw, _manifolds_check, seed, trials)
+    return _run_trials("manifolds", _manifolds_draw, _manifolds_check, seed, trials,
+                       _manifolds_measure)
 
 
 SUITES = {

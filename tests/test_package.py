@@ -87,6 +87,9 @@ UNCALLED_BY_DESIGN = {
     "io.save_subspace": "writes the subspace file format the CLI reads",
     "io.decomposition_blocks_from_json": "reads the decomposition files the CLI writes",
     "subspaces.subspace_intersect": "the one-trial oracle of the index suite's stacked steps",
+    "manifolds.membership": "the one-trial oracle of the manifolds suite's stacked steps",
+    "sampling.random_nested_subspaces": "the one-call generator of the manifolds suite's draw "
+                                        "and form halves",
 }
 
 

@@ -4,18 +4,20 @@ generators bit for bit, and take a zero-padded stack of draws."""
 import numpy as np
 import pytest
 
-from omegals.linalg import hermitian_part
+from omegals.linalg import hermitian_part, orthonormalize
 from omegals.sampling import (
     SPECTRAL_FLOOR,
     draw_hermitian_invertible,
     gaussian_matrix,
     haar_unitary,
     hermitian_invertible,
+    nested_subspaces,
     random_hermitian_invertible,
+    random_nested_subspaces,
     random_spd,
     random_unitary,
 )
-from omegals.subspaces import PaddedGroup
+from omegals.subspaces import PaddedGroup, Subspace
 
 
 def unitary_before_the_split(rng, n, complex_field):
@@ -52,6 +54,24 @@ def test_the_generators_keep_their_bits(seed, complex_field):
     g, x = draw_hermitian_invertible(rng, 6, complex_field)
     want = hermitian_invertible_before_the_split(np.random.default_rng(seed), 6, complex_field)
     assert hermitian_invertible(g, x).tobytes() == want.tobytes()
+
+
+def nested_before_the_split(rng, n, p, q, complex_field):
+    big = orthonormalize(gaussian_matrix(rng, n, p + q, complex_field))
+    return Subspace(big[:, :p]), Subspace(big)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_nested_subspaces_keep_their_bits(seed, complex_field):
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    for n, p, q in ((3, 1, 0), (7, 3, 2), (10, 4, 6)):
+        want = nested_before_the_split(rngs[0], n, p, q, complex_field)
+        halves = nested_subspaces(gaussian_matrix(rngs[1], n, p + q, complex_field), p)
+        for got in (random_nested_subspaces(rngs[2], n, p, q, complex_field), halves):
+            assert [x.basis.tobytes() for x in got] == [x.basis.tobytes() for x in want]
+    # the draw half makes the generator's rng calls
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
 
 
 @pytest.mark.parametrize("complex_field", [False, True], ids=["R", "C"])

@@ -12,25 +12,46 @@ import pytest
 
 from omegals import verify
 from omegals.decomposition import block_tridiagonal, tridiagonal_block_decomposition
-from omegals.linalg import adjoint, hermitian_part, orthonormalize
+from omegals.linalg import (
+    adjoint,
+    hermitian_part,
+    numerical_rank,
+    orthonormalize,
+    singular_value_rank,
+    solve_hermitian,
+)
+from omegals.manifolds import (
+    ManifoldClass,
+    compression_invertible,
+    member_classes,
+    membership,
+    perturb_to_invertible,
+    positive_shift,
+    swap_witness,
+)
 from omegals.sampling import (
     haar_unitary,
     hermitian_invertible,
+    nested_subspaces,
     random_hermitian_invertible,
     random_subspace,
 )
 from omegals.subspaces import (
+    PaddedGroup,
     Subspace,
     index_of_invariance,
     orthogonal_complement,
     reach,
     subspace_intersect,
     subspace_sum,
+    subspaces_equal,
 )
 from omegals.verify import (
     MIN_CHUNK_TRIALS,
     SUITES,
     IndexValues,
+    ManifoldsValues,
+    NullspaceChecks,
     SuiteResult,
     run_convexity_suite,
     run_index_suite,
@@ -93,21 +114,88 @@ def nullspace_values_one_at_a_time(drawn):
     return a, dec, dec_eq, dec3, q3
 
 
+def nullspace_checks_one_at_a_time(a, dec, kind) -> NullspaceChecks:
+    """What the nullspace check reads of one decomposition, from the
+    one-decomposition routines, as the check computed it per trial."""
+    ns = dec.Hstar_nullspace
+    hstar = adjoint(dec.H)
+    predicted_n2 = -np.linalg.lstsq(adjoint(dec.B), dec.T @ ns.N1, rcond=None)[0]
+    flags = {}
+    if kind == "generic":
+        invertible = compression_invertible(a, Subspace(dec.V), op_norm=dec.op_norm)
+        candidate = np.vstack([-solve_hermitian(dec.T, adjoint(dec.B)), np.eye(dec.q)])
+        flags = {"invertible_t": invertible, "same_span": invertible and subspaces_equal(
+            Subspace(orthonormalize(ns.N)), Subspace(orthonormalize(candidate)))}
+    if kind == "disjoint":
+        u3, sigma3, _ = np.linalg.svd(dec.T)
+        rank3 = singular_value_rank(sigma3, dec.T.shape, scale=dec.op_norm)
+        flags = {"n1_perp": subspaces_equal(Subspace(orthonormalize(ns.N1)),
+                                            Subspace(u3[:, rank3:]))}
+    return NullspaceChecks(dec.p, dec.q, numerical_rank(ns.N), numerical_rank(ns.N1),
+                           *map(np.linalg.norm, (hstar @ ns.N, hstar, ns.N2 - predicted_n2,
+                                                 ns.N2)), **flags)
+
+
 @pytest.mark.parametrize("seed", [0, 6, 304])
 def test_batched_nullspace_measure_matches_the_one_trial_routines(seed):
     rng = np.random.default_rng(seed)
     draws = [verify._nullspace_draw(rng, trial) for trial in range(40)]
+    decompositions = verify._by_field(draws, lambda drawn: drawn[0][1],
+                                      verify._nullspace_decompositions)
     measured = verify._nullspace_measure(draws)
-    for got, want in zip(measured, map(nullspace_values_one_at_a_time, draws), strict=True):
-        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-13)
-        assert (got[2] is None) == (want[2] is None) and got[4] == want[4]
-        for dec, one in zip([got[1], got[2], got[3]], [want[1], want[2], want[3]]):
-            if one is not None:
-                assert (dec.n, dec.p, dec.q) == (one.n, one.p, one.q)
-                for block in ("T", "B", "C"):
-                    np.testing.assert_allclose(getattr(dec, block), getattr(one, block),
-                                               rtol=0, atol=1e-12)
-    assert sum(values[2] is not None for values in measured) >= 10
+    for decs, values, (a, dec, dec_eq, dec3, q3) in zip(
+            decompositions, measured, map(nullspace_values_one_at_a_time, draws), strict=True):
+        read = [dec if dec.q >= 1 else None,
+                dec_eq if dec_eq is not None and dec_eq.q == dec_eq.p else None,
+                dec3 if dec3.q == q3 else None]
+        for got, value, one, kind in zip(decs, values, read, ["generic", "square", "disjoint"]):
+            assert (got is None) == (value is None) == (one is None)
+            if one is None:
+                continue
+            assert (got.n, got.p, got.q) == (one.n, one.p, one.q)
+            for block in ("T", "B", "C"):
+                np.testing.assert_allclose(getattr(got, block), getattr(one, block),
+                                           rtol=0, atol=1e-12)
+            want = nullspace_checks_one_at_a_time(a, one, kind)
+            assert value[:4] == want[:4] and value[8:] == want[8:], kind
+            np.testing.assert_allclose(value[4:8], want[4:8], rtol=0, atol=1e-12)
+    assert sum(values[1] is not None for values in measured) >= 10
+    assert sum(values[0] is not None and values[0].same_span for values in measured) >= 20
+
+
+def manifolds_values_one_at_a_time(drawn) -> ManifoldsValues:
+    """The manifolds suite's values of one draw from the one-trial routines,
+    as the suite's check computed them per trial."""
+    p, q, cols, omega, oversized = drawn
+    s, s_prime = nested_subspaces(cols, p)
+    a0 = swap_witness(s, s_prime)
+    witness = positive_shift(a0)
+    nudged = perturb_to_invertible(a0, subspace=s)
+    pair = None if oversized is None else nested_subspaces(oversized[0], p)
+    return ManifoldsValues(
+        q, index_of_invariance(witness, s), member_classes(witness, s, s_prime),
+        membership(witness + omega * np.eye(s.ambient_dim), s, s_prime, ManifoldClass.M),
+        compression_invertible(a0, s), float(np.linalg.norm(nudged - a0)),
+        membership(nudged, s, s_prime, ManifoldClass.M_SYMT), pair,
+        pair is not None and membership(hermitian_part(oversized[1]), *pair, ManifoldClass.M))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 53])
+def test_batched_manifolds_measure_matches_the_one_trial_routines(seed):
+    rng = np.random.default_rng(seed)
+    draws = [verify._manifolds_draw(rng, trial) for trial in range(48)]
+    measured = verify._manifolds_measure(draws)
+    for got, want in zip(measured, map(manifolds_values_one_at_a_time, draws), strict=True):
+        assert got._replace(nudge=0.0, oversized=None) == want._replace(nudge=0.0, oversized=None)
+        assert got.nudge == pytest.approx(want.nudge, rel=1e-9, abs=0)
+        assert (got.oversized is None) == (want.oversized is None)
+        for space, one in zip(got.oversized or (), want.oversized or ()):
+            np.testing.assert_allclose(space.projector(), one.projector(), rtol=0, atol=1e-12)
+    # R and C, q = 0 and q >= 1, and the oversized case, each on both fields
+    for field in (measured[0::2], measured[1::2]):
+        assert {min(v.q, 1) for v in field} == {0, 1}
+        assert any(v.oversized is not None for v in field)
+        assert all(ManifoldClass.M_POS in v.classes for v in field)
 
 
 def test_main_theorem_suite_small():
@@ -149,20 +237,38 @@ def test_nullspace_check_catches_a_perturbed_n2(monkeypatch):
     rng = np.random.default_rng(9)
     dec = tridiagonal_block_decomposition(random_hermitian_invertible(rng, 9, False),
                                           random_subspace(rng, 9, 4, False))
-    ns = dec.Hstar_nullspace
-    nudge = rng.standard_normal(ns.N2.shape)
-    bad = dataclasses.replace(ns, N2=ns.N2 + 1e-8 * nudge / np.linalg.norm(nudge))
     result = SuiteResult("nullspace")
-    verify._nullspace_identities(result, dec, "exact")
+    [exact] = verify._nullspace_values([], [dec], [])
+    verify._nullspace_identities(result, exact, "exact")
     assert result.passed, result.failures
-    monkeypatch.setattr(type(dec), "Hstar_nullspace", property(lambda _: bad))
-    verify._nullspace_identities(result, dec, "perturbed")
-    assert result.failures == ["perturbed: N2 != -(BB*)^-1 B T N1"]
+    nullspace = PaddedGroup.nullspace
+
+    def nudged(self, m, scale=None):
+        # the last row of N2 moves by 1e-8 in the first basis vector
+        basis, width = nullspace(self, m, scale)
+        basis[:, -1, 0] += 1e-8
+        return basis, width
+
+    monkeypatch.setattr(PaddedGroup, "nullspace", nudged)
+    [perturbed] = verify._nullspace_values([], [dec], [])
+    verify._nullspace_identities(result, perturbed, "perturbed")
+    assert result.failures == ["perturbed: H* N residual too large",
+                               "perturbed: N2 != -(BB*)^-1 B T N1"]
 
 
 def test_manifolds_suite_small():
     res = run_manifolds_suite(seed=7, trials=12)
     assert res.passed, res.failures[:5]
+
+
+@pytest.mark.parametrize("name, seed, trials, checks", [
+    ("manifolds", 0, 100, 1016), ("manifolds", 1, 100, 1006),
+    ("nullspace", 0, 60, 960), ("nullspace", 1, 60, 960)])
+def test_check_counts_at_default_trials(name, seed, trials, checks):
+    # the counts of the per-trial checks before these suites were batched: a
+    # batched step that drops or adds a check changes them
+    res = SUITES[name](seed=seed)
+    assert (res.trials, res.checks, res.failures) == (trials, checks, [])
 
 
 def test_run_suites_dispatch():
@@ -276,15 +382,16 @@ def test_too_few_trials_run_in_process(use_cpus):
     assert len(forks) == 1
 
 
-def _before_index_check(monkeypatch, before):
-    """Call ``before(trial)`` ahead of each check of the index suite."""
-    check = verify._index_check
+def _before_index_check(monkeypatch, before, name="index"):
+    """Call ``before(trial)`` ahead of each check of the index suite (or of
+    the suite ``name``)."""
+    check = getattr(verify, f"_{name}_check")
 
     def patched(result, trial, measured):
         before(trial)
         check(result, trial, measured)
 
-    monkeypatch.setattr(verify, "_index_check", patched)
+    monkeypatch.setattr(verify, f"_{name}_check", patched)
 
 
 @pytest.mark.parametrize("trial", [5, 25], ids=["in-process chunk", "worker chunk"])
@@ -318,22 +425,23 @@ def test_first_exception_in_trial_order_wins(monkeypatch, use_cpus, assert_no_ch
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("name", ["index", "manifolds"])
 def test_an_exception_in_the_measure_step_surfaces_at_its_batch(monkeypatch, use_cpus,
-                                                                assert_no_child_left):
+                                                                assert_no_child_left, name):
     # the second batch fails in the batched measure: the trials of the
     # first were checked, and none of the second
-    measure, checked = verify._index_measure, []
+    measure, checked = getattr(verify, f"_{name}_measure"), []
 
     def fail(draws):
         if len(checked) == verify.MEASURE_BATCH:
             raise ValueError("basis columns are not orthonormal")
         return measure(draws)
 
-    monkeypatch.setattr(verify, "_index_measure", fail)
-    _before_index_check(monkeypatch, checked.append)
+    monkeypatch.setattr(verify, f"_{name}_measure", fail)
+    _before_index_check(monkeypatch, checked.append, name)
     use_cpus(1)
     with pytest.raises(ValueError, match="not orthonormal"):
-        run_index_suite(seed=1, trials=40)
+        SUITES[name](seed=1, trials=40)
     assert checked == list(range(verify.MEASURE_BATCH))
     assert_no_child_left()
 
