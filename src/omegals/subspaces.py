@@ -122,34 +122,56 @@ class PaddedGroup:
 
     def __init__(self, n: np.ndarray, size: int | None = None):
         self.n = n
-        span = np.arange(n.max() if size is None else size)
-        self.inside = span < n[:, None]
-        # the identity on the coordinates past n[t], and on those up to it
-        self.outside = np.eye(span.size) * ~self.inside[:, None, :]
-        self.eye = np.eye(span.size) * self.inside[:, None, :]
+        self.inside = np.arange(n.max() if size is None else size) < n[:, None]
+
+    @property
+    def outside(self) -> np.ndarray:
+        """The identity on the coordinates past n[t], formed on each use so
+        that no group holds a stack of its own."""
+        return np.eye(self.inside.shape[1]) * ~self.inside[:, None, :]
+
+    @property
+    def eye(self) -> np.ndarray:
+        """The identity on the coordinates up to n[t], formed on each use."""
+        return np.eye(self.inside.shape[1]) * self.inside[:, None, :]
 
     def pad(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """The (n[t], k_t) blocks of the first instances as one zero-padded
         stack, and the k_t."""
-        stack = np.zeros((len(blocks), *self.outside.shape[1:]), dtype=blocks[0].dtype)
+        size = self.inside.shape[1]
+        stack = np.zeros((len(blocks), size, size), dtype=blocks[0].dtype)
         for t, block in enumerate(blocks):
             stack[t, : block.shape[0], : block.shape[1]] = block
         return stack, np.array([block.shape[1] for block in blocks])
 
-    def reach(self, a: np.ndarray, space) -> tuple:
+    def reach(self, a, space) -> tuple:
         """The :func:`new_directions` step of the operators ``a`` (T, N, N)
         on ``space``, for :meth:`extend`: A V past V, with the scale
         :func:`norm2_bound` of each A. The zero columns of V give zero
-        columns of A V, which k = widths leaves out."""
+        columns of A V, which k = widths leaves out. ``a`` may also be a
+        function that forms the stack: it is called when :meth:`extend`
+        fills this step's columns, so that an operator derived from others
+        (A + B, A B, A^-1) lives only while its product is formed."""
         basis, width = space
-        return basis, width, lambda out: np.matmul(a, basis, out=out), width, norm2_bound(a)
+
+        def fill(out):
+            op = a() if callable(a) else a
+            np.matmul(op, basis, out=out)
+            return norm2_bound(op)
+
+        return basis, width, fill, width
 
     def sum(self, s1, s2, scale: float = 0.0) -> tuple:
         """The :func:`subspace_sum` step, for :meth:`extend`: the bases of S1
         extended by those of S2, with no scale (or ``scale``, as
         :func:`~omegals.manifolds.swap_witness` extends V by S')."""
         basis, width = s2
-        return (*s1, lambda out: np.copyto(out, basis), width, np.full(len(self.n), scale))
+
+        def fill(out):
+            np.copyto(out, basis)
+            return np.full(len(self.n), scale)
+
+        return (*s1, fill, width)
 
     def span(self, cols) -> tuple:
         """The :func:`~omegals.linalg.orthonormalize` step, for
@@ -157,20 +179,30 @@ class PaddedGroup:
         return self.sum((np.zeros_like(cols[0]), np.zeros_like(cols[1])), cols)
 
     def extend(self, *steps) -> list:
-        """The spaces [q, kept] of steps (q, m, fill, k, scale) of
+        """The spaces [q, kept] of steps (q, m, fill, k) of
         :func:`~omegals.linalg.extend_orthonormal_stacked`, each for the T
         instances, all in one call. ``fill(out)`` writes the step's (T, N, N)
         columns into its slice of one buffer, so no step's columns exist
-        twice."""
-        basis, m, fills, k, scale = zip(*steps)
-        basis, m, k, scale = (np.concatenate(part) for part in (basis, m, k, scale))
-        cols, size = np.empty_like(basis), len(self.n)
-        for i, fill in enumerate(fills):
-            fill(cols[i * size:(i + 1) * size])
+        twice, and returns the step's scale. Each space returned owns its
+        stack, so that a caller that reads only the widths of some can
+        release their bases."""
+        basis, m, fills, k = zip(*steps)
+        size = len(self.n)
+        cols = np.empty((size * len(steps), *basis[0].shape[1:]), np.result_type(*basis))
+        # filled before the bases are joined, so that no operator a fill
+        # forms coexists with both buffers
+        scale = np.concatenate([fill(cols[i * size:(i + 1) * size]) for i, fill in enumerate(fills)])
+        basis, m, k = (np.concatenate(part) for part in (basis, m, k))
         width = extend_orthonormal_stacked(basis, m, cols, k, scale, np.tile(self.n, len(steps)))
         del cols  # freed before the guard's Gram matrices
         check_orthonormal(basis, width)
         return _split(basis, width, len(steps))
+
+    def indices(self, *steps) -> list:
+        """The widths that the steps of :meth:`extend` add to their spaces,
+        such as the index of invariance of each :meth:`reach`; the bases
+        they extend to are freed at once."""
+        return [width - step[1] for (_, width), step in zip(self.extend(*steps), steps)]
 
     def complement(self, *spaces) -> list:
         """:func:`orthogonal_complement` in F^n[t] of each space, by one
@@ -178,8 +210,9 @@ class PaddedGroup:
         the left singular vectors past the first width + N - n[t] span the
         complement (:func:`_trailing`)."""
         basis, width = (np.concatenate(part) for part in zip(*spaces))
-        inside, outside = (np.concatenate([x] * len(spaces)) for x in (self.inside, self.outside))
-        u = np.linalg.svd(basis + outside)[0]
+        inside = np.concatenate([self.inside] * len(spaces))
+        basis += np.eye(inside.shape[1]) * ~inside[:, None, :]  # on a copy of the bases
+        u = np.linalg.svd(basis)[0]
         return _split(*_trailing(u, inside, width + (~inside).sum(axis=1)), len(spaces))
 
     def nullspace(self, m: np.ndarray, scale: np.ndarray | None = None) -> tuple:
@@ -230,9 +263,12 @@ def spaces_equal(s1, s2, tol: float = SUBSPACE_EQUAL_TOL) -> np.ndarray:
 
 
 def _split(basis, width, parts) -> list:
-    """A stack of bases and its widths, split into ``parts`` equal spaces."""
+    """A stack of bases and its widths, split into ``parts`` equal spaces,
+    each a copy when there are several, so that each can be freed alone."""
+    if parts == 1:
+        return [(basis, width)]
     size = len(basis) // parts
-    return [(basis[i * size:(i + 1) * size], width[i * size:(i + 1) * size])
+    return [(basis[i * size:(i + 1) * size].copy(), width[i * size:(i + 1) * size])
             for i in range(parts)]
 
 

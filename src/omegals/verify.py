@@ -88,25 +88,28 @@ CONVEXITY_T_SLACK = 1e-10
 CONVEXITY_OFF_TOL = 1e-9
 
 # Fewest trials a chunk may hold. A worker costs about 3 ms to fork, run
-# and reap before any trial, plus the replay of the draws before its chunk.
-# With 2 CPUs, two chunks of 8 trials take 0.74-1.01 times one process's
-# time in the two per-trial suites. In the batched suites they took 1.28
-# (index), 1.07 (nullspace) and 1.6 times (manifolds), and two chunks of 24
-# trials 0.84, 1.15 and 1.2 times (the last two medians of 9, measured on
-# another day than the index figures). At default trials two chunks took
-# 0.54-0.67 times one process in all three.
+# and reap before any trial, plus the replay of the draws before its chunk,
+# and a batched measure about 15 ms per process before its first trial. With
+# 2 CPUs and batches of 128, two chunks of 16, 32 and 48 trials in all
+# took 0.61-0.85 times one process's time in the two per-trial suites, but
+# 1.23, 1.22 and 1.11 times in index, 1.20, 1.27 and 0.74 in nullspace and
+# 1.68, 1.32 and 1.16 in manifolds (medians of 15, seeds 901-915); at
+# default trials 0.66-0.73 in index, nullspace and main-theorem, 0.94 in
+# manifolds and 1.03 in convexity (medians of 9). The runner's tests split
+# 24 trials of every suite into three chunks, which holds this at 8.
 MIN_CHUNK_TRIALS = 8
 
 # Most trials whose draws the batched suites measure in one batch. In one
-# process on one CPU the index suite's 500 trials took 0.19 s at 16, 0.15 s
-# at 24 and 32, 0.14 s at 48 and 0.12 s at 64 (medians of 7 runs); the
-# nullspace suite's 60 trials 61, 45, 41, 39, 36 and 35 ms at 6, 12, 16,
-# 24, 32 and 60, and the manifolds suite's 100 trials 62, 42, 37, 31, 28, 24
-# and 21 ms at 6, 12, 16, 24, 32, 60 and 100 (medians of 7, seed 901). A
-# larger batch holds more stacked columns: the verify benchmark's peak RSS
-# (2 CPUs, medians of 5-6 runs) read 64.0 MB at 16 and 24, 64.1-64.2 MB at
-# 32, 64.4 MB at 48 and 64.6-64.8 MB at 64.
-MEASURE_BATCH = 24
+# process on one BLAS thread (scripts/suite_times.py --batch, seed 901,
+# medians of 9) the index suite's 500 trials measured in 160, 144, 109, 98,
+# 85 and 83 ms at 24, 32, 64, 96, 128 and 192-256; nullspace's 60 trials in
+# 37.5 ms at 24 and 29-30 ms from 64 on, and manifolds' 100 trials in 32,
+# 22, 18.5 and 18 ms at 24, 64, 128 and 256. The measure step's traced peak
+# per trial of a full batch read 15, 11.5, 10.2 and 9.8 KB (index), 39 and
+# 37 KB (nullspace) and 21.5 and 15 KB (manifolds) at 24, 64, 128 and 256;
+# the verify benchmark's peak RSS (2 CPUs, medians of 4) read 64.65, 64.93
+# and 65.21 MB at 64, 128 and 192.
+MEASURE_BATCH = 128
 
 
 @dataclass
@@ -252,28 +255,23 @@ def _index_measure_group(draws):
     group = PaddedGroup(np.array([x.shape[0] for x in a]))
     (a, _), (a_h, _), (b_op, _) = (group.pad(x) for x in (a, a_h, b_op))
     s, s2 = group.extend(group.span(group.pad(s_cols)), group.span(group.pad(s2_cols)))
-    # A plus the identity outside F^n[t] has the inverse A^-1 plus it
-    inverse = np.linalg.inv(a + group.outside) - group.outside
-    ops = (a, a + np.array(shift)[:, None, None] * group.eye, inverse, a_h, b_op, a + b_op, a @ b_op)
-    *reached, s2_reach, s_s2 = group.extend(*(group.reach(op, s) for op in ops),
-                                            group.reach(a, s2), group.sum(s, s2))
-    sum_h = reached[3]
-    s_perp, sum_h_perp = group.complement(s, sum_h)
-    [s_perp_perp] = group.complement(s_perp)
-    perp_reach, sum_reach, joined = group.extend(
-        group.reach(a_h, s_perp), group.reach(a, s_s2), group.sum(s_perp_perp, sum_h_perp))
-    [between] = group.complement(joined)
-    [between_reach] = group.extend(group.reach(a_h, between))
-    gains = [w - s[1] for _, w in reached] + [
-        s2_reach[1] - s2[1], sum_reach[1] - s_s2[1], perp_reach[1] - s_perp[1], between[1],
-        between_reach[1] - between[1]]
-    return [IndexValues(*map(int, column))
-            for column in np.stack([group.n, s[1], *gains], axis=1)]
-
-
-def _joined(spaces) -> tuple:
-    """Spaces (bases, widths) of one shape as one stack."""
-    return tuple(map(np.concatenate, zip(*spaces)))
+    shift = np.array(shift)[:, None, None]
+    # three reaches per extend, each derived operator formed only as its product is
+    # (PaddedGroup.reach); A plus the identity outside F^n[t] has the inverse A^-1 plus it
+    q = group.indices(*(group.reach(op, s) for op in (
+        a, lambda: a + shift * group.eye, lambda: np.linalg.inv(a + group.outside) - group.outside)))
+    q += group.indices(*(group.reach(op, s) for op in (b_op, lambda: a + b_op, lambda: a @ b_op)))
+    del b_op
+    sum_h, s_s2, s2_reach = group.extend(group.reach(a_h, s), group.sum(s, s2), group.reach(a, s2))
+    q_h, q_s2, [sum_h_perp] = sum_h[1] - s[1], s2_reach[1] - s2[1], group.complement(sum_h)
+    del s2, sum_h, s2_reach  # only their widths are read on
+    [s_perp] = group.complement(s)
+    q_sum, q_perp = group.indices(group.reach(a, s_s2), group.reach(a_h, s_perp))
+    # S-perp cap (S + A_h S), the complement of the sum of the complements
+    [between] = group.complement(*group.extend(group.sum(*group.complement(s_perp), sum_h_perp)))
+    [q_between] = group.indices(group.reach(a_h, between))
+    return [IndexValues(*map(int, column)) for column in np.stack(
+        [group.n, s[1], *q[:3], q_h, *q[3:], q_s2, q_sum, q_perp, between[1], q_between], axis=1)]
 
 
 def _by_field(draws, block, measure_group) -> list:
@@ -496,7 +494,7 @@ def _nullspace_values(generic, square, disjoint) -> list[NullspaceChecks]:
     del hstar, t_part, n1, candidate
     joint = PaddedGroup(np.concatenate([(p + q)[:g], p[d:]]), size=size)
     [spans] = joint.extend(joint.span(spans))
-    equal = spaces_equal(spans, _joined([(basis[:g], width[:g]), t_perp]))
+    equal = spaces_equal(spans, tuple(map(np.concatenate, zip((basis[:g], width[:g]), t_perp))))
     flags = [{"invertible_t": bool(x), "same_span": bool(y)} for x, y in zip(invertible, equal)]
     flags += [{}] * (d - g) + [{"n1_perp": bool(x)} for x in equal[g:]]
     return [NullspaceChecks(*map(int, ints), *map(float, reals), **f)
@@ -511,13 +509,14 @@ def _n2_misfit(hstar: np.ndarray, basis: np.ndarray, p: np.ndarray, q: np.ndarra
     the identity past them keeps the padded R invertible."""
     cols = np.arange(hstar.shape[1])
     shift, first_q = np.minimum(cols + p[:, None], cols.size - 1), cols < q[:, None]
-    n2 = np.take_along_axis(basis, shift[:, :, None], axis=1) * first_q[:, :, None]
     unitary, r = np.linalg.qr(np.take_along_axis(hstar, shift[:, None, :], axis=2)
                               * first_q[:, None, :])
-    t_n1 = (hstar * (cols < p[:, None])[:, None, :]) @ basis
-    fit = np.linalg.solve(r + np.eye(cols.size) * ~first_q[:, None, :],
-                          adjoints(unitary) @ t_n1) * first_q[:, :, None]
-    return [np.linalg.norm(x, axis=(1, 2)) for x in (n2 + fit, n2)]
+    r += np.eye(cols.size) * ~first_q[:, None, :]
+    fit = adjoints(unitary) @ ((hstar * (cols < p[:, None])[:, None, :]) @ basis)
+    del unitary
+    fit = np.linalg.solve(r, fit) * first_q[:, :, None]
+    fit += (n2 := np.take_along_axis(basis, shift[:, :, None], axis=1) * first_q[:, :, None])
+    return [np.linalg.norm(x, axis=(1, 2)) for x in (fit, n2)]
 
 
 def _nullspace_draw(rng, trial):
@@ -717,11 +716,11 @@ def _manifolds_measure_group(draws):
     witness = positive_shifts(group, a0)
     nudged, swap_invertible = perturb_to_invertible_stacked(group, a0, s)
     invertible, compression, _ = invertibility(group, witness, s)
-    shifted = witness + np.array(omega)[:, None, None] * group.eye
-    reaches = group.extend(*(group.reach(x, s) for x in (witness, shifted, nudged)),
-                           group.reach(probe, s_small))
-    reached = np.split(spaces_equal(_joined(reaches), _joined([s_prime] * 3 + [s_big])), 4)
-    hermitian = np.split(is_hermitian(np.concatenate([witness, nudged])), 2)
+    omega = np.array(omega)[:, None, None]  # the shift is formed as its product is
+    reaches = group.extend(*(group.reach(x, s) for x in (
+        witness, lambda: witness + omega * group.eye, nudged)), group.reach(probe, s_small))
+    reached = [spaces_equal(*pair) for pair in zip(reaches, [s_prime] * 3 + [s_big])]
+    hermitian = [is_hermitian(x) for x in (witness, nudged)]
     positive = group.spectrum_ends(witness)[0] > 0
     nudge = np.linalg.norm(nudged - a0, axis=(1, 2))
     values = []

@@ -430,6 +430,7 @@ def test_an_exception_in_the_measure_step_surfaces_at_its_batch(monkeypatch, use
                                                                 assert_no_child_left, name):
     # the second batch fails in the batched measure: the trials of the
     # first were checked, and none of the second
+    monkeypatch.setattr(verify, "MEASURE_BATCH", 16)
     measure, checked = getattr(verify, f"_{name}_measure"), []
 
     def fail(draws):
@@ -443,6 +444,25 @@ def test_an_exception_in_the_measure_step_surfaces_at_its_batch(monkeypatch, use
     with pytest.raises(ValueError, match="not orthonormal"):
         SUITES[name](seed=1, trials=40)
     assert checked == list(range(verify.MEASURE_BATCH))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name, seed, trials", [
+    ("index", 5, 150), ("nullspace", 8, 135), ("manifolds", 9, 145)])
+def test_results_do_not_depend_on_the_measure_batch(monkeypatch, use_cpus, assert_no_child_left,
+                                                    name, seed, trials):
+    # trial counts that neither 7 nor the default batch divides, so that
+    # those runs end on a short batch; chunked, each chunk starts its own
+    runs = set()
+    for batch in (1, 7, verify.MEASURE_BATCH, trials):
+        monkeypatch.setattr(verify, "MEASURE_BATCH", batch)
+        for cpus, chunks in ((1, 1), (3, 3)):
+            forks = use_cpus(cpus)
+            res = SUITES[name](seed=seed, trials=trials)
+            assert len(forks) == chunks - 1
+            del forks[:]
+            runs.add((res.trials, res.checks, tuple(res.failures)))
+    assert len(runs) == 1 and runs.pop()[0] == trials
     assert_no_child_left()
 
 
